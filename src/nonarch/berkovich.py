@@ -19,7 +19,7 @@ LogRadius = Union[Fraction, float]
 
 
 def _as_logradius(rho) -> LogRadius:
-    if rho is INF or rho == INF:
+    if rho == INF:
         return INF
     return Fraction(rho)
 
@@ -59,7 +59,7 @@ class BallPoint:
         rho = self.logradius
         return {
             "center": self.center.to_json(),
-            "logradius": "inf" if rho is INF else str(rho),
+            "logradius": "inf" if rho == INF else str(rho),
         }
 
     @classmethod
@@ -80,7 +80,7 @@ def same_point(b1: BallPoint, b2: BallPoint) -> bool:
 
 def classify_type(b: BallPoint) -> int:
     """1 if r = 0, else 2 (rational log-radii give r in p^Q)."""
-    return 1 if b.logradius is INF else 2
+    return 1 if b.logradius == INF else 2
 
 
 def _recenter(coeffs: Sequence[PadicNumber], a: PadicNumber):
@@ -107,9 +107,9 @@ def seminorm(coeffs: Sequence[PadicNumber], b: BallPoint):
     best = INF
     for i, c in enumerate(shifted):
         v = c.exact_valuation
-        if v is INF:
+        if v == INF:
             continue
-        term = v if i == 0 else (INF if rho is INF else v + i * rho)
+        term = v if i == 0 else (INF if rho == INF else v + i * rho)
         if term < best:
             best = term
     return best
@@ -122,7 +122,7 @@ def join(a1: PadicNumber, a2: PadicNumber) -> BallPoint:
     type 1 and carries the ``degenerate`` flag.
     """
     v = valuation(a1 - a2)
-    if v is INF:
+    if v == INF:
         return BallPoint(a1, INF, degenerate=True)
     return BallPoint(a1, v)
 
@@ -134,7 +134,7 @@ def ladder_point(z: PadicNumber, n: int, p: int = None) -> BallPoint:
         raise ValueError("n must be nonnegative")
     p = z.p if p is None else p
     vz = valuation(z)
-    if vz is INF:
+    if vz == INF:
         raise ValueError("ladder_point requires z nonzero at working precision")
     return BallPoint(z, vz + n + Fraction(1, p - 1))
 

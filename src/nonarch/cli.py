@@ -17,19 +17,16 @@ import time
 from fractions import Fraction
 
 from . import currents, poles, skeleton, torsor
-from .errors import (NoAdmissibleOrderError, NonarchError, NonStabilizedError,
-                     NotSeparatedError, PoleCollisionError,
-                     PrecisionExhaustedError, TailCertificateError,
-                     UndecidableSlopeError)
+from .errors import NonarchError, PrecisionExhaustedError, UndecidableSlopeError
 from .padic import DEFAULT_PREC, INF, NEG_INF, PadicNumber, padic_digit_string
 
 USAGE_ERROR, PRECISION_ERROR, MATH_FAILURE = 2, 3, 4
 
 
 def _frac_str(x) -> str:
-    if x is INF or x == INF:
+    if x == INF:
         return "inf"
-    if x is NEG_INF or x == NEG_INF:
+    if x == NEG_INF:
         return "-inf"
     return str(Fraction(x))
 
@@ -97,7 +94,7 @@ def _load_pole_family(args) -> poles.PoleFamily:
 
 def _cmd_order_set(args) -> dict:
     fam = _load_pole_family(args)
-    result = poles.order_set(fam, args.nmax, args.prec)
+    result = poles.order_set(fam, args.nmax)
     out = result.to_json()
     out["inequality_dim_le_C_u"] = result.check_inequality()
     return out
@@ -198,7 +195,7 @@ def _cmd_theta(args) -> dict:
     rel = min(res.error_valuation - res.value.exact_valuation,
               shifted.error_valuation - shifted.value.exact_valuation)
     out["automorphy_ratio"] = _padic_json(
-        ratio, rel if rel is INF else rel + ratio.exact_valuation)
+        ratio, rel if rel == INF else rel + ratio.exact_valuation)
     out["automorphy_constant"] = _padic_json(
         currents.theta_automorphy_constant(fd, q), INF)
     return out
@@ -359,23 +356,18 @@ def dispatch(argv=None):
     args = ap.parse_args(argv)
     inputs = {k: v for k, v in vars(args).items() if k != "handler"}
     started = time.monotonic()
+    payload = {"command": args.command, "inputs": inputs}
+    code = 0
     try:
-        result = args.handler(args)
-        code = 0
-        payload = {"command": args.command, "inputs": inputs, "result": result}
+        payload["result"] = args.handler(args)
     except (PrecisionExhaustedError, UndecidableSlopeError) as exc:
-        code = PRECISION_ERROR
-        payload = {"command": args.command, "inputs": inputs,
-                   "error": {"kind": type(exc).__name__, "reason": str(exc)}}
-    except (NoAdmissibleOrderError, NonStabilizedError, NotSeparatedError,
-            TailCertificateError, PoleCollisionError, NonarchError) as exc:
-        code = MATH_FAILURE
-        payload = {"command": args.command, "inputs": inputs,
-                   "error": {"kind": type(exc).__name__, "reason": str(exc)}}
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        code = USAGE_ERROR
-        payload = {"command": args.command, "inputs": inputs,
-                   "error": {"kind": type(exc).__name__, "reason": str(exc)}}
+        code, failure = PRECISION_ERROR, exc
+    except NonarchError as exc:
+        code, failure = MATH_FAILURE, exc
+    except (ValueError, OSError, KeyError) as exc:
+        code, failure = USAGE_ERROR, exc
+    if code:
+        payload["error"] = {"kind": type(failure).__name__, "reason": str(failure)}
     payload["wall_time_ms"] = round((time.monotonic() - started) * 1000, 3)
     return code, payload
 

@@ -47,7 +47,7 @@ class TateCurve:
 
     def __post_init__(self):
         v = self.q.exact_valuation
-        if not (v is not INF and 0 < v):
+        if not (v != INF and 0 < v):
             raise ValueError("Tate parameter needs 0 < v(q) < inf")
 
     @property
@@ -290,7 +290,7 @@ class EvalResult:
 def _grid_index(z: PadicNumber, q: PadicNumber) -> Optional[int]:
     """j with z = q^j exactly, if any."""
     vz, vq = z.exact_valuation, q.exact_valuation
-    if vz is INF:
+    if vz == INF:
         return None
     t = Fraction(vz) / Fraction(vq)
     if t.denominator != 1:
@@ -578,7 +578,7 @@ def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
             raise PoleCollisionError("z translate hits a zero of f")
         value = value * num / den
     # the tail bound is multiplicative; report it additively
-    err = rel_err if rel_err is INF else rel_err + value.exact_valuation
+    err = rel_err if rel_err == INF else rel_err + value.exact_valuation
     return EvalResult(value, err)
 
 

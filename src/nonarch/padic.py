@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PrecisionExhaustedError
-
 INF = float("inf")
 NEG_INF = float("-inf")
 
@@ -74,14 +72,6 @@ def vp_factorial(k: int, p: int) -> int:
     return total
 
 
-def _digits_of_unit(u: Fraction, p: int, k: int) -> int:
-    """Canonical representative of the p-adic unit u modulo p^k."""
-    pk = p ** k
-    num = u.numerator % pk
-    den = u.denominator % pk
-    return num * pow(den, -1, pk) % pk
-
-
 @dataclass(frozen=True)
 class PadicNumber:
     """Element of Q_p (pi_part = 0) or Q_p(pi), held exactly.
@@ -129,7 +119,7 @@ class PadicNumber:
     def exact_valuation(self):
         va = vp_fraction(self.rat, self.p)
         vb = vp_fraction(self.pi_part, self.p)
-        if vb is not INF:
+        if vb != INF:
             vb = vb + _HALF
         return min(va, vb)
 
@@ -158,7 +148,7 @@ class PadicNumber:
         base-p digits of A and B (digit c_k of pi^k maps to weight p^k).
         """
         v = self.exact_valuation
-        if v is INF:
+        if v == INF:
             return 0
         twov = 2 * v
         t, odd = divmod(int(twov), 2)
@@ -170,9 +160,9 @@ class PadicNumber:
             a_unit = self.pi_part / pt
             b_unit = self.rat / (pt * self.p)
         if b_unit == 0:
-            return _digits_of_unit(a_unit, self.p, self.prec)
-        a = _digits_of_unit(a_unit, self.p, self.prec) if a_unit else 0
-        b = _digits_of_unit(b_unit, self.p, self.prec) if b_unit else 0
+            return integer_lift_mod(a_unit, self.p, self.prec)
+        a = integer_lift_mod(a_unit, self.p, self.prec) if a_unit else 0
+        b = integer_lift_mod(b_unit, self.p, self.prec) if b_unit else 0
         out = 0
         for i in range(self.prec):
             out += (a % self.p) * self.p ** (2 * i)
@@ -271,7 +261,7 @@ class PadicNumber:
         v = self.exact_valuation
         out = {
             "p": self.p,
-            "val": "inf" if v is INF else str(Fraction(v)),
+            "val": "inf" if v == INF else str(Fraction(v)),
             "unit": str(self.unit_digits),
             "prec": self.prec,
         }
@@ -326,7 +316,7 @@ def binom_fractional(m, k: int, p: int, prec: int = DEFAULT_PREC) -> PadicNumber
 
 def integer_lift_mod(value: Fraction, p: int, n: int) -> int:
     """Canonical representative in [0, p^n) of a p-integral rational mod p^n."""
-    if vp_fraction(value, p) is not INF and vp_fraction(value, p) < 0:
+    if value.denominator % p == 0:
         raise ValueError("value is not p-integral")
     pk = p ** n
     num = value.numerator % pk
@@ -338,20 +328,20 @@ def padic_digit_string(x: PadicNumber, cutoff, symbol: str = "p") -> str:
     """Render x as a digit expansion in powers of p up to the cutoff valuation.
 
     Produces strings like ``"p + 2*p^3 + O(p^11)"``; the O-term is omitted
-    when ``cutoff`` is INF.  Only Q_p elements are rendered.
+    when ``cutoff`` is infinite.  Only Q_p elements are rendered.
     """
     if x.is_ramified:
         raise ValueError("digit strings are only rendered for Q_p elements")
     terms = []
     v = x.exact_valuation
-    if v is not INF and (cutoff is INF or v < cutoff):
+    if v != INF and (cutoff == INF or v < cutoff):
         k = int(v)
         rest = x.rat
-        limit = x.prec if cutoff is INF else min(x.prec, int(math.ceil(cutoff)))
+        limit = x.prec if cutoff == INF else min(x.prec, int(math.ceil(cutoff)))
         while rest != 0 and k < limit:
             unit = rest / Fraction(x.p) ** k
             if vp_fraction(unit, x.p) == 0:
-                d = _digits_of_unit(unit, x.p, 1)
+                d = integer_lift_mod(unit, x.p, 1)
                 if d:
                     if k == 0:
                         terms.append(str(d))
@@ -362,12 +352,7 @@ def padic_digit_string(x: PadicNumber, cutoff, symbol: str = "p") -> str:
                     rest = rest - d * Fraction(x.p) ** k
             k += 1
     body = " + ".join(terms) if terms else "0"
-    if cutoff is INF:
+    if cutoff == INF:
         return body
     tail = f"O({symbol}^{Fraction(cutoff)})"
     return tail if body == "0" else f"{body} + {tail}"
-
-
-def require_certified(condition: bool, message: str):
-    if not condition:
-        raise PrecisionExhaustedError(message)

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .berkovich import BallPoint, seminorm
 from .errors import NoAdmissibleOrderError, PoleCollisionError, PrecisionExhaustedError
-from .padic import DEFAULT_PREC, INF, PadicNumber, integer_lift_mod, valuation, vp_fraction
+from .padic import INF, PadicNumber, integer_lift_mod, valuation, vp_fraction
 
 
 @dataclass(frozen=True)
@@ -67,78 +67,62 @@ class PoleFamily:
 # -- exact rational linear algebra ------------------------------------
 
 
-def _rational_columns(entries: Sequence[PadicNumber], C: int) -> List[Fraction]:
-    out = []
-    for e in entries:
-        out.append(e.rat)
-        if C == 2:
-            out.append(e.pi_part)
-    return out
+def _coordinates(rows: Sequence[Sequence[PadicNumber]], k: int,
+                 C: int) -> List[List[Fraction]]:
+    """Coefficient k of every pole as C rational vectors over the pole index:
+    the ``rat`` parts, then (when C = 2) the ``pi_part`` parts."""
+    entries = [row[k] for row in rows]
+    vecs = [[e.rat for e in entries]]
+    if C == 2:
+        vecs.append([e.pi_part for e in entries])
+    return vecs
 
 
-class _OnlineRank:
-    """Incremental rank of a growing set of column vectors over Q."""
+class _Echelon:
+    """Incremental echelon form over Q of the span of vectors indexed by pole.
 
-    def __init__(self, nrows: int):
-        self.nrows = nrows
-        self.basis = {}  # pivot row -> reduced vector
+    Each stored vector is zero before its leading index and at the leading
+    indices stored before it, so the leading indices are the pivot columns
+    of the reduced row echelon form of the span.
+    """
 
-    def add(self, vec: List[Fraction]) -> bool:
+    def __init__(self, n: int):
+        self.n = n
+        self.leading = {}  # leading index -> stored vector
+
+    def add(self, vec: Sequence[Fraction]) -> bool:
+        """Adjoin vec to the span; True when the rank grows."""
         v = list(vec)
-        for piv, b in self.basis.items():
-            if v[piv]:
-                c = v[piv] / b[piv]
-                for r in range(self.nrows):
+        for lead, b in self.leading.items():
+            if v[lead]:
+                c = v[lead] / b[lead]
+                for r in range(lead, self.n):
                     v[r] -= c * b[r]
-        for r in range(self.nrows):
+        for r in range(self.n):
             if v[r]:
-                self.basis[r] = v
+                self.leading[r] = v
                 return True
         return False
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
+    def kernel(self) -> List[List[Fraction]]:
+        """Basis of {a : sum_r a_r v_r = 0 for every adjoined v}.
 
-
-def _nullspace(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Basis of {a : sum_i a_i * rows[i] = 0} by reduced row echelon form."""
-    nrows = len(rows)
-    if nrows == 0:
-        return []
-    ncols = len(rows[0])
-    # work on the transpose: columns of M^T are the rows of M
-    mat = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
-    pivots = []
-    rr = 0
-    for col in range(nrows):
-        sel = None
-        for r in range(rr, len(mat)):
-            if mat[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[rr], mat[sel] = mat[sel], mat[rr]
-        pv = mat[rr][col]
-        mat[rr] = [x / pv for x in mat[rr]]
-        for r in range(len(mat)):
-            if r != rr and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [x - c * y for x, y in zip(mat[r], mat[rr])]
-        pivots.append(col)
-        rr += 1
-        if rr == len(mat):
-            break
-    free = [c for c in range(nrows) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * nrows
-        vec[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -mat[r][fcol]
-        basis.append(vec)
-    return basis
+        One vector per non-leading index f, in increasing order, equal to 1
+        at f and 0 at the other non-leading indices; the leading entries
+        follow by back-substitution from the largest leading index down.
+        """
+        leads = sorted(self.leading, reverse=True)
+        basis = []
+        for f in range(self.n):
+            if f in self.leading:
+                continue
+            a = [Fraction(0)] * self.n
+            a[f] = Fraction(1)
+            for lead in leads:
+                b = self.leading[lead]
+                a[lead] = -sum(a[r] * b[r] for r in range(lead + 1, self.n)) / b[lead]
+            basis.append(a)
+        return basis
 
 
 # -- operations --------------------------------------------------------
@@ -190,7 +174,7 @@ class OrderSetResult:
         }
 
 
-def order_set(fam: PoleFamily, nmax: int, prec: int = DEFAULT_PREC) -> OrderSetResult:
+def order_set(fam: PoleFamily, nmax: int) -> OrderSetResult:
     """Kernel-jump computation of the achieved orders.
 
     n is achieved iff Ker(phi_n) strictly contains Ker(phi_{n+1}), where
@@ -201,17 +185,12 @@ def order_set(fam: PoleFamily, nmax: int, prec: int = DEFAULT_PREC) -> OrderSetR
         raise ValueError("nmax must be nonnegative")
     C = fam.C
     rows = fam.matrix(nmax + 2)
-    nrows = len(fam.poles)
-    tracker = _OnlineRank(nrows)
+    echelon = _Echelon(len(fam.poles))
     ranks = [0]  # ranks[n] = dim V_n
     for k in range(nmax + 2):
-        col_entries = [rows[r][k] for r in range(nrows)]
-        cols = [[e.rat for e in col_entries]]
-        if C == 2:
-            cols.append([e.pi_part for e in col_entries])
-        for col in cols:
-            tracker.add(col)
-        ranks.append(tracker.rank)
+        for vec in _coordinates(rows, k, C):
+            echelon.add(vec)
+        ranks.append(len(echelon.leading))
     E = tuple(n for n in range(nmax + 1) if ranks[n + 1] > ranks[n])
     u = []
     count = 0
@@ -242,36 +221,27 @@ def find_nonppower_order(fam: PoleFamily, p: Optional[int] = None,
     p = fam.p if p is None else p
     window = (len(fam.poles) - 1) if nmax is None else nmax
     rows = fam.matrix(window + 2)
-    nrows = len(fam.poles)
     C = fam.C
+    echelon = _Echelon(len(fam.poles))
     achieved = []
     for k in range(window + 1):
-        block = [_rational_columns(rows[r][:k], C) for r in range(nrows)]
-        kernel = _nullspace(block) if k else [
-            [Fraction(1) if r == s else Fraction(0) for s in range(nrows)]
-            for r in range(nrows)]
-        witness = None
-        for vec in kernel:
-            img = [sum(vec[r] * col[r] for r in range(nrows))
-                   for col in ([ [rows[r][k].rat for r in range(nrows)] ] +
-                               ([[rows[r][k].pi_part for r in range(nrows)]]
-                                if C == 2 else []))]
-            if any(img):
-                witness = vec
-                break
-        if witness is None:
-            continue
-        achieved.append(k)
-        if _is_p_power(k + 1, p):
-            continue
-        shift = min((vp_fraction(c, p) for c in witness if c != 0))
-        if shift < 0:
-            witness = [c * Fraction(p) ** (-shift) for c in witness]
-        got = order_of_combination(witness, fam, window=window + 1)
-        if got != k:
-            raise PrecisionExhaustedError(
-                f"kernel construction promised order {k} but verified {got}")
-        return tuple(witness)
+        block = _coordinates(rows, k, C)
+        if not _is_p_power(k + 1, p):
+            # the first kernel vector of phi_k not killed by block k
+            witness = next((vec for vec in echelon.kernel()
+                            if any(sum(a * c for a, c in zip(vec, col))
+                                   for col in block)), None)
+            if witness is not None:
+                shift = min(vp_fraction(c, p) for c in witness if c != 0)
+                if shift < 0:
+                    witness = [c * Fraction(p) ** (-shift) for c in witness]
+                got = order_of_combination(witness, fam, window=window + 1)
+                if got != k:
+                    raise PrecisionExhaustedError(
+                        f"kernel construction promised order {k} but verified {got}")
+                return tuple(witness)
+        if any([echelon.add(vec) for vec in block]):
+            achieved.append(k)
     raise NoAdmissibleOrderError(window, achieved)
 
 
@@ -286,7 +256,7 @@ def integer_approximation(a: PadicNumber, n: int) -> int:
         raise PrecisionExhaustedError(
             f"precision {a.prec} is below the requested modulus exponent {n}")
     v = a.exact_valuation
-    if v is not INF and v < 0:
+    if v != INF and v < 0:
         raise ValueError("a must be p-integral")
     if n == 0:
         return 0

@@ -99,6 +99,17 @@ def test_theta_cli():
     assert "automorphy_ratio" in payload["result"]
 
 
+def test_theta_cli_trivial_function_has_exact_report():
+    # an infinite error valuation must survive arithmetic on it
+    code, payload = run(["theta", "--p", "3", "--q", "p", "--factors", "[]",
+                         "--l", "1", "--z", "2", "--z0", "1", "--M", "2"])
+    assert code == 0
+    res = payload["result"]
+    for key in ("value", "automorphy_ratio", "automorphy_constant"):
+        assert res[key]["digits"] == "1"
+        assert res[key]["error_valuation"] == "inf"
+
+
 def test_ladder_ord_cli(tmp_path):
     from nonarch import Current
     cur = Current.windowed({1: 1})

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import helpers
 from nonarch import (PadicNumber, PoleFamily, find_nonppower_order,
                      finite_product_eval, integer_approximation, moebius_orbit,
                      order_of_combination, order_set, BallPoint)
@@ -200,6 +202,76 @@ def test_find_order_seeded_roundtrip():
         while m % p == 0:
             m //= p
         assert m != 1
+
+
+def seeded_family(seed, p, ramified, npoles):
+    """Distinct poles a + b*pi (b = 0 unless ramified) around a rational x."""
+    rng = random.Random(seed)
+    pi = PadicNumber.uniformizer(p)
+    x = Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3)))
+    points = set()
+    while len(points) < npoles:
+        a = Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3)))
+        b = rng.randint(-2, 2) if ramified else 0
+        if (a, b) != (x, 0):
+            points.add((a, b))
+    points = sorted(points)
+    rng.shuffle(points)
+    if ramified and all(b == 0 for _, b in points):
+        points[0] = (points[0][0], 1)
+    return PoleFamily(tuple(Q(p, a) + pi * b for a, b in points), Q(p, x))
+
+
+def vp(c, p):
+    num, den, v = c.numerator, c.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from((2, 3, 5)),
+       ramified=st.booleans(), npoles=st.integers(2, 8))
+def test_order_set_and_witness_match_oracles(seed, p, ramified, npoles):
+    fam = seeded_family(seed, p, ramified, npoles)
+    C, nmax = fam.C, npoles + 1
+    assert C == (2 if ramified else 1)
+    rows = family_rational_rows(fam, nmax + 1)
+    res = order_set(fam, nmax)
+    assert res.dims == tuple(helpers.rank_oracle([r[: n * C] for r in rows])
+                             for n in range(nmax + 1))
+    # one linear condition on (a_i) per rational coordinate column
+    conditions = [[r[j] for r in rows] for j in range(len(rows[0]))]
+    identity = [[Fraction(int(i == j)) for j in range(npoles)]
+                for i in range(npoles)]
+    achieved, expected = [], None
+    for k in range(npoles):
+        kernel = helpers.rref_nullspace(conditions[: k * C]) if k else identity
+        block = conditions[k * C: (k + 1) * C]
+        hit = next((v for v in kernel
+                    if any(sum(a * c for a, c in zip(v, col)) for col in block)),
+                   None)
+        if hit is None:
+            continue
+        achieved.append(k)
+        if not is_p_power(k + 1, p):
+            shift = min(vp(c, p) for c in hit if c)
+            expected = [c * Fraction(p) ** max(-shift, 0) for c in hit]
+            break
+    if expected is None:
+        with pytest.raises(NoAdmissibleOrderError) as exc:
+            find_nonppower_order(fam)
+        assert exc.value.orders == tuple(achieved)
+    else:
+        assert list(find_nonppower_order(fam)) == expected
 
 
 def test_integer_approximation_examples():
