@@ -10,6 +10,7 @@ byte-identical reports apart from the wall_time_ms field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -351,9 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: construction costs ~20x a parse, and no
+    # argument has a mutable default
+    return build_parser()
+
+
 def dispatch(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     inputs = {k: v for k, v in vars(args).items() if k != "handler"}
     started = time.monotonic()
     payload = {"command": args.command, "inputs": inputs}

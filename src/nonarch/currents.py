@@ -568,8 +568,11 @@ def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
     else:
         rel_err = INF
     value = PadicNumber.one(q.p)
+    step = q ** l
+    g = q ** (-l * M)  # the grid point q^(lk), stepped by q^l
     for k in range(-M, M + 1):
-        g = q ** (l * k)
+        if k > -M:
+            g = g * step
         num = fd.value(q, g * z)
         den = fd.value(q, g * z0)
         if den.is_exact_zero:

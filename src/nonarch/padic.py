@@ -14,6 +14,7 @@ at that precision, and serialization truncates to N digits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,8 +25,10 @@ NEG_INF = float("-inf")
 DEFAULT_PREC = 64
 
 _HALF = Fraction(1, 2)
+_ZERO = Fraction(0)
 
 
+@functools.lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -91,8 +94,10 @@ class PadicNumber:
             raise ValueError(f"p = {self.p} is not prime")
         if self.prec < 1:
             raise ValueError("precision must be >= 1")
-        object.__setattr__(self, "rat", Fraction(self.rat))
-        object.__setattr__(self, "pi_part", Fraction(self.pi_part))
+        if type(self.rat) is not Fraction:
+            object.__setattr__(self, "rat", Fraction(self.rat))
+        if type(self.pi_part) is not Fraction:
+            object.__setattr__(self, "pi_part", Fraction(self.pi_part))
 
     # -- constructors -------------------------------------------------
 
@@ -159,7 +164,7 @@ class PadicNumber:
         else:
             a_unit = self.pi_part / pt
             b_unit = self.rat / (pt * self.p)
-        if b_unit == 0:
+        if not self.is_ramified:
             return integer_lift_mod(a_unit, self.p, self.prec)
         a = integer_lift_mod(a_unit, self.p, self.prec) if a_unit else 0
         b = integer_lift_mod(b_unit, self.p, self.prec) if b_unit else 0
@@ -179,14 +184,15 @@ class PadicNumber:
                 raise ValueError("mixed primes")
             return other
         if isinstance(other, (int, Fraction)):
-            return PadicNumber(self.p, Fraction(other), Fraction(0), self.prec)
+            return PadicNumber(self.p, Fraction(other), _ZERO, self.prec)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return PadicNumber(self.p, self.rat + o.rat, self.pi_part + o.pi_part,
+        b, d = self.pi_part, o.pi_part
+        return PadicNumber(self.p, self.rat + o.rat, b + d if b or d else _ZERO,
                            min(self.prec, o.prec))
 
     __radd__ = __add__
@@ -198,21 +204,25 @@ class PadicNumber:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        b, d = self.pi_part, o.pi_part
+        return PadicNumber(self.p, self.rat - o.rat, b - d if b or d else _ZERO,
+                           min(self.prec, o.prec))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         a, b, c, d = self.rat, self.pi_part, o.rat, o.pi_part
-        return PadicNumber(self.p, a * c + self.p * b * d, a * d + b * c,
-                           min(self.prec, o.prec))
+        prec = min(self.prec, o.prec)
+        if not (b or d):
+            return PadicNumber(self.p, a * c, _ZERO, prec)
+        return PadicNumber(self.p, a * c + self.p * b * d, a * d + b * c, prec)
 
     __rmul__ = __mul__
 
@@ -220,6 +230,8 @@ class PadicNumber:
         if self.is_exact_zero:
             raise ZeroDivisionError("inverse of zero")
         a, b = self.rat, self.pi_part
+        if not b:
+            return PadicNumber(self.p, 1 / a, _ZERO, self.prec)
         nrm = a * a - self.p * b * b  # nonzero: v(a^2) is even, v(p b^2) odd
         return PadicNumber(self.p, a / nrm, -b / nrm, self.prec)
 
@@ -240,12 +252,18 @@ class PadicNumber:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = PadicNumber.one(self.p, self.prec)
+        if k == 0:
+            return PadicNumber.one(self.p, self.prec)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
         return out
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import nonarch
 from nonarch.cli import dispatch, main
 
 
@@ -175,3 +179,52 @@ def test_reports_are_deterministic(tmp_path):
     p1.pop("wall_time_ms")
     p2.pop("wall_time_ms")
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
+
+
+def test_theta_with_non_prime_p_exits_2():
+    code, payload = run(["theta", "--p", "4", "--q", "p",
+                         "--factors", "[[1, 1], [2, -1]]",
+                         "--l", "1", "--z", "5", "--z0", "2", "--M", "8"])
+    assert code == 2
+    assert payload["error"]["kind"] == "ValueError"
+
+
+def _report(stdout):
+    if not stdout:
+        return None
+    payload = json.loads(stdout)
+    payload.pop("wall_time_ms")
+    return payload
+
+
+def test_one_process_matches_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; reports and exit codes must not
+    # depend on what ran before in the same process
+    f = tower_file(tmp_path)
+    sequence = [
+        ["splitting-radius", "--p", "3", "--N", "2", "--n", "4"],
+        ["theta", "--p", "3", "--q", "p", "--factors", "[[1, 1], [2, -1]]",
+         "--l", "2", "--z", "5", "--z0", "2", "--M", "4", "--prec", "20"],
+        ["as-genus", "--e", "6", "--p", "5", "--no-such-flag"],
+        ["skeleton-tower", "--file", str(f), "--check", "compose", "--seed", "3"],
+        ["theta", "--p", "4", "--q", "p", "--factors", "[]",
+         "--l", "1", "--z", "2", "--z0", "1"],
+        ["poly-eval", "--p", "5", "--q", "p^2", "--coeffs", "1,0,3", "--J", "6"],
+        ["splitting-radius", "--p", "2", "--N", "3", "--n", "2", "--numeric"],
+    ]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(nonarch.__file__)))
+    codes = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        here = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "nonarch.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert code == fresh.returncode, argv
+        assert _report(here.out) == _report(fresh.stdout), argv
+        assert here.err == fresh.stderr, argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0, 2, 0, 0]

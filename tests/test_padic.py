@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonarch import (BoundedSeries, INF, NEG_INF, PadicNumber, TailBound,
                      binom_fractional, convergence_logradius,
@@ -140,6 +141,119 @@ def test_unit_digits_coprime_to_p():
     for r in (5, Fraction(9, 7), Fraction(-3, 4)):
         x = Q(3, r)
         assert x.unit_digits % 3 != 0
+
+
+@pytest.mark.parametrize("pi_part", [4, Fraction(7, 2), -1, 9, Fraction(-5, 3)])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_serialization_roundtrip_pure_pi_multiples(p, pi_part):
+    # odd valuation and rat == 0: the unit is still interleaved.  The unit
+    # keeps prec digits, so the round trip agrees to relative precision prec
+    # (to the full precision when the valuation is nonnegative).
+    x = PadicNumber.uniformizer(p, prec=12) * pi_part
+    data = x.to_json()
+    assert data["ext"] is True
+    back = PadicNumber.from_json(data)
+    assert (back - x).exact_valuation >= x.prec + x.exact_valuation
+    if x.exact_valuation >= 0:
+        assert valuation(back - x) is INF
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, -3])
+def test_non_prime_p_is_rejected(p):
+    for _ in range(2):  # the second call is answered by the primality cache
+        with pytest.raises(ValueError):
+            PadicNumber(p, Fraction(1))
+        with pytest.raises(ValueError):
+            PadicNumber.from_rational(p, 1)
+
+
+def test_precision_below_one_is_rejected():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            PadicNumber(3, Fraction(1), Fraction(0), 0)
+        with pytest.raises(ValueError):
+            PadicNumber.from_rational(3, 1, prec=0)
+
+
+def test_power_edge_cases():
+    pi = PadicNumber.uniformizer(5, prec=9)
+    for x in (Q(5, Fraction(-7, 10), prec=9), pi * 3 + 2, PadicNumber.zero(5, 9)):
+        one = x ** 0
+        assert one == PadicNumber.one(5) and one.prec == 9
+        assert x ** 1 == x and (x ** 1).prec == 9
+    with pytest.raises(ZeroDivisionError):
+        PadicNumber.zero(5, 9) ** -1
+
+
+# Textbook arithmetic of Q_p(pi), pi^2 = p, on bare (rat, pi_part) pairs.
+
+
+def o_mul(p, x, y):
+    (a, b), (c, d) = x, y
+    return (a * c + p * b * d, a * d + b * c)
+
+
+def o_inv(p, x):
+    a, b = x
+    n = a * a - p * b * b
+    return (a / n, -b / n)
+
+
+def o_pow(p, x, k):
+    base = o_inv(p, x) if k < 0 else x
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = o_mul(p, out, base)
+    return out
+
+
+small = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+operand = st.tuples(small, st.one_of(st.just(Fraction(0)), small),
+                    st.integers(1, 80))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(p=st.sampled_from((2, 3, 5)), xs=st.tuples(operand, operand, operand),
+       n=st.integers(-9, 9), k=st.integers(-4, 8))
+def test_arithmetic_matches_textbook_oracle(p, xs, n, k):
+    x, y, z = (PadicNumber(p, r, b, prec) for r, b, prec in xs)
+    ox, oy = (x.rat, x.pi_part), (y.rat, y.pi_part)
+    nn = (Fraction(n), Fraction(0))
+    pr = min(x.prec, y.prec)
+    cases = [
+        (x + y, (ox[0] + oy[0], ox[1] + oy[1]), pr),
+        (x - y, (ox[0] - oy[0], ox[1] - oy[1]), pr),
+        (x * y, o_mul(p, ox, oy), pr),
+        (-x, (-ox[0], -ox[1]), x.prec),
+        (n + x, (n + ox[0], ox[1]), x.prec),
+        (n - x, (n - ox[0], -ox[1]), x.prec),
+        (x - n, (ox[0] - n, ox[1]), x.prec),
+        (n * x, o_mul(p, nn, ox), x.prec),
+    ]
+    if not x.is_exact_zero:
+        cases += [(x.inverse(), o_inv(p, ox), x.prec),
+                  (y / x, o_mul(p, oy, o_inv(p, ox)), pr),
+                  (n / x, o_mul(p, nn, o_inv(p, ox)), x.prec)]
+    if k >= 0 or not x.is_exact_zero:
+        cases.append((x ** k, o_pow(p, ox, k), x.prec))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+    for got, (rat, pi_part), prec in cases:
+        assert type(got.rat) is Fraction and type(got.pi_part) is Fraction
+        assert (got.rat, got.pi_part) == (rat, pi_part)
+        assert got.prec == prec
+    # field laws of Q_p(pi)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x - x).is_exact_zero and (x + (-x)).is_exact_zero
+    if not x.is_exact_zero:
+        assert x * x.inverse() == PadicNumber.one(p)
+        assert (y / x) * x == y
+    back = PadicNumber.from_json(x.to_json())
+    assert (back - x).exact_valuation >= x.prec + x.exact_valuation
 
 
 # ---------------------------------------------------------------- series
