@@ -29,8 +29,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from .berkovich import BallPoint, seminorm
 from .errors import (NonStabilizedError, PoleCollisionError,
                      PrecisionExhaustedError, TailCertificateError)
-from .padic import INF, PadicNumber, binom_fractional, valuation, vp_fraction
-from .series import BoundedSeries, TailBound
+from .padic import INF, PadicNumber, valuation, vp_fraction
+from .series import BoundedSeries, TailBound, _power_coeffs
 from .torsor import RamifiedGerm, splitting_logradius_numeric
 
 Value = Union[int, Fraction]
@@ -602,7 +602,8 @@ class LadderResult:
 def _binomial_factor(p: int, u: PadicNumber, mexp: int, degree: int) -> BoundedSeries:
     """(1 + u*T)^mexp as a BoundedSeries (integer exponent, possibly negative)."""
     top = degree if mexp < 0 else min(mexp, degree)
-    coeffs = [binom_fractional(mexp, k, p) * u ** k for k in range(top + 1)]
+    one = PadicNumber.one(p)
+    coeffs = _power_coeffs((one, u), Fraction(mexp), one, top)
     if 0 <= mexp <= degree:
         tail = None
     else:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import PrecisionExhaustedError, UndecidableSlopeError
-from .padic import DEFAULT_PREC, NEG_INF, PadicNumber, binom_fractional
+from .padic import DEFAULT_PREC, NEG_INF, PadicNumber
 
 
 @dataclass(frozen=True)
@@ -134,22 +134,12 @@ class BoundedSeries:
         if self.p != other.p:
             raise ValueError("mixed primes")
         f, g = self, other
+        d_out = min((s.degree for s in (f, g) if s.tail is not None),
+                    default=max(f.degree, g.degree))
+        coeffs = tuple(f.coeff(j) + g.coeff(j) for j in range(d_out + 1))
         if f.tail is None and g.tail is None:
-            n = max(f.degree, g.degree) + 1
-            zero = PadicNumber.zero(self.p)
-            coeffs = tuple(
-                (f.coeffs[j] if j <= f.degree else zero) +
-                (g.coeffs[j] if j <= g.degree else zero) for j in range(n))
             return BoundedSeries(self.p, coeffs, None)
         alpha = min(t.alpha for t in (f.tail, g.tail) if t is not None)
-        if f.tail is not None and g.tail is not None:
-            d_out = min(f.degree, g.degree)
-        else:
-            d_out = g.degree if g.tail is not None else f.degree
-        zero = PadicNumber.zero(self.p)
-        coeffs = tuple(
-            (f.coeffs[j] if j <= f.degree else zero) +
-            (g.coeffs[j] if j <= g.degree else zero) for j in range(d_out + 1))
         beta = None
         for s in (f, g):
             if s.tail is not None:
@@ -170,8 +160,8 @@ class BoundedSeries:
         f, g = self, other
         if f.is_zero() or g.is_zero():
             return BoundedSeries(self.p, (PadicNumber.zero(self.p),), None)
-        of = f.ord() if f.tail is None else _ord_or_zero(f)
-        og = g.ord() if g.tail is None else _ord_or_zero(g)
+        of = _ord_or_zero(f)
+        og = _ord_or_zero(g)
         if f.tail is None and g.tail is None:
             d_out = f.degree + g.degree
             tail = None
@@ -206,15 +196,11 @@ class BoundedSeries:
         dropped = [(j, v) for j, v in self.explicit_points() if j > d]
         if self.tail is None and not dropped:
             return BoundedSeries(self.p, self.coeffs[: d + 1], None)
-        if self.tail is None:
-            alpha = Fraction(0)
-            beta = min(v - alpha * j for j, v in dropped)
-            return BoundedSeries(self.p, self.coeffs[: d + 1], TailBound(alpha, beta))
-        alpha = self.tail.alpha
-        beta = self.tail.beta
-        for j, v in dropped:
-            beta = min(beta, v - alpha * j)
-        return BoundedSeries(self.p, self.coeffs[: d + 1], TailBound(alpha, beta))
+        alpha = Fraction(0) if self.tail is None else self.tail.alpha
+        betas = [v - alpha * j for j, v in dropped]
+        if self.tail is not None:
+            betas.append(self.tail.beta)
+        return BoundedSeries(self.p, self.coeffs[: d + 1], TailBound(alpha, min(betas)))
 
     def rescale(self, c) -> "BoundedSeries":
         """Substitution X -> c*X."""
@@ -243,25 +229,18 @@ class BoundedSeries:
             raise ZeroDivisionError("inverse of a series with zero constant term")
         d = self.degree if trunc is None else min(trunc, self.degree)
         inv0 = c0.inverse()
-        out = [inv0]
-        for j in range(1, d + 1):
-            acc = PadicNumber.zero(self.p)
-            for i in range(1, j + 1):
-                if i <= self.degree and not self.coeffs[i].is_exact_zero:
-                    acc = acc + self.coeffs[i] * out[j - i]
-            out.append(-inv0 * acc)
+        out = _power_coeffs(self.coeffs, Fraction(-1), inv0, d)
         tail = None
         if self.tail is not None or any(not c.is_exact_zero for c in self.coeffs[1:]):
             # 1/f = (1/c0) * sum h^k with h = 1 - f/c0, ord(h) >= 1
             h = self.scalar_mul(inv0).scalar_add(-1).scalar_mul(-1)
-            oh = h.ord() if h.tail is None else max(1, _ord_or_zero(h))
-            if oh is not None:
-                a = h.tail.alpha if h.tail is not None else Fraction(0)
-                b = h.minorant_at(a)
-                if b >= 0:
-                    tail = TailBound(a, b - c0.exact_valuation)
-                else:
-                    tail = TailBound(a + b / oh, -c0.exact_valuation)
+            oh = max(1, _ord_or_zero(h))
+            a = h.tail.alpha if h.tail is not None else Fraction(0)
+            b = h.minorant_at(a)
+            if b >= 0:
+                tail = TailBound(a, b - c0.exact_valuation)
+            else:
+                tail = TailBound(a + b / oh, -c0.exact_valuation)
         return BoundedSeries(self.p, tuple(out), tail)
 
     def to_json(self) -> dict:
@@ -282,6 +261,29 @@ def _ord_or_zero(f: BoundedSeries) -> int:
         if not c.is_exact_zero:
             return j
     return 0  # conservative when only the tail carries terms
+
+
+def _power_coeffs(v: Sequence[PadicNumber], a: Fraction, w0: PadicNumber,
+                  d: int) -> list:
+    """Coefficients 0..d of W = V^a, given v = (V_0, V_1, ...) with V_0 != 0
+    (zero beyond its length) and w0 = V_0^a.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+    n V_0 W_n = sum_{k=1..n} ((a+1)k - n) V_k W_{n-k}.  Exact arithmetic
+    makes the coefficients unique, so every caller gets the values a
+    binomial or convolution expansion would give, in O(d^2) operations.
+    """
+    inv0 = v[0].inverse()
+    support = [k for k in range(1, min(d, len(v) - 1) + 1) if not v[k].is_exact_zero]
+    w = [w0]
+    for n in range(1, d + 1):
+        acc = PadicNumber.zero(w0.p)
+        for k in support:
+            if k > n:
+                break
+            acc = acc + v[k] * w[n - k] * (((a + 1) * k - n) / n)
+        w.append(acc * inv0)
+    return w
 
 
 def geometric_series(p: int, degree: int) -> BoundedSeries:
@@ -341,7 +343,8 @@ def _root_tail(u: BoundedSeries, e: int, m: int, p: int) -> TailBound:
 def series_p_power_root(f: BoundedSeries, m: int) -> BoundedSeries:
     """Binomial-series expansion of f^(1/p^m) for f with f(0) = 1.
 
-    Explicit coefficients are exact; the output tail is certified from the
+    Explicit coefficients are exact (Miller's power recurrence, see
+    ``_power_coeffs``); the output tail is certified from the
     valuations v(C(1/p^m, k)) = -km - v_p(k!) and u = f - 1.
     """
     if m < 0:
@@ -358,17 +361,8 @@ def series_p_power_root(f: BoundedSeries, m: int) -> BoundedSeries:
     if e is None:
         raise PrecisionExhaustedError(
             "cannot certify the order of f - 1 at the explicit degree")
-    d = f.degree
-    acc = [PadicNumber.zero(p)] * (d + 1)
-    acc[0] = PadicNumber.one(p)
-    power = BoundedSeries(p, (PadicNumber.one(p),), None)
-    for k in range(1, d // e + 1):
-        power = power.mul(u, trunc=d)
-        ck = binom_fractional(Fraction(1, p ** m), k, p)
-        for j in range(k * e, d + 1):
-            if j <= power.degree and not power.coeffs[j].is_exact_zero:
-                acc[j] = acc[j] + ck * power.coeffs[j]
-    return BoundedSeries(p, tuple(acc), _root_tail(u, e, m, p))
+    coeffs = _power_coeffs(f.coeffs, Fraction(1, p ** m), PadicNumber.one(p), f.degree)
+    return BoundedSeries(p, tuple(coeffs), _root_tail(u, e, m, p))
 
 
 def convergence_logradius(f: BoundedSeries):

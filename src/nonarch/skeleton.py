@@ -345,7 +345,7 @@ def retract(pt: GraphPoint, ref: Refinement) -> GraphPoint:
 def compose(r12: Refinement, r23: Refinement) -> Refinement:
     """Composite refinement: fine graph of r12, coarse graph of r23
     (r12: G1 <- G2 embedding ... fine=G1, coarse=G2; r23: fine=G2, coarse=G3)."""
-    if r12.coarse is not r23.fine and r12.coarse.to_json() != r23.fine.to_json():
+    if r12.coarse != r23.fine:
         raise ValueError("refinements do not chain: r12.coarse must be r23.fine")
     vmap = {cv: r12.vmap[fv2] for cv, fv2 in r23.vmap.items()}
     paths: Dict[str, List[Tuple[str, int]]] = {}
@@ -411,8 +411,7 @@ class SkeletonTower:
         if len(self.refinements) != len(self.graphs) - 1:
             raise ValueError("a tower of d+1 graphs needs d refinements")
         for i, r in enumerate(self.refinements):
-            if r.coarse.to_json() != self.graphs[i].to_json() or \
-                    r.fine.to_json() != self.graphs[i + 1].to_json():
+            if r.coarse != self.graphs[i] or r.fine != self.graphs[i + 1]:
                 raise ValueError(f"refinement {i} does not match the tower graphs")
 
     @property

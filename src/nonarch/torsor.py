@@ -145,9 +145,4 @@ def dlog_ord(f: BoundedSeries, shift: Optional[PadicNumber] = None) -> int:
         raise ValueError("dlog_ord requires f not identically zero")
     if m >= 1:
         return -1
-    for j in range(1, f.degree + 1):
-        if not f.coeffs[j].is_exact_zero:
-            return j - 1
-    if f.tail is None:
-        raise IndeterminateGermError("constant germ: df/f vanishes identically")
-    raise PrecisionExhaustedError("leading term of df/f not certified")
+    return ramification_index(f) - 1

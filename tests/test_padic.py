@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nonarch import (BoundedSeries, INF, NEG_INF, PadicNumber, TailBound,
                      binom_fractional, convergence_logradius,
                      series_p_power_root, valuation, vp_factorial)
+from nonarch.currents import _binomial_factor
 from nonarch.errors import PrecisionExhaustedError, UndecidableSlopeError
 
 
@@ -424,3 +425,94 @@ def test_monotone_radius_under_high_valuation_perturbation():
     base = BoundedSeries.build(p, [1, 1, 1, 1], TailBound(0, 0))
     bumped = BoundedSeries.build(p, [1, 1 + 9, 1, 1 + 27], TailBound(0, 0))
     assert convergence_logradius(base) == convergence_logradius(bumped)
+
+
+# ---------------------------------------------------- series powers
+
+
+coeff_part = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def unit_series(draw, degrees=st.integers(1, 24), tailed=True):
+    """(p, f) with f(0) = 1, Q_p or ramified coefficients, optional tail."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ramified = draw(st.booleans())
+    degree = draw(degrees)
+    coeffs = [PadicNumber.one(p)]
+    for _ in range(degree):
+        rat = draw(coeff_part) * Fraction(p) ** draw(st.integers(-1, 3))
+        pi_part = draw(coeff_part) if ramified else Fraction(0)
+        coeffs.append(PadicNumber(p, rat, pi_part))
+    tail = None
+    if tailed and draw(st.booleans()):
+        tail = TailBound(draw(st.integers(0, 3)), draw(st.integers(-2, 2)))
+    return p, BoundedSeries(p, tuple(coeffs), tail)
+
+
+def assert_coeffs_equal(got, want, degree):
+    for j in range(degree + 1):
+        assert got.coeff(j) == want.coeff(j), j
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=unit_series(), m=st.integers(1, 2))
+def test_root_power_and_inverse_match_multiplication(data, m):
+    p, f = data
+    D = f.degree
+    if f.tail is not None and all(c.is_exact_zero for c in f.coeffs[1:]):
+        with pytest.raises(PrecisionExhaustedError):
+            series_p_power_root(f, m)
+    else:
+        root = series_p_power_root(f, m)
+        power = root
+        for _ in range(p ** m - 1):
+            power = power.mul(root, trunc=D)
+        assert_coeffs_equal(power, f, D)
+    # a non-unit constant term exercises w0 = 1/c0
+    g = f.scalar_mul(PadicNumber(p, Fraction(p, 7), Fraction(1)))
+    product = g.mul(g.inverse(), trunc=D)
+    assert_coeffs_equal(product, BoundedSeries.build(p, [1]), D)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(p=st.sampled_from((2, 3, 5)), rat=coeff_part.filter(bool),
+       pi_part=st.one_of(st.just(Fraction(0)), coeff_part),
+       mexp=st.integers(-4, 6), D=st.integers(0, 24))
+def test_binomial_factor_matches_binomial_oracle(p, rat, pi_part, mexp, D):
+    u = PadicNumber(p, rat, pi_part)
+    factor = _binomial_factor(p, u, mexp, D)
+    top = D if mexp < 0 else min(mexp, D)
+    assert factor.degree == top
+    for k in range(top + 1):
+        assert factor.coeffs[k] == binom_fractional(mexp, k, p) * u ** k, k
+    assert (factor.tail is None) == (0 <= mexp <= D)
+
+
+POWER_OPS = {
+    "root1": lambda f: series_p_power_root(f, 1),
+    "root2": lambda f: series_p_power_root(f, 2),
+    "root3": lambda f: series_p_power_root(f, 3),
+    "inverse": BoundedSeries.inverse,
+}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=unit_series(degrees=st.integers(1, 6).map(lambda D: 4 * D), tailed=False),
+       op_name=st.sampled_from(sorted(POWER_OPS)))
+def test_tails_bound_coefficients_of_the_longer_expansion(data, op_name):
+    # Compute at explicit degree D and again from the degree-4D polynomial;
+    # the degree-D tail must bound every explicit coefficient D < k <= 4D.
+    _, f = data
+    D = f.degree // 4
+    op = POWER_OPS[op_name]
+    # a root needs a certified order of f - 1 within degree D
+    assume(op_name == "inverse" or any(not c.is_exact_zero for c in f.coeffs[1:D + 1]))
+    short = op(f.truncate(D))
+    long = op(f)
+    assert short.degree == D and long.degree == 4 * D
+    assert_coeffs_equal(short, long, D)
+    for k in range(D + 1, 4 * D + 1):
+        c = long.coeffs[k]
+        if not c.is_exact_zero:
+            assert c.exact_valuation >= short.tail.at(k), (k, short.tail)
