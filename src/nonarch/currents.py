@@ -29,7 +29,9 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from .berkovich import BallPoint, seminorm
 from .errors import (NonStabilizedError, PoleCollisionError,
                      PrecisionExhaustedError, TailCertificateError)
-from .padic import INF, PadicNumber, valuation, vp_fraction
+# binom_fractional is re-exported (public name of this module), not called here
+from .padic import (INF, PadicNumber, binom_fractional,  # noqa: F401
+                    valuation, vp_fraction)
 from .series import BoundedSeries, TailBound, _power_coeffs
 from .torsor import RamifiedGerm, splitting_logradius_numeric
 

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import PrecisionExhaustedError, UndecidableSlopeError
-from .padic import DEFAULT_PREC, NEG_INF, PadicNumber
+# binom_fractional is re-exported (public name of this module), not called here
+from .padic import DEFAULT_PREC, NEG_INF, PadicNumber, binom_fractional  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -281,8 +282,8 @@ def _power_coeffs(v: Sequence[PadicNumber], a: Fraction, w0: PadicNumber,
         for k in support:
             if k > n:
                 break
-            acc = acc + v[k] * w[n - k] * (((a + 1) * k - n) / n)
-        w.append(acc * inv0)
+            acc = acc + v[k] * w[n - k] * ((a + 1) * k - n)
+        w.append(acc * (inv0 / n))
     return w
 
 
