@@ -32,8 +32,20 @@ def _frac_str(x) -> str:
     return str(Fraction(x))
 
 
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s.strip())
+def _parse_frac(s) -> Fraction:
+    """A rational from command-line text or a JSON number."""
+    try:
+        return Fraction(s)
+    except (ZeroDivisionError, TypeError):
+        raise ValueError(f"not a rational number: {s!r}") from None
+
+
+def _load_object(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _parse_scalar(s: str, p: int, prec: int) -> PadicNumber:
@@ -46,12 +58,13 @@ def _parse_scalar(s: str, p: int, prec: int) -> PadicNumber:
         return PadicNumber.from_rational(p, sign * p, prec)
     if t.startswith("p^"):
         return PadicNumber.from_rational(p, sign * Fraction(p) ** int(t[2:]), prec)
-    return PadicNumber.from_rational(p, sign * Fraction(t), prec)
+    return PadicNumber.from_rational(p, sign * _parse_frac(t), prec)
 
 
 def _parse_pole(entry, p: int, prec: int) -> PadicNumber:
     if isinstance(entry, dict):
-        return PadicNumber(p, Fraction(entry["rat"]), Fraction(entry.get("pi", 0)), prec)
+        return PadicNumber(p, _parse_frac(entry["rat"]), _parse_frac(entry.get("pi", 0)),
+                           prec)
     return _parse_scalar(str(entry), p, prec)
 
 
@@ -84,8 +97,7 @@ def _cmd_as_genus(args) -> dict:
 
 
 def _load_pole_family(args) -> poles.PoleFamily:
-    with open(args.poles, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_object(args.poles)
     p = int(data["p"])
     prec = args.prec
     x = _parse_pole(data.get("x") if args.x is None else args.x, p, prec)
@@ -114,8 +126,7 @@ def _cmd_find_order(args) -> dict:
 
 
 def _load_current(path: str) -> currents.Current:
-    with open(path, "r", encoding="utf-8") as fh:
-        return currents.Current.from_json(json.load(fh))
+    return currents.Current.from_json(_load_object(path))
 
 
 def _cmd_current(args) -> dict:
@@ -161,7 +172,7 @@ def _cmd_moebius_check(args) -> dict:
 
 def _cmd_poly_eval(args) -> dict:
     q = _parse_scalar(args.q, args.p, args.prec)
-    coeffs = [Fraction(c) for c in args.coeffs.split(",")]
+    coeffs = [_parse_frac(c) for c in args.coeffs.split(",")]
     res = currents.poly_current_eval(coeffs, q, args.J)
     direct = PadicNumber.zero(args.p)
     for n, a in enumerate(coeffs):
@@ -215,8 +226,7 @@ def _cmd_ladder_ord(args) -> dict:
 
 
 def _load_tower(path: str) -> skeleton.SkeletonTower:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_object(path)
     graphs = [skeleton.SkeletonGraph.from_json(g) for g in data["graphs"]]
     refs = []
     for r in data["refinements"]:
@@ -231,7 +241,7 @@ def _parse_point(s: str) -> skeleton.GraphPoint:
     t = s.strip()
     if "@" in t:
         eid, off = t.split("@", 1)
-        return skeleton.GraphPoint.on_edge(eid, Fraction(off))
+        return skeleton.GraphPoint.on_edge(eid, _parse_frac(off))
     return skeleton.GraphPoint.at_vertex(t)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .berkovich import BallPoint, seminorm
@@ -33,12 +34,14 @@ class PoleFamily:
         for i in self.poles:
             if i.p != p:
                 raise ValueError("mixed primes in pole family")
-        for a in range(len(self.poles)):
-            if (self.poles[a] - self.x).is_exact_zero:
+        # the first pole equal to x or to a later pole raises; x is checked first
+        keys = [(i.rat, i.pi_part) for i in self.poles]
+        last = {key: a for a, key in enumerate(keys)}
+        for a, key in enumerate(keys):
+            if key == (self.x.rat, self.x.pi_part):
                 raise ValueError("x collides with a pole")
-            for b in range(a + 1, len(self.poles)):
-                if (self.poles[a] - self.poles[b]).is_exact_zero:
-                    raise ValueError("poles must be distinct")
+            if last[key] != a:
+                raise ValueError("poles must be distinct")
 
     @property
     def p(self) -> int:
@@ -53,75 +56,109 @@ class PoleFamily:
     def expansion_row(self, pole: PadicNumber, ncoeffs: int) -> List[PadicNumber]:
         """Taylor coefficients of 1/(X - pole) about x: (-1)^k/(x-pole)^(k+1)."""
         inv = (self.x - pole).inverse()
+        step = -inv
         row = []
         cur = inv
         for _ in range(ncoeffs):
             row.append(cur)
-            cur = -cur * inv
+            cur = cur * step
         return row
 
     def matrix(self, ncoeffs: int) -> List[List[PadicNumber]]:
         return [self.expansion_row(i, ncoeffs) for i in self.poles]
 
 
-# -- exact rational linear algebra ------------------------------------
+# -- exact integer linear algebra -------------------------------------
 
 
-def _coordinates(rows: Sequence[Sequence[PadicNumber]], k: int,
-                 C: int) -> List[List[Fraction]]:
-    """Coefficient k of every pole as C rational vectors over the pole index:
-    the ``rat`` parts, then (when C = 2) the ``pi_part`` parts."""
-    entries = [row[k] for row in rows]
-    vecs = [[e.rat for e in entries]]
-    if C == 2:
-        vecs.append([e.pi_part for e in entries])
-    return vecs
+def _integer_blocks(rows: Sequence[Sequence[PadicNumber]],
+                    C: int) -> Tuple[List[List[List[int]]], List[int]]:
+    """Every coefficient of every pole as integer vectors over the pole
+    index, with the scales that make them integral.
+
+    Block k holds the ``rat`` vector and (when C = 2) the ``pi_part`` vector
+    of coefficient k; entry i of each is that coordinate times scale[i], the
+    lcm of the denominators of every coordinate of row i.
+    Scaling a column by a nonzero rational keeps the rank and the pivot
+    columns and maps the kernel by the inverse scaling.
+    """
+    scale = []
+    for row in rows:
+        d = 1
+        for e in row:
+            d = lcm(d, e.rat.denominator, e.pi_part.denominator)
+        scale.append(d)
+    blocks = []
+    for k in range(len(rows[0])):
+        entries = [row[k] for row in rows]
+        parts = [[e.rat for e in entries]]
+        if C == 2:
+            parts.append([e.pi_part for e in entries])
+        blocks.append([[c.numerator * (d // c.denominator) for c, d in zip(part, scale)]
+                       for part in parts])
+    return blocks, scale
 
 
 class _Echelon:
-    """Incremental echelon form over Q of the span of vectors indexed by pole.
+    """Incremental echelon form of the span of integer vectors indexed by
+    pole, each entry i being a rational coordinate times scale[i].
 
-    Each stored vector is zero before its leading index and at the leading
-    indices stored before it, so the leading indices are the pivot columns
-    of the reduced row echelon form of the span.
+    Each stored vector has content 1 and is zero before its leading index
+    and at the leading indices stored before it, so the leading indices are
+    the pivot columns of the reduced row echelon form of the span.
     """
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, scale: Sequence[int]):
+        self.scale = list(scale)
+        self.n = len(self.scale)
         self.leading = {}  # leading index -> stored vector
 
-    def add(self, vec: Sequence[Fraction]) -> bool:
+    def add(self, vec: Sequence[int]) -> bool:
         """Adjoin vec to the span; True when the rank grows."""
+        if len(self.leading) == self.n:
+            return False
         v = list(vec)
         for lead, b in self.leading.items():
-            if v[lead]:
-                c = v[lead] / b[lead]
-                for r in range(lead, self.n):
-                    v[r] -= c * b[r]
+            x = v[lead]
+            if x:
+                y = b[lead]
+                g = gcd(x, y)
+                x, y = x // g, y // g
+                v = [y * s - x * t for s, t in zip(v, b)]
         for r in range(self.n):
             if v[r]:
-                self.leading[r] = v
+                g = gcd(*v)
+                self.leading[r] = [c // g for c in v] if g != 1 else v
                 return True
         return False
 
     def kernel(self) -> List[List[Fraction]]:
-        """Basis of {a : sum_r a_r v_r = 0 for every adjoined v}.
+        """Basis of {a : sum_r a_r v_r = 0 for every adjoined v}, in the
+        unscaled coordinates (v_r = vec_r / scale[r]).
 
         One vector per non-leading index f, in increasing order, equal to 1
         at f and 0 at the other non-leading indices; the leading entries
-        follow by back-substitution from the largest leading index down.
+        follow by back-substitution from the largest leading index down,
+        over the integers with one common denominator.
         """
         leads = sorted(self.leading, reverse=True)
         basis = []
         for f in range(self.n):
             if f in self.leading:
                 continue
-            a = [Fraction(0)] * self.n
-            a[f] = Fraction(1)
+            a = [0] * self.n  # a / den solves the scaled system
+            a[f] = den = 1
             for lead in leads:
                 b = self.leading[lead]
-                a[lead] = -sum(a[r] * b[r] for r in range(lead + 1, self.n)) / b[lead]
-            basis.append(a)
+                t = -sum(a[r] * b[r] for r in range(lead + 1, self.n))
+                g = gcd(t, b[lead])
+                m = b[lead] // g
+                if m != 1:
+                    a = [c * m for c in a]
+                    den *= m
+                a[lead] = t // g
+            den *= self.scale[f]
+            basis.append([Fraction(c * d, den) for c, d in zip(a, self.scale)])
         return basis
 
 
@@ -184,11 +221,11 @@ def order_set(fam: PoleFamily, nmax: int) -> OrderSetResult:
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     C = fam.C
-    rows = fam.matrix(nmax + 2)
-    echelon = _Echelon(len(fam.poles))
+    blocks, scale = _integer_blocks(fam.matrix(nmax + 2), C)
+    echelon = _Echelon(scale)
     ranks = [0]  # ranks[n] = dim V_n
-    for k in range(nmax + 2):
-        for vec in _coordinates(rows, k, C):
+    for block in blocks:
+        for vec in block:
             echelon.add(vec)
         ranks.append(len(echelon.leading))
     E = tuple(n for n in range(nmax + 1) if ranks[n + 1] > ranks[n])
@@ -220,16 +257,14 @@ def find_nonppower_order(fam: PoleFamily, p: Optional[int] = None,
     """
     p = fam.p if p is None else p
     window = (len(fam.poles) - 1) if nmax is None else nmax
-    rows = fam.matrix(window + 2)
-    C = fam.C
-    echelon = _Echelon(len(fam.poles))
+    blocks, scale = _integer_blocks(fam.matrix(window + 1), fam.C)
+    echelon = _Echelon(scale)
     achieved = []
-    for k in range(window + 1):
-        block = _coordinates(rows, k, C)
+    for k, block in enumerate(blocks):
         if not _is_p_power(k + 1, p):
             # the first kernel vector of phi_k not killed by block k
             witness = next((vec for vec in echelon.kernel()
-                            if any(sum(a * c for a, c in zip(vec, col))
+                            if any(sum(a * c / d for a, c, d in zip(vec, col, scale))
                                    for col in block)), None)
             if witness is not None:
                 shift = min(vp_fraction(c, p) for c in witness if c != 0)

@@ -228,3 +228,54 @@ def test_one_process_matches_fresh_processes(tmp_path, capsys):
         assert here.err == fresh.stderr, argv
         codes.append(code)
     assert codes == [0, 0, 2, 0, 2, 0, 0]
+
+
+THETA = ["theta", "--p", "3", "--factors", "[[1, 1], [2, -1]]", "--l", "1",
+         "--M", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    THETA + ["--q", "p", "--z", "1/0", "--z0", "2"],
+    THETA + ["--q=-1/0", "--z", "5", "--z0", "2"],
+    THETA + ["--q", "p", "--z", "5", "--z0", " 3/0 "],
+    ["poly-eval", "--p", "5", "--q", "p", "--coeffs", "1,2/0"],
+    ["moebius-check", "--p", "3", "--q", "1/0", "--n", "1"],
+])
+def test_zero_denominator_in_a_scalar_exits_2(argv, capsys):
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "ValueError"
+    assert "/0" in payload["error"]["reason"]
+
+
+@pytest.mark.parametrize("command", ["order-set", "find-order"])
+@pytest.mark.parametrize("family", [
+    {"p": 5, "x": "0", "poles": ["1", "1/0"]},
+    {"p": 5, "x": "0", "poles": ["1", {"rat": "1/0"}]},
+    {"p": 5, "x": "0", "poles": ["1", {"rat": "2", "pi": "3/0"}]},
+    {"p": 5, "x": "1/0", "poles": ["1", "2"]},
+])
+def test_zero_denominator_in_a_pole_exits_2(tmp_path, capsys, command, family):
+    f = tmp_path / "poles.json"
+    f.write_text(json.dumps(family))
+    assert main([command, "--poles", str(f)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize("top", [[1, 2], "poles", 3, None])
+@pytest.mark.parametrize("argv", [
+    ["order-set", "--poles"],
+    ["find-order", "--poles"],
+    ["ladder-ord", "--p", "3", "--q", "p", "--z", "5", "--file"],
+    ["current", "--file"],
+    ["skeleton-tower", "--check", "compose", "--file"],
+])
+def test_input_file_that_is_not_an_object_exits_2(tmp_path, capsys, argv, top):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(top))
+    assert main(argv + [str(f)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {
+        "kind": "ValueError",
+        "reason": f"{f}: the top level must be a JSON object"}

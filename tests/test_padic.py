@@ -516,3 +516,36 @@ def test_tails_bound_coefficients_of_the_longer_expansion(data, op_name):
         c = long.coeffs[k]
         if not c.is_exact_zero:
             assert c.exact_valuation >= short.tail.at(k), (k, short.tail)
+
+
+# op name -> (the operation on degree-D inputs, its exact value on the
+# degree-4D polynomials); a truncation is compared with its input
+TAIL_OPS = {
+    "mul": lambda f, g, c, D: (f.truncate(D).mul(g.truncate(D)), f.mul(g)),
+    "truncate": lambda f, g, c, D: (f.truncate(D).truncate(D // 2), f),
+    "rescale": lambda f, g, c, D: (f.truncate(D).rescale(c), f.rescale(c)),
+    "derivative": lambda f, g, c, D: (f.truncate(D).derivative(), f.derivative()),
+}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(data=unit_series(degrees=st.integers(1, 6).map(lambda D: 4 * D), tailed=False),
+       order=st.integers(0, 2), rat=coeff_part.filter(bool),
+       pi_part=st.one_of(st.just(Fraction(0)), coeff_part), shift=st.integers(-2, 2),
+       op_name=st.sampled_from(sorted(TAIL_OPS)))
+def test_tails_of_ring_operations_bound_the_longer_expansion(
+        data, order, rat, pi_part, shift, op_name):
+    # Same oracle as for the powers: the degree-D tail must bound every
+    # explicit coefficient of the exact result beyond the explicit degree.
+    p, f = data
+    D = f.degree // 4
+    # a second factor of order 0..2: f reversed, shifted by X^order
+    g = BoundedSeries.build(p, [0] * order + list(reversed(f.coeffs)))
+    c = PadicNumber(p, rat * Fraction(p) ** shift, pi_part)
+    short, long = TAIL_OPS[op_name](f, g, c, D)
+    assert_coeffs_equal(short, long, short.degree)
+    for k in range(short.degree + 1, long.degree + 1):
+        coeff = long.coeffs[k]
+        if not coeff.is_exact_zero:
+            assert short.tail is not None, k
+            assert coeff.exact_valuation >= short.tail.at(k), (k, short.tail)

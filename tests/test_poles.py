@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from nonarch import (PadicNumber, PoleFamily, find_nonppower_order,
                      finite_product_eval, integer_approximation, moebius_orbit,
                      order_of_combination, order_set, BallPoint)
 from nonarch.errors import NoAdmissibleOrderError, PrecisionExhaustedError
+from nonarch.poles import _Echelon
 
 
 def Q(p, r, prec=64):
@@ -334,3 +336,80 @@ def test_moebius_orbit():
     # scaling map g(z) = 5z around the fixed point 0
     orbit = moebius_orbit((5, 0, 0, 1), t, 0, 2)
     assert [o.rat for o in orbit] == [2, 10, 50]
+
+
+# ------------------------------------- integer elimination at larger sizes
+
+
+def oracle_witness(fam, p, nblocks):
+    """The first rref_nullspace vector of phi_k with a nonzero image on
+    block k, over k + 1 not a p-power, rescaled by a p-power to be
+    p-integral; None with the achieved orders when there is none."""
+    C, n = fam.C, len(fam.poles)
+    rows = family_rational_rows(fam, nblocks)
+    conditions = [[r[j] for r in rows] for j in range(len(rows[0]))]
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    achieved = []
+    for k in range(nblocks):
+        kernel = helpers.rref_nullspace(conditions[: k * C]) if k else identity
+        block = conditions[k * C: (k + 1) * C]
+        hit = next((v for v in kernel
+                    if any(sum(a * c for a, c in zip(v, col)) for col in block)),
+                   None)
+        if hit is None:
+            continue
+        achieved.append(k)
+        if not is_p_power(k + 1, p):
+            shift = min(vp(c, p) for c in hit if c)
+            return [c * Fraction(p) ** max(-shift, 0) for c in hit], achieved
+    return None, achieved
+
+
+@pytest.mark.parametrize("seed, p, ramified, npoles", [
+    (1, 2, False, 10), (2, 3, True, 10), (3, 5, False, 13), (4, 2, True, 15),
+    (5, 3, False, 18), (6, 5, True, 20), (7, 2, False, 24), (8, 3, True, 24),
+])
+def test_integer_elimination_matches_oracles_past_full_rank(seed, p, ramified, npoles):
+    fam = seeded_family(seed, p, ramified, npoles)
+    C = fam.C
+    nmax = npoles // C + 2  # past the block where the rank becomes full
+    rows = family_rational_rows(fam, nmax + 1)
+    res = order_set(fam, nmax)
+    assert res.dims[-1] == npoles
+    assert res.dims == tuple(helpers.rank_oracle([r[: n * C] for r in rows])
+                             for n in range(nmax + 1))
+    expected, achieved = oracle_witness(fam, p, npoles)
+    if expected is None:
+        with pytest.raises(NoAdmissibleOrderError) as exc:
+            find_nonppower_order(fam)
+        assert exc.value.orders == tuple(achieved)
+    else:
+        assert list(find_nonppower_order(fam)) == expected
+
+
+def test_echelon_kernel_matches_rref_on_scaled_columns():
+    rng = random.Random(5)
+    unequal = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(1, n + 2)):
+            if rows and rng.random() < 0.3:  # a dependent row
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                rows.append([x + c * y for x, y in zip(a, b)])
+            else:
+                rows.append([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                             if rng.random() < 0.8 else Fraction(0)
+                             for _ in range(n)])
+        # any positive multiple of the lcm of a column's denominators clears it
+        scale = [lcm(*(r[i].denominator for r in rows)) * rng.randint(1, 6)
+                 for i in range(n)]
+        unequal += len(set(scale)) > 1
+        echelon = _Echelon(scale)
+        for m, r in enumerate(rows, 1):
+            grew = echelon.add([int(x * d) for x, d in zip(r, scale)])
+            assert grew == (helpers.rank_oracle(rows[:m])
+                            > helpers.rank_oracle(rows[:m - 1]))
+        assert echelon.kernel() == helpers.rref_nullspace(rows)
+    assert unequal > 200
