@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from . import currents, poles, skeleton, torsor
 from .errors import NonarchError, PrecisionExhaustedError, UndecidableSlopeError
-from .padic import DEFAULT_PREC, INF, NEG_INF, PadicNumber, padic_digit_string
+from .padic import (DEFAULT_PREC, INF, NEG_INF, PadicNumber, padic_digit_string,
+                    parse_fraction)
 
 USAGE_ERROR, PRECISION_ERROR, MATH_FAILURE = 2, 3, 4
 
@@ -30,14 +31,6 @@ def _frac_str(x) -> str:
     if x == NEG_INF:
         return "-inf"
     return str(Fraction(x))
-
-
-def _parse_frac(s) -> Fraction:
-    """A rational from command-line text or a JSON number."""
-    try:
-        return Fraction(s)
-    except (ZeroDivisionError, TypeError):
-        raise ValueError(f"not a rational number: {s!r}") from None
 
 
 def _load_object(path: str) -> dict:
@@ -58,13 +51,13 @@ def _parse_scalar(s: str, p: int, prec: int) -> PadicNumber:
         return PadicNumber.from_rational(p, sign * p, prec)
     if t.startswith("p^"):
         return PadicNumber.from_rational(p, sign * Fraction(p) ** int(t[2:]), prec)
-    return PadicNumber.from_rational(p, sign * _parse_frac(t), prec)
+    return PadicNumber.from_rational(p, sign * parse_fraction(t), prec)
 
 
 def _parse_pole(entry, p: int, prec: int) -> PadicNumber:
     if isinstance(entry, dict):
-        return PadicNumber(p, _parse_frac(entry["rat"]), _parse_frac(entry.get("pi", 0)),
-                           prec)
+        return PadicNumber(p, parse_fraction(entry["rat"]),
+                           parse_fraction(entry.get("pi", 0)), prec)
     return _parse_scalar(str(entry), p, prec)
 
 
@@ -101,6 +94,8 @@ def _load_pole_family(args) -> poles.PoleFamily:
     p = int(data["p"])
     prec = args.prec
     x = _parse_pole(data.get("x") if args.x is None else args.x, p, prec)
+    if not isinstance(data["poles"], list):
+        raise ValueError(f"{args.poles}: \"poles\" must be a JSON list")
     members = tuple(_parse_pole(e, p, prec) for e in data["poles"])
     return poles.PoleFamily(members, x)
 
@@ -172,7 +167,7 @@ def _cmd_moebius_check(args) -> dict:
 
 def _cmd_poly_eval(args) -> dict:
     q = _parse_scalar(args.q, args.p, args.prec)
-    coeffs = [_parse_frac(c) for c in args.coeffs.split(",")]
+    coeffs = [parse_fraction(c) for c in args.coeffs.split(",")]
     res = currents.poly_current_eval(coeffs, q, args.J)
     direct = PadicNumber.zero(args.p)
     for n, a in enumerate(coeffs):
@@ -241,7 +236,7 @@ def _parse_point(s: str) -> skeleton.GraphPoint:
     t = s.strip()
     if "@" in t:
         eid, off = t.split("@", 1)
-        return skeleton.GraphPoint.on_edge(eid, _parse_frac(off))
+        return skeleton.GraphPoint.on_edge(eid, parse_fraction(off))
     return skeleton.GraphPoint.at_vertex(t)
 
 

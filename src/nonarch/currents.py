@@ -31,7 +31,7 @@ from .errors import (NonStabilizedError, PoleCollisionError,
                      PrecisionExhaustedError, TailCertificateError)
 # binom_fractional is re-exported (public name of this module), not called here
 from .padic import (INF, PadicNumber, binom_fractional,  # noqa: F401
-                    valuation, vp_fraction)
+                    parse_fraction, valuation, vp_fraction)
 from .series import BoundedSeries, TailBound, _power_coeffs
 from .torsor import RamifiedGerm, splitting_logradius_numeric
 
@@ -226,7 +226,11 @@ class Current:
             ring_tag = ring
 
         def dec(v):
-            return v if isinstance(v, int) else (int(v) if "/" not in v else Fraction(v))
+            if isinstance(v, int):
+                return v
+            if not isinstance(v, str):
+                raise ValueError(f"not an integer or a rational string: {v!r}")
+            return int(v) if "/" not in v else parse_fraction(v)
 
         cusp = {int(j): dec(v) for j, v in data["cusp"].items()}
         spine = {int(j): dec(v) for j, v in data["spine"].items()}

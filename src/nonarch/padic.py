@@ -137,9 +137,6 @@ class PadicNumber:
     def is_exact_zero(self) -> bool:
         return self.rat == 0 and self.pi_part == 0
 
-    def is_zero_at_prec(self) -> bool:
-        return self.exact_valuation >= self.prec
-
     @property
     def is_ramified(self) -> bool:
         return self.pi_part != 0
@@ -330,6 +327,15 @@ def binom_fractional(m, k: int, p: int, prec: int = DEFAULT_PREC) -> PadicNumber
     for i in range(k):
         num *= m - i
     return PadicNumber(p, num / math.factorial(k), Fraction(0), prec)
+
+
+def parse_fraction(s) -> Fraction:
+    """A rational from input text or a JSON number; a zero denominator or a
+    value of another type is a ValueError."""
+    try:
+        return Fraction(s)
+    except (ZeroDivisionError, TypeError):
+        raise ValueError(f"not a rational number: {s!r}") from None
 
 
 def integer_lift_mod(value: Fraction, p: int, n: int) -> int:

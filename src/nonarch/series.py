@@ -9,6 +9,7 @@ operation may weaken a tail but never claim more than it can prove.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -98,22 +99,46 @@ class BoundedSeries:
     def minorant_at(self, a: Fraction) -> Fraction:
         """Largest b with v(a_j) >= a*j + b for every certified coefficient.
 
-        Requires a <= tail.alpha when a tail is present.
+        Requires a <= tail.alpha when a tail is present.  The minimum over
+        the constraint points is attained at a vertex of their Newton
+        polygon, so only the vertices are read.
         """
         a = Fraction(a)
-        best = None
-        for j, v in self.explicit_points():
-            cand = v - a * j
-            best = cand if best is None else min(best, cand)
-        if self.tail is not None:
-            if a > self.tail.alpha:
-                raise ValueError("slope exceeds the certified tail slope")
-            j0 = self.degree + 1
-            cand = self.tail.at(j0) - a * j0
-            best = cand if best is None else min(best, cand)
-        if best is None:
+        if self.tail is not None and a > self.tail.alpha:
+            raise ValueError("slope exceeds the certified tail slope")
+        hull = self._newton_polygon()
+        if not hull:
             raise ValueError("zero series has no affine minorant")
-        return best
+        return min(w - a * j for j, w in hull)
+
+    def _newton_polygon(self, start: int = 0) -> list:
+        """Vertices (j, w), left to right, of the Newton polygon: the lower
+        convex hull of the certified constraint points (j, v(a_j)) of the
+        nonzero explicit coefficients with j >= start, plus the tail point
+        (D + 1, tail.at(D + 1)).  For a slope a <= tail.alpha the bound
+        tail.at(k) - a*k is least at k = D + 1, so that one point stands
+        for every coefficient beyond D.
+
+        Andrew's monotone chain (A. M. Andrew, 1979) on points already
+        sorted by j: a point is dropped when it lies on or above the chord
+        of its neighbours, so each is pushed and popped at most once.  The
+        turn test runs on ordinates scaled to integers.
+        """
+        points = [(j, v) for j, v in self.explicit_points() if j >= start]
+        if self.tail is not None:
+            j0 = self.degree + 1
+            points.append((j0, self.tail.at(j0)))
+        den = math.lcm(*(w.denominator for _, w in points))
+        hull = []  # (j, den * w, point)
+        for point in points:
+            j, w = point[0], point[1].numerator * (den // point[1].denominator)
+            while len(hull) >= 2:
+                (j0, w0, _), (j1, w1, _) = hull[-2], hull[-1]
+                if (j1 - j0) * (w - w0) > (w1 - w0) * (j - j0):
+                    break
+                hull.pop()
+            hull.append((j, w, point))
+        return [point for _, _, point in hull]
 
     # -- ring operations ----------------------------------------------
 
@@ -287,58 +312,38 @@ def _power_coeffs(v: Sequence[PadicNumber], a: Fraction, w0: PadicNumber,
     return w
 
 
-def geometric_series(p: int, degree: int) -> BoundedSeries:
-    """sum_k X^k to the given explicit degree, with the exact unit tail."""
-    one = PadicNumber.one(p)
-    return BoundedSeries(p, (one,) * (degree + 1), TailBound(Fraction(0), Fraction(0)))
+def _root_tail(f: BoundedSeries, m: int) -> Optional[TailBound]:
+    """Certified tail of f^(1/p^m) = sum_k C(1/p^m, k) u^k, u = f - 1, for
+    f(0) = 1 and m >= 1, read from u's coefficient data alone; None when
+    u = 0 and the root is the polynomial 1.  Raises PrecisionExhaustedError
+    when ord(u) is not certified.
 
-
-def _root_tail(u: BoundedSeries, e: int, m: int, p: int) -> TailBound:
-    """Certified tail for sum_k C(1/p^m, k) u^k given u's coefficient data.
-
-    Maximizes the certified slope over supporting lines (a, b) of u's
-    valuation constraints; v(C(1/p^m, k)) = -kM + s_p(k)/(p-1) with
-    M = m + 1/(p-1) turns each line into an output tail through
-    min_k k(b - M) over 1 <= k <= floor(j/e).
+    Each supporting line v(u_j) >= a*j + b of u's constraint points gives
+    v([T^j] u^k) >= a*j + k*b; with v(C(1/p^m, k)) = -kM + s_p(k)/(p-1),
+    M = m + 1/(p-1), and k <= j/e (e = ord u), every term of coefficient
+    j >= 1 is bounded by the line of slope a + min(0, b - M)/e and offset
+    1/(p-1) when b < M, or of slope a and offset b - M + 1/(p-1) when
+    b >= M.  The best b for a is bmax(a) = min over the Newton polygon's
+    vertices of w - a*j, and bmax(a) >= M exactly when
+    a <= a* = min (w - M)/j, the slope of the lower tangent from (0, M) to
+    the polygon.  Up to a*, the output slope is a and grows; past a*, it
+    changes at rate 1 - j/e <= 0 (j the active vertex, j >= e), so it
+    never exceeds a*.  The tail is therefore (a*, 1/(p-1)), or, when u's
+    tail slope lies below a*, that slope with its b - M + 1/(p-1).
     """
+    p = f.p
+    u = BoundedSeries(p, (PadicNumber.zero(p),) + f.coeffs[1:], f.tail)
+    if u.is_zero():
+        return None
+    u.ord()  # raises when only the tail carries terms
     M = Fraction(m) + Fraction(1, p - 1)
     one_over = Fraction(1, p - 1)
-    cons = [(Fraction(j), Fraction(v)) for j, v in u.explicit_points()]
-    a_cap = None
-    if u.tail is not None:
-        j0 = Fraction(u.degree + 1)
-        cons.append((j0, u.tail.at(j0)))
-        a_cap = u.tail.alpha
-    if not cons:
-        raise PrecisionExhaustedError("root tail needs at least one certified term")
-
-    def bmax(a):
-        return min(w - a * j for j, w in cons)
-
-    candidates = set()
-    for i in range(len(cons)):
-        ji, wi = cons[i]
-        candidates.add((wi - M) / ji)
-        for k in range(i + 1, len(cons)):
-            jk, wk = cons[k]
-            if ji != jk:
-                candidates.add((wi - wk) / (ji - jk))
-    if a_cap is not None:
-        candidates.add(a_cap)
-        candidates = {a for a in candidates if a <= a_cap}
-        if not candidates:
-            candidates = {a_cap}
-
-    best = None
-    for a in candidates:
-        b = bmax(a)
-        if b >= M:
-            key = (a, b - M + one_over)
-        else:
-            key = (a + (b - M) / e, one_over)
-        if best is None or key > best:
-            best = key
-    return TailBound(best[0], best[1])
+    hull = u._newton_polygon()
+    a = min((w - M) / j for j, w in hull)
+    if u.tail is not None and u.tail.alpha < a:
+        a = u.tail.alpha
+        return TailBound(a, min(w - a * j for j, w in hull) - M + one_over)
+    return TailBound(a, one_over)
 
 
 def series_p_power_root(f: BoundedSeries, m: int) -> BoundedSeries:
@@ -355,15 +360,11 @@ def series_p_power_root(f: BoundedSeries, m: int) -> BoundedSeries:
         raise ValueError("series_p_power_root requires constant term 1")
     if m == 0:
         return f
-    u = BoundedSeries(p, (PadicNumber.zero(p),) + f.coeffs[1:], f.tail)
-    if u.is_zero():
+    tail = _root_tail(f, m)
+    if tail is None:
         return BoundedSeries(p, (PadicNumber.one(p),), None)
-    e = u.ord()
-    if e is None:
-        raise PrecisionExhaustedError(
-            "cannot certify the order of f - 1 at the explicit degree")
     coeffs = _power_coeffs(f.coeffs, Fraction(1, p ** m), PadicNumber.one(p), f.degree)
-    return BoundedSeries(p, tuple(coeffs), _root_tail(u, e, m, p))
+    return BoundedSeries(p, tuple(coeffs), tail)
 
 
 def convergence_logradius(f: BoundedSeries):
@@ -376,9 +377,11 @@ def convergence_logradius(f: BoundedSeries):
     """
     if f.tail is None:
         return NEG_INF
-    for j, v in f.explicit_points():
-        if j >= 1 and v < f.tail.at(j):
-            raise UndecidableSlopeError(
-                f"coefficient {j} has valuation {v} below the tail line "
-                f"{f.tail.at(j)}")
-    return -f.tail.alpha
+    line = f.tail
+    if any(w < line.at(j) for j, w in f._newton_polygon(start=1)):
+        # some point lies below the line, hence some vertex: report the first
+        j, v = next((j, v) for j, v in f.explicit_points()
+                    if j >= 1 and v < line.at(j))
+        raise UndecidableSlopeError(
+            f"coefficient {j} has valuation {v} below the tail line {line.at(j)}")
+    return -line.alpha

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotSeparatedError
+from .padic import parse_fraction
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class SkeletonGraph:
     @classmethod
     def from_json(cls, data: dict) -> "SkeletonGraph":
         return cls.build(data["vertices"],
-                         [(i, u, v, Fraction(L)) for i, u, v, L in data["edges"]],
+                         [(i, u, v, parse_fraction(L)) for i, u, v, L in data["edges"]],
                          [tuple(c) for c in data.get("cusps", [])])
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import IndeterminateGermError, PrecisionExhaustedError
 from .padic import DEFAULT_PREC, NEG_INF, PadicNumber, vp_int
-from .series import BoundedSeries, convergence_logradius, series_p_power_root
+from .series import BoundedSeries, _root_tail
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,30 @@ def splitting_logradius_exact(N: int, n: int, p: int) -> Fraction:
 
 
 def splitting_logradius_numeric(germ: RamifiedGerm, n: int):
-    """Certified splitting log-radius at level n, computed as the
-    convergence log-radius of the p^n-th root series of the germ.
+    """Certified splitting log-radius at level n: the convergence log-radius
+    of the p^n-th root series of the germ, read from the root's tail alone.
 
     n = 0 returns NEG_INF: the torsor is trivial and the root is the germ
     itself, entire on the disk.
+
+    The value equals ``convergence_logradius(series_p_power_root(f, n))``
+    without expanding the root.  That function returns -tail.alpha unless
+    an explicit root coefficient undercuts the tail line, and none can:
+    the root is sum_k C(1/p^n, k) u^k with u = f - 1, and the tail is
+    built from a line v(u_j) >= a*j + b supporting every certified
+    coefficient of u, so that v([T^j] u^k) >= a*j + k*b and
+    v(C(1/p^n, k)) >= -k*M + 1/(p-1), M = n + 1/(p-1).  With u^k vanishing
+    below degree k*e, the term k of coefficient j is bounded by the tail
+    line for every k <= j/e and every j >= 1, not only beyond the explicit
+    degree; by the ultrametric inequality so is their sum, the exact root
+    coefficient.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return NEG_INF
-    root = series_p_power_root(germ.series, n)
-    return convergence_logradius(root)
+    tail = _root_tail(germ.series, n)
+    return NEG_INF if tail is None else -tail.alpha
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 from nonarch import (Current, FactoredFunction, Refinement,
-                     SkeletonGraph, SkeletonTower, current_from_slopes)
+                     SkeletonGraph, SkeletonTower, TailBound, current_from_slopes)
 
 
 def rref_nullspace(rows):
@@ -57,6 +57,32 @@ def rank_oracle(rows):
                 mat[r] = [x - c * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def root_tail_oracle(u, e, m, p):
+    """Brute-force root tail: every point crossing and every pairwise slope
+    of u's constraint points as candidate slopes, each scored against all
+    points (the same certificate as ``series._root_tail``)."""
+    M = Fraction(m) + Fraction(1, p - 1)
+    one_over = Fraction(1, p - 1)
+    cons = list(u.explicit_points())
+    candidates = set()
+    if u.tail is not None:
+        j0 = u.degree + 1
+        cons.append((j0, u.tail.at(j0)))
+        candidates.add(u.tail.alpha)
+    for i, (ji, wi) in enumerate(cons):
+        candidates.add((wi - M) / ji)
+        for jk, wk in cons[i + 1:]:
+            candidates.add((wi - wk) / (ji - jk))
+    if u.tail is not None:
+        candidates = {a for a in candidates if a <= u.tail.alpha}
+    best = None
+    for a in candidates:
+        b = min(w - a * j for j, w in cons)
+        key = (a, b - M + one_over) if b >= M else (a + (b - M) / e, one_over)
+        best = key if best is None else max(best, key)
+    return TailBound(*best)
 
 
 def seeded_window_current(rng, lo=-3, hi=5):

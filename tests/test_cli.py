@@ -279,3 +279,41 @@ def test_input_file_that_is_not_an_object_exits_2(tmp_path, capsys, argv, top):
     assert payload["error"] == {
         "kind": "ValueError",
         "reason": f"{f}: the top level must be a JSON object"}
+
+
+@pytest.mark.parametrize("command", ["order-set", "find-order"])
+@pytest.mark.parametrize("poles", ["12", 12])
+def test_poles_that_are_not_a_list_exit_2(tmp_path, capsys, command, poles):
+    f = tmp_path / "poles.json"
+    f.write_text(json.dumps({"p": 5, "x": "0", "poles": poles}))
+    assert main([command, "--poles", str(f), "--nmax", "2"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "ValueError",
+                                "reason": f'{f}: "poles" must be a JSON list'}
+
+
+@pytest.mark.parametrize("value", ["1/0", "-3/0", 1.5, None])
+@pytest.mark.parametrize("part", ["cusp", "spine"])
+def test_bad_rational_in_a_current_file_exits_2(tmp_path, capsys, part, value):
+    data = {"ring": "Z", "cusp": {}, "spine": {}, "window": [0, 0]}
+    data[part] = {"0": value}
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps(data))
+    assert main(["current", "--file", str(f)]) == 2
+    assert main(["ladder-ord", "--p", "3", "--q", "p", "--z", "5", "--file", str(f)]) == 2
+    for line in capsys.readouterr().out.splitlines():
+        assert json.loads(line)["error"]["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize("length", ["1/0", None])
+@pytest.mark.parametrize("check", ["compose", "separation"])
+def test_bad_edge_length_in_a_tower_file_exits_2(tmp_path, capsys, check, length):
+    f = tower_file(tmp_path)
+    data = json.loads(f.read_text())
+    data["graphs"][1]["edges"][0][3] = length
+    f.write_text(json.dumps(data))
+    assert main(["skeleton-tower", "--file", str(f), "--check", check,
+                 "--x", "a", "--y", "b"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "ValueError",
+                                "reason": f"not a rational number: {length!r}"}

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nonarch import (BoundedSeries, INF, NEG_INF, PadicNumber, TailBound,
-                     binom_fractional, convergence_logradius,
-                     series_p_power_root, valuation, vp_factorial)
+from nonarch import (BoundedSeries, INF, NEG_INF, PadicNumber, RamifiedGerm, TailBound,
+                     binom_fractional, convergence_logradius, series_p_power_root,
+                     splitting_logradius_numeric, valuation, vp_factorial)
 from nonarch.currents import _binomial_factor
 from nonarch.errors import PrecisionExhaustedError, UndecidableSlopeError
+from nonarch.series import _root_tail
+
+from helpers import root_tail_oracle
 
 
 def Q(p, r, prec=64):
@@ -521,6 +524,9 @@ def test_tails_bound_coefficients_of_the_longer_expansion(data, op_name):
 # op name -> (the operation on degree-D inputs, its exact value on the
 # degree-4D polynomials); a truncation is compared with its input
 TAIL_OPS = {
+    "add": lambda f, g, c, D: (f.truncate(D) + g.truncate(2 * D), f + g),
+    "scalar_mul": lambda f, g, c, D: (f.truncate(D).scalar_mul(c), f.scalar_mul(c)),
+    "scalar_add": lambda f, g, c, D: (f.truncate(D).scalar_add(c), f.scalar_add(c)),
     "mul": lambda f, g, c, D: (f.truncate(D).mul(g.truncate(D)), f.mul(g)),
     "truncate": lambda f, g, c, D: (f.truncate(D).truncate(D // 2), f),
     "rescale": lambda f, g, c, D: (f.truncate(D).rescale(c), f.rescale(c)),
@@ -549,3 +555,89 @@ def test_tails_of_ring_operations_bound_the_longer_expansion(
         if not coeff.is_exact_zero:
             assert short.tail is not None, k
             assert coeff.exact_valuation >= short.tail.at(k), (k, short.tail)
+
+
+# ------------------------------------------------ Newton polygon kernel
+
+
+# steep negative slopes and offsets up to 8 let the tail slope bind the
+# root tail (beta >= M)
+tails = st.one_of(st.none(), st.builds(
+    TailBound, st.fractions(-6, 4, max_denominator=3), st.fractions(-3, 8, max_denominator=2)))
+
+
+def constraint_points(f):
+    """Every certified constraint point of f, tail point included."""
+    points = f.explicit_points()
+    if f.tail is not None:
+        points.append((f.degree + 1, f.tail.at(f.degree + 1)))
+    return points
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=unit_series(tailed=False), tail=tails, m=st.integers(1, 3))
+def test_root_tail_from_the_newton_polygon(data, tail, m):
+    p, f = data
+    f = BoundedSeries(p, f.coeffs, tail)
+    u = BoundedSeries(p, (PadicNumber.zero(p),) + f.coeffs[1:], tail)
+    if u.is_zero():
+        assert series_p_power_root(f, m).tail is None
+        return
+    if all(c.is_exact_zero for c in u.coeffs):
+        # only the tail carries terms: the order of f - 1 is not certified
+        with pytest.raises(PrecisionExhaustedError):
+            series_p_power_root(f, m)
+        with pytest.raises(PrecisionExhaustedError):
+            RamifiedGerm(f)
+        return
+    assert _root_tail(f, m) == root_tail_oracle(u, u.ord(), m, p)
+    root = series_p_power_root(f, m)
+    assert splitting_logradius_numeric(RamifiedGerm(f), m) == convergence_logradius(root)
+    for j, v in root.explicit_points():
+        if j >= 1:
+            assert v >= root.tail.at(j), (j, root.tail)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (5, 3)])
+def test_root_tail_capped_by_a_strong_input_tail(p, m):
+    # f = 1 + p^6 X + O(p^6 X^2): every crossing (w - M)/j exceeds the tail
+    # slope 0, so the root tail keeps slope 0 with offset 6 - M + 1/(p-1)
+    f = BoundedSeries.build(p, [1, p ** 6], TailBound(0, 6))
+    u = BoundedSeries.build(p, [0, p ** 6], TailBound(0, 6))
+    want = TailBound(0, 6 - m)
+    assert _root_tail(f, m) == root_tail_oracle(u, 1, m, p) == want
+    assert series_p_power_root(f, m).tail == want
+    assert splitting_logradius_numeric(RamifiedGerm(f), m) == 0
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=unit_series(tailed=False), tail=tails, start=st.integers(0, 2),
+       a=st.fractions(-4, 4, max_denominator=6))
+def test_minorant_and_slope_check_read_the_newton_polygon(data, tail, start, a):
+    p, f = data
+    f = BoundedSeries(p, f.coeffs, tail)
+    points = constraint_points(f)
+    # the polygon: vertices among the points, slopes strictly increasing,
+    # every point on or above every edge line
+    hull = f._newton_polygon(start)
+    kept = [(j, w) for j, w in points if j >= start]
+    assert set(hull) <= set(kept) and (not kept or hull[0] == kept[0])
+    slopes = [(w1 - w0) / (j1 - j0) for (j0, w0), (j1, w1) in zip(hull, hull[1:])]
+    assert slopes == sorted(set(slopes))
+    for (j0, w0), s in zip(hull, slopes):
+        assert all(w >= w0 + s * (j - j0) for j, w in kept)
+    # minorant_at against the minimum over all points
+    if tail is not None and a > tail.alpha:
+        with pytest.raises(ValueError):
+            f.minorant_at(a)
+    else:
+        assert f.minorant_at(a) == min(w - a * j for j, w in points)
+    # the slope check names the first explicit coefficient below the line
+    if tail is not None:
+        below = [(j, v) for j, v in f.explicit_points() if j >= 1 and v < tail.at(j)]
+        if below:
+            j, v = below[0]
+            with pytest.raises(UndecidableSlopeError, match=f"coefficient {j} has"):
+                convergence_logradius(f)
+        else:
+            assert convergence_logradius(f) == -tail.alpha
