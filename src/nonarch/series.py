@@ -9,7 +9,6 @@ operation may weaken a tail but never claim more than it can prove.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -99,46 +98,22 @@ class BoundedSeries:
     def minorant_at(self, a: Fraction) -> Fraction:
         """Largest b with v(a_j) >= a*j + b for every certified coefficient.
 
-        Requires a <= tail.alpha when a tail is present.  The minimum over
-        the constraint points is attained at a vertex of their Newton
-        polygon, so only the vertices are read.
+        Requires a <= tail.alpha when a tail is present.
         """
         a = Fraction(a)
-        if self.tail is not None and a > self.tail.alpha:
-            raise ValueError("slope exceeds the certified tail slope")
-        hull = self._newton_polygon()
-        if not hull:
-            raise ValueError("zero series has no affine minorant")
-        return min(w - a * j for j, w in hull)
-
-    def _newton_polygon(self, start: int = 0) -> list:
-        """Vertices (j, w), left to right, of the Newton polygon: the lower
-        convex hull of the certified constraint points (j, v(a_j)) of the
-        nonzero explicit coefficients with j >= start, plus the tail point
-        (D + 1, tail.at(D + 1)).  For a slope a <= tail.alpha the bound
-        tail.at(k) - a*k is least at k = D + 1, so that one point stands
-        for every coefficient beyond D.
-
-        Andrew's monotone chain (A. M. Andrew, 1979) on points already
-        sorted by j: a point is dropped when it lies on or above the chord
-        of its neighbours, so each is pushed and popped at most once.  The
-        turn test runs on ordinates scaled to integers.
-        """
-        points = [(j, v) for j, v in self.explicit_points() if j >= start]
+        best = None
+        for j, v in self.explicit_points():
+            cand = v - a * j
+            best = cand if best is None else min(best, cand)
         if self.tail is not None:
+            if a > self.tail.alpha:
+                raise ValueError("slope exceeds the certified tail slope")
             j0 = self.degree + 1
-            points.append((j0, self.tail.at(j0)))
-        den = math.lcm(*(w.denominator for _, w in points))
-        hull = []  # (j, den * w, point)
-        for point in points:
-            j, w = point[0], point[1].numerator * (den // point[1].denominator)
-            while len(hull) >= 2:
-                (j0, w0, _), (j1, w1, _) = hull[-2], hull[-1]
-                if (j1 - j0) * (w - w0) > (w1 - w0) * (j - j0):
-                    break
-                hull.pop()
-            hull.append((j, w, point))
-        return [point for _, _, point in hull]
+            cand = self.tail.at(j0) - a * j0
+            best = cand if best is None else min(best, cand)
+        if best is None:
+            raise ValueError("zero series has no affine minorant")
+        return best
 
     # -- ring operations ----------------------------------------------
 
@@ -323,13 +298,14 @@ def _root_tail(f: BoundedSeries, m: int) -> Optional[TailBound]:
     M = m + 1/(p-1), and k <= j/e (e = ord u), every term of coefficient
     j >= 1 is bounded by the line of slope a + min(0, b - M)/e and offset
     1/(p-1) when b < M, or of slope a and offset b - M + 1/(p-1) when
-    b >= M.  The best b for a is bmax(a) = min over the Newton polygon's
-    vertices of w - a*j, and bmax(a) >= M exactly when
-    a <= a* = min (w - M)/j, the slope of the lower tangent from (0, M) to
-    the polygon.  Up to a*, the output slope is a and grows; past a*, it
-    changes at rate 1 - j/e <= 0 (j the active vertex, j >= e), so it
-    never exceeds a*.  The tail is therefore (a*, 1/(p-1)), or, when u's
-    tail slope lies below a*, that slope with its b - M + 1/(p-1).
+    b >= M.  The best b for a is bmax(a) = min over u's constraint points
+    (j, w) (explicit points and the tail point at D + 1) of w - a*j, and
+    bmax(a) >= M exactly when a <= a* = min (w - M)/j, the slope of the
+    lower tangent from (0, M) to those points.  Up to a*, the output slope
+    is a and grows; past a*, it changes at rate 1 - j/e <= 0 (j the point
+    attaining bmax, j >= e), so it never exceeds a*.  The tail is therefore
+    (a*, 1/(p-1)), or, when u's tail slope lies below a*, that slope with
+    offset bmax - M + 1/(p-1).  This is a single pass over the points.
     """
     p = f.p
     u = BoundedSeries(p, (PadicNumber.zero(p),) + f.coeffs[1:], f.tail)
@@ -338,11 +314,12 @@ def _root_tail(f: BoundedSeries, m: int) -> Optional[TailBound]:
     u.ord()  # raises when only the tail carries terms
     M = Fraction(m) + Fraction(1, p - 1)
     one_over = Fraction(1, p - 1)
-    hull = u._newton_polygon()
-    a = min((w - M) / j for j, w in hull)
+    points = u.explicit_points()
+    if u.tail is not None:
+        points.append((u.degree + 1, u.tail.at(u.degree + 1)))
+    a = min((w - M) / j for j, w in points)
     if u.tail is not None and u.tail.alpha < a:
-        a = u.tail.alpha
-        return TailBound(a, min(w - a * j for j, w in hull) - M + one_over)
+        return TailBound(u.tail.alpha, u.minorant_at(u.tail.alpha) - M + one_over)
     return TailBound(a, one_over)
 
 
@@ -377,11 +354,9 @@ def convergence_logradius(f: BoundedSeries):
     """
     if f.tail is None:
         return NEG_INF
-    line = f.tail
-    if any(w < line.at(j) for j, w in f._newton_polygon(start=1)):
-        # some point lies below the line, hence some vertex: report the first
-        j, v = next((j, v) for j, v in f.explicit_points()
-                    if j >= 1 and v < line.at(j))
-        raise UndecidableSlopeError(
-            f"coefficient {j} has valuation {v} below the tail line {line.at(j)}")
-    return -line.alpha
+    for j, v in f.explicit_points():
+        if j >= 1 and v < f.tail.at(j):
+            raise UndecidableSlopeError(
+                f"coefficient {j} has valuation {v} below the tail line "
+                f"{f.tail.at(j)}")
+    return -f.tail.alpha

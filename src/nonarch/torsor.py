@@ -91,8 +91,8 @@ def splitting_logradius_numeric(germ: RamifiedGerm, n: int):
         raise ValueError("n must be nonnegative")
     if n == 0:
         return NEG_INF
-    tail = _root_tail(germ.series, n)
-    return NEG_INF if tail is None else -tail.alpha
+    # RamifiedGerm certifies a nonzero coefficient of f - 1, so the tail exists
+    return -_root_tail(germ.series, n).alpha
 
 
 @dataclass(frozen=True)

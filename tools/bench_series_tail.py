@@ -4,12 +4,12 @@ For each input (explicit degree 8, 32 or 64; p, m; with or without a tail)
 it times the root tail (``series._root_tail(f, m)``, or in older trees
 ``series._root_tail(u, e, m, p)`` on a prebuilt u = f - 1),
 ``series_p_power_root`` and
-``torsor.splitting_logradius_numeric`` (best of ``--repeat`` runs,
-``time.perf_counter``), and records the Newton-polygon size of f - 1 and
-the largest operand bit-length (numerator or denominator) of the input
-and of the expanded root.  Results go under ``--label`` into ``--out``
-(default ``BENCH_series_tail.json``), next to the labels already there,
-so one file holds a before and an after run::
+``torsor.splitting_logradius_numeric`` (best of ``REPEAT`` runs,
+``time.perf_counter``), and records the number of constraint points of
+f - 1 and the largest operand bit-length (numerator or denominator) of
+the input and of the expanded root.  Results go under ``--label`` into
+``BENCH_series_tail.json`` at the repository root, next to the labels
+already there, so one file holds a before and an after run::
 
     python3 tools/bench_series_tail.py --src ../old-checkout/src --label before
     python3 tools/bench_series_tail.py --label after
@@ -29,6 +29,8 @@ import time
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT = os.path.join(ROOT, "BENCH_series_tail.json")
+REPEAT = 5
 
 # (p, explicit degree D, m, with tail)
 SHAPES = [(p, D, m, tailed) for D in (8, 32, 64)
@@ -50,9 +52,9 @@ def make_series(series, p, D, tailed, seed):
     return series.BoundedSeries.build(p, coeffs, tail)
 
 
-def best_of(repeat, fn):
+def best_of(fn):
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - t0)
@@ -68,8 +70,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
     ap.add_argument("--label", required=True)
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_series_tail.json"))
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from nonarch import series, torsor
@@ -79,18 +79,15 @@ def main(argv=None):
         f = make_series(series, p, D, tailed, seed=i)
         u = series.BoundedSeries(p, (series.PadicNumber.zero(p),) + f.coeffs[1:], f.tail)
         germ = torsor.RamifiedGerm(f)
-        if hasattr(series.BoundedSeries, "_newton_polygon"):
-            t_tail, tail = best_of(args.repeat, lambda: series._root_tail(f, m))
+        if series._root_tail.__code__.co_argcount == 2:
+            t_tail, tail = best_of(lambda: series._root_tail(f, m))
         else:
-            t_tail, tail = best_of(args.repeat, lambda: series._root_tail(u, u.ord(), m, p))
-        t_root, root = best_of(args.repeat, lambda: series.series_p_power_root(f, m))
-        t_radius, radius = best_of(
-            args.repeat, lambda: torsor.splitting_logradius_numeric(germ, m))
-        hull = u._newton_polygon() if hasattr(u, "_newton_polygon") else None
+            t_tail, tail = best_of(lambda: series._root_tail(u, u.ord(), m, p))
+        t_root, root = best_of(lambda: series.series_p_power_root(f, m))
+        t_radius, radius = best_of(lambda: torsor.splitting_logradius_numeric(germ, m))
         rows.append({
             "p": p, "degree": D, "m": m, "tail": tailed,
             "constraint_points": len(u.explicit_points()) + tailed,
-            "hull_size": None if hull is None else len(hull),
             "input_operand_bits_max": operand_bits(f.coeffs),
             "root_operand_bits_max": operand_bits(root.coeffs),
             "root_tail": [str(tail.alpha), str(tail.beta)],
@@ -101,20 +98,20 @@ def main(argv=None):
         })
 
     data = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
+    if os.path.exists(OUT):
+        with open(OUT, encoding="utf-8") as fh:
             data = json.load(fh)
     data[args.label] = {
         "env": {"python": platform.python_version(), "machine": platform.machine(),
-                "cpus": os.cpu_count(), "repeat": args.repeat, "clock": "perf_counter"},
+                "cpus": os.cpu_count(), "repeat": REPEAT, "clock": "perf_counter"},
         "rows": rows,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for r in rows:
         print(f"p={r['p']} D={r['degree']:>2} m={r['m']} tail={r['tail']!s:5} "
-              f"hull={r['hull_size']} tail {r['root_tail_ms']:8.3f} ms  "
+              f"points={r['constraint_points']:>2} tail {r['root_tail_ms']:8.3f} ms  "
               f"root {r['series_p_power_root_ms']:8.3f} ms  "
               f"radius {r['splitting_logradius_numeric_ms']:8.3f} ms")
 
