@@ -196,13 +196,8 @@ def _cmd_theta(args) -> dict:
         "value": _padic_json(res.value, res.error_valuation),
         "error_valuation": _frac_str(res.error_valuation),
     }
-    qlz = q ** args.l * z
-    shifted = currents.theta_product(fd, q, args.l, qlz, z0, args.M)
-    ratio = shifted.value / res.value
-    rel = min(res.error_valuation - res.value.exact_valuation,
-              shifted.error_valuation - shifted.value.exact_valuation)
-    out["automorphy_ratio"] = _padic_json(
-        ratio, rel if rel == INF else rel + ratio.exact_valuation)
+    ratio = currents.theta_automorphy_ratio(fd, q, args.l, z, z0, args.M)
+    out["automorphy_ratio"] = _padic_json(ratio.value, ratio.error_valuation)
     out["automorphy_constant"] = _padic_json(
         currents.theta_automorphy_constant(fd, q), INF)
     return out
@@ -223,10 +218,18 @@ def _cmd_ladder_ord(args) -> dict:
 def _load_tower(path: str) -> skeleton.SkeletonTower:
     data = _load_object(path)
     graphs = [skeleton.SkeletonGraph.from_json(g) for g in data["graphs"]]
+
+    def graph(r, key):
+        i = r[key]
+        if type(i) is not int or not 0 <= i < len(graphs):
+            raise ValueError(f'{path}: refinement "{key}" must be a graph index '
+                             f'in 0..{len(graphs) - 1}, not {i!r}')
+        return graphs[i]
+
     refs = []
     for r in data["refinements"]:
         refs.append(skeleton.Refinement.build(
-            graphs[r["coarse"]], graphs[r["fine"]],
+            graph(r, "coarse"), graph(r, "fine"),
             dict(r["vertex_map"]),
             {e: [tuple(step) for step in p] for e, p in r["edge_paths"].items()}))
     return skeleton.SkeletonTower(tuple(graphs), tuple(refs))

@@ -30,7 +30,7 @@ from .berkovich import BallPoint, seminorm
 from .errors import (NonStabilizedError, PoleCollisionError,
                      PrecisionExhaustedError, TailCertificateError)
 # binom_fractional is re-exported (public name of this module), not called here
-from .padic import (INF, PadicNumber, binom_fractional,  # noqa: F401
+from .padic import (DEFAULT_PREC, INF, PadicNumber, binom_fractional,  # noqa: F401
                     parse_fraction, valuation, vp_fraction)
 from .series import BoundedSeries, TailBound, _power_coeffs
 from .torsor import RamifiedGerm, splitting_logradius_numeric
@@ -217,7 +217,17 @@ class Current:
 
     @classmethod
     def from_json(cls, data: dict) -> "Current":
-        ring = data["ring"]
+        ring, window, period = data["ring"], data["window"], data.get("period")
+        if not isinstance(ring, str):
+            raise ValueError(f'"ring" must be a JSON string, not {ring!r}')
+        if not (isinstance(window, list) and len(window) == 2
+                and all(type(j) is int for j in window)):
+            raise ValueError(f'"window" must be a JSON list of two integers, not {window!r}')
+        if not (period is None or type(period) is int):
+            raise ValueError(f'"period" must be an integer or null, not {period!r}')
+        for part in ("cusp", "spine"):
+            if not isinstance(data[part], dict):
+                raise ValueError(f'"{part}" must be a JSON object, not {data[part]!r}')
         modulus = None
         if ring.startswith("Z/"):
             modulus = int(ring[2:].rstrip("Z"))
@@ -234,9 +244,7 @@ class Current:
 
         cusp = {int(j): dec(v) for j, v in data["cusp"].items()}
         spine = {int(j): dec(v) for j, v in data["spine"].items()}
-        period = data.get("period")
-        window = tuple(data["window"])
-        cur = cls(ring=ring_tag, window=window,
+        cur = cls(ring=ring_tag, window=tuple(window),
                   cusp=tuple(sorted(cusp.items())),
                   spine=tuple(sorted(spine.items())),
                   period=period, modulus=modulus)
@@ -373,13 +381,20 @@ class FactoredFunction:
         return self.x_exponent + sum(k for _, k in self.zeros)
 
     def value(self, q: PadicNumber, w: PadicNumber) -> PadicNumber:
+        return self._value_at(self._grid_points(q), w)
+
+    def _grid_points(self, q: PadicNumber) -> Tuple[Tuple[int, PadicNumber, int], ...]:
+        """(j, q^j, k_j) per zero, computed once for repeated evaluation."""
+        return tuple((j, q ** j, k) for j, k in self.zeros)
+
+    def _value_at(self, points, w: PadicNumber) -> PadicNumber:
         out = w ** self.x_exponent
-        for j, k in self.zeros:
-            base = w - q ** j
+        for j, qj, k in points:
+            base = w - qj
             if base.is_exact_zero:
                 if k < 0:
                     raise PoleCollisionError(f"evaluation at the pole q^{j}")
-                return PadicNumber.zero(q.p)
+                return PadicNumber.zero(w.p)
             out = out * base ** k
         return out
 
@@ -541,15 +556,11 @@ def theta_automorphy_constant(fd: FactoredFunction, q: PadicNumber) -> PadicNumb
     return out
 
 
-def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
-                  z: PadicNumber, z0: PadicNumber, M: int) -> EvalResult:
-    """Truncated theta product prod_{|k|<=M} f(q^(lk) z)/f(q^(lk) z0) for the
-    subgroup q^(lZ), with a certified tail valuation.
-
-    Requires a degree-zero factorization with no zero/pole at 0 or infinity
-    (x_exponent = 0 and total degree 0): that is the convergent core of the
-    rank-1 theta construction.
-    """
+def _theta_tail(fd: FactoredFunction, q: PadicNumber, l: int,
+                z: PadicNumber, z0: PadicNumber, M: int):
+    """Check a theta request and return the relative tail bound of its
+    product: the truncated product differs from the full one by a factor
+    1 + O(p^rel), with rel = +inf when f is constant."""
     if l < 1 or M < 0:
         raise ValueError("l must be positive, M nonnegative")
     if fd.x_exponent != 0 or fd.total_degree != 0:
@@ -562,25 +573,38 @@ def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
         if t is not None and any((t - j) % l == 0 for j, _ in fd.zeros):
             raise PoleCollisionError(
                 f"{name} meets a zero/pole of a Gamma'-translate of f")
+    if not fd.zeros:
+        return INF
     vz, vz0 = z.exact_valuation, z0.exact_valuation
-    if fd.zeros:
-        jvals = [Fraction(j) * vq for j, _ in fd.zeros]
-        beta_pos = Fraction(l) * (M + 1) * vq + min(vz, vz0) - max(jvals)
-        beta_neg = Fraction(l) * (M + 1) * vq + min(jvals) - max(vz, vz0)
-        rel_err = min(beta_pos, beta_neg)
-        if rel_err <= 0:
-            raise TailCertificateError(
-                f"truncation M={M} cannot certify the tail (bound {rel_err})")
-    else:
-        rel_err = INF
+    jvals = [Fraction(j) * vq for j, _ in fd.zeros]
+    beta_pos = Fraction(l) * (M + 1) * vq + min(vz, vz0) - max(jvals)
+    beta_neg = Fraction(l) * (M + 1) * vq + min(jvals) - max(vz, vz0)
+    rel_err = min(beta_pos, beta_neg)
+    if rel_err <= 0:
+        raise TailCertificateError(
+            f"truncation M={M} cannot certify the tail (bound {rel_err})")
+    return rel_err
+
+
+def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
+                  z: PadicNumber, z0: PadicNumber, M: int) -> EvalResult:
+    """Truncated theta product prod_{|k|<=M} f(q^(lk) z)/f(q^(lk) z0) for the
+    subgroup q^(lZ), with a certified tail valuation.
+
+    Requires a degree-zero factorization with no zero/pole at 0 or infinity
+    (x_exponent = 0 and total degree 0): that is the convergent core of the
+    rank-1 theta construction.
+    """
+    rel_err = _theta_tail(fd, q, l, z, z0, M)
+    points = fd._grid_points(q)
     value = PadicNumber.one(q.p)
     step = q ** l
     g = q ** (-l * M)  # the grid point q^(lk), stepped by q^l
     for k in range(-M, M + 1):
         if k > -M:
             g = g * step
-        num = fd.value(q, g * z)
-        den = fd.value(q, g * z0)
+        num = fd._value_at(points, g * z)
+        den = fd._value_at(points, g * z0)
         if den.is_exact_zero:
             raise PoleCollisionError("z0 translate hits a zero of f")
         if num.is_exact_zero:
@@ -589,6 +613,27 @@ def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
     # the tail bound is multiplicative; report it additively
     err = rel_err if rel_err == INF else rel_err + value.exact_valuation
     return EvalResult(value, err)
+
+
+def theta_automorphy_ratio(fd: FactoredFunction, q: PadicNumber, l: int,
+                           z: PadicNumber, z0: PadicNumber, M: int) -> EvalResult:
+    """theta(q^l z) / theta(z) for the truncated products of ``theta_product``.
+
+    The quotient telescopes: every factor at z0 cancels, and so does every
+    factor at z but the two end ones, leaving f(q^(l(M+1)) z) / f(q^(-lM) z)
+    exactly.  Its relative error is the worse of the two products' tail
+    bounds, so both requests are checked as ``theta_product`` would check
+    them, z's first.  The value carries the precision the quotient of the
+    two products would carry, which includes z0's and DEFAULT_PREC.
+    """
+    rel = min(_theta_tail(fd, q, l, z, z0, M),
+              _theta_tail(fd, q, l, q ** l * z, z0, M))
+    # the grid checks above keep both end translates of z off the zeros of f
+    points = fd._grid_points(q)
+    num = fd._value_at(points, q ** (l * (M + 1)) * z)
+    den = fd._value_at(points, q ** (-l * M) * z)
+    value = PadicNumber.one(q.p, min(DEFAULT_PREC, z0.prec)) * num / den
+    return EvalResult(value, rel if rel == INF else rel + value.exact_valuation)
 
 
 @dataclass(frozen=True)

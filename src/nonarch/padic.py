@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 INF = float("inf")
@@ -26,6 +25,7 @@ DEFAULT_PREC = 64
 
 _HALF = Fraction(1, 2)
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @functools.lru_cache(maxsize=128)
@@ -75,29 +75,47 @@ def vp_factorial(k: int, p: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class PadicNumber:
     """Element of Q_p (pi_part = 0) or Q_p(pi), held exactly.
 
     ``val`` applies the precision cutoff mandated by the data model: it is
     +inf exactly when the element is zero at precision ``prec``.  The raw
     valuation of the stored representative is ``exact_valuation``.
+
+    Instances are immutable; equality and hashing ignore ``prec``.  The
+    constructor validates ``p`` and ``prec``; arithmetic results, whose
+    operands are already valid, are built by the trusted ``_padic``.
     """
 
-    p: int
-    rat: Fraction
-    pi_part: Fraction = Fraction(0)
-    prec: int = field(default=DEFAULT_PREC, compare=False)
+    __slots__ = ("p", "rat", "pi_part", "prec")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.prec < 1:
+    def __init__(self, p: int, rat, pi_part=_ZERO, prec: int = DEFAULT_PREC):
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if prec < 1:
             raise ValueError("precision must be >= 1")
-        if type(self.rat) is not Fraction:
-            object.__setattr__(self, "rat", Fraction(self.rat))
-        if type(self.pi_part) is not Fraction:
-            object.__setattr__(self, "pi_part", Fraction(self.pi_part))
+        _set_p(self, p)
+        _set_rat(self, rat if type(rat) is Fraction else Fraction(rat))
+        _set_pi(self, pi_part if type(pi_part) is Fraction else Fraction(pi_part))
+        _set_prec(self, prec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PadicNumber is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PadicNumber is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PadicNumber:
+            return NotImplemented
+        return (self.p == other.p and self.rat == other.rat
+                and self.pi_part == other.pi_part)
+
+    def __hash__(self):
+        return hash((self.p, self.rat, self.pi_part))
+
+    def __reduce__(self):
+        return (PadicNumber, (self.p, self.rat, self.pi_part, self.prec))
 
     # -- constructors -------------------------------------------------
 
@@ -181,7 +199,7 @@ class PadicNumber:
                 raise ValueError("mixed primes")
             return other
         if isinstance(other, (int, Fraction)):
-            return PadicNumber(self.p, Fraction(other), _ZERO, self.prec)
+            return _padic(self.p, Fraction(other), _ZERO, self.prec)
         return NotImplemented
 
     def __add__(self, other):
@@ -189,21 +207,21 @@ class PadicNumber:
         if o is NotImplemented:
             return NotImplemented
         b, d = self.pi_part, o.pi_part
-        return PadicNumber(self.p, self.rat + o.rat, b + d if b or d else _ZERO,
-                           min(self.prec, o.prec))
+        return _padic(self.p, self.rat + o.rat, b + d if b or d else _ZERO,
+                      min(self.prec, o.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PadicNumber(self.p, -self.rat, -self.pi_part, self.prec)
+        return _padic(self.p, -self.rat, -self.pi_part, self.prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         b, d = self.pi_part, o.pi_part
-        return PadicNumber(self.p, self.rat - o.rat, b - d if b or d else _ZERO,
-                           min(self.prec, o.prec))
+        return _padic(self.p, self.rat - o.rat, b - d if b or d else _ZERO,
+                      min(self.prec, o.prec))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -218,8 +236,8 @@ class PadicNumber:
         a, b, c, d = self.rat, self.pi_part, o.rat, o.pi_part
         prec = min(self.prec, o.prec)
         if not (b or d):
-            return PadicNumber(self.p, a * c, _ZERO, prec)
-        return PadicNumber(self.p, a * c + self.p * b * d, a * d + b * c, prec)
+            return _padic(self.p, a * c, _ZERO, prec)
+        return _padic(self.p, a * c + self.p * b * d, a * d + b * c, prec)
 
     __rmul__ = __mul__
 
@@ -228,9 +246,9 @@ class PadicNumber:
             raise ZeroDivisionError("inverse of zero")
         a, b = self.rat, self.pi_part
         if not b:
-            return PadicNumber(self.p, 1 / a, _ZERO, self.prec)
+            return _padic(self.p, 1 / a, _ZERO, self.prec)
         nrm = a * a - self.p * b * b  # nonzero: v(a^2) is even, v(p b^2) odd
-        return PadicNumber(self.p, a / nrm, -b / nrm, self.prec)
+        return _padic(self.p, a / nrm, -b / nrm, self.prec)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -250,7 +268,7 @@ class PadicNumber:
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
-            return PadicNumber.one(self.p, self.prec)
+            return _padic(self.p, _ONE, _ZERO, self.prec)
         base = self
         while not k & 1:
             base = base * base
@@ -310,6 +328,24 @@ class PadicNumber:
         return cls(p, b * pt * p, a * pt, prec)
 
 
+_set_p = PadicNumber.p.__set__
+_set_rat = PadicNumber.rat.__set__
+_set_pi = PadicNumber.pi_part.__set__
+_set_prec = PadicNumber.prec.__set__
+_new = object.__new__
+
+
+def _padic(p: int, rat: Fraction, pi_part: Fraction, prec: int) -> PadicNumber:
+    """Trusted constructor: p prime, prec >= 1 and Fraction components are
+    the caller's guarantee (they hold for results of valid operands)."""
+    x = _new(PadicNumber)
+    _set_p(x, p)
+    _set_rat(x, rat)
+    _set_pi(x, pi_part)
+    _set_prec(x, prec)
+    return x
+
+
 def valuation(x: PadicNumber):
     """v(x), or +inf when x is zero at its working precision."""
     return x.val
@@ -360,20 +396,19 @@ def padic_digit_string(x: PadicNumber, cutoff, symbol: str = "p") -> str:
     v = x.exact_valuation
     if v != INF and (cutoff == INF or v < cutoff):
         k = int(v)
-        rest = x.rat
         limit = x.prec if cutoff == INF else min(x.prec, int(math.ceil(cutoff)))
-        while rest != 0 and k < limit:
-            unit = rest / Fraction(x.p) ** k
-            if vp_fraction(unit, x.p) == 0:
-                d = integer_lift_mod(unit, x.p, 1)
-                if d:
-                    if k == 0:
-                        terms.append(str(d))
-                    elif k == 1:
-                        terms.append(f"{symbol}" if d == 1 else f"{d}*{symbol}")
-                    else:
-                        terms.append(f"{symbol}^{k}" if d == 1 else f"{d}*{symbol}^{k}")
-                    rest = rest - d * Fraction(x.p) ** k
+        # the digits at p^k .. p^(limit-1) are those of one lift of x/p^v
+        n = integer_lift_mod(x.rat / Fraction(x.p) ** k, x.p, limit - k) \
+            if limit > k else 0
+        while n:
+            n, d = divmod(n, x.p)
+            if d:
+                if k == 0:
+                    terms.append(str(d))
+                elif k == 1:
+                    terms.append(f"{symbol}" if d == 1 else f"{d}*{symbol}")
+                else:
+                    terms.append(f"{symbol}^{k}" if d == 1 else f"{d}*{symbol}^{k}")
             k += 1
     body = " + ".join(terms) if terms else "0"
     if cutoff == INF:

@@ -45,15 +45,16 @@ class SkeletonGraph:
     vertices: frozenset
     edges: Tuple[Edge, ...]
     cusps: Tuple[Tuple[str, str], ...] = ()  # (half-edge id, vertex)
+    _edges_by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", frozenset(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
-        seen = set()
+        by_id = {}
         for e in self.edges:
-            if e.id in seen:
+            if e.id in by_id:
                 raise ValueError(f"duplicate edge id {e.id}")
-            seen.add(e.id)
+            by_id[e.id] = e
             if e.u not in self.vertices or e.v not in self.vertices:
                 raise ValueError(f"edge {e.id} has an unknown endpoint")
         for hid, w in self.cusps:
@@ -61,6 +62,7 @@ class SkeletonGraph:
                 raise ValueError(f"cusp {hid} attached to unknown vertex {w}")
         if self.vertices and not self._connected():
             raise ValueError("graph must be connected")
+        object.__setattr__(self, "_edges_by_id", by_id)
 
     def _connected(self) -> bool:
         verts = set(self.vertices)
@@ -89,7 +91,8 @@ class SkeletonGraph:
 
     @property
     def edge_map(self) -> Dict[str, Edge]:
-        return {e.id: e for e in self.edges}
+        """Edges by id, built once per graph; callers must not mutate it."""
+        return self._edges_by_id
 
     def to_json(self) -> dict:
         return {

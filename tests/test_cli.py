@@ -305,6 +305,45 @@ def test_bad_rational_in_a_current_file_exits_2(tmp_path, capsys, part, value):
         assert json.loads(line)["error"]["kind"] == "ValueError"
 
 
+@pytest.mark.parametrize("field, value", [("window", 5), ("cusp", []), ("ring", 3)])
+def test_wrong_json_type_in_a_current_file_exits_2(tmp_path, capsys, field, value):
+    data = {"ring": "Z", "cusp": {}, "spine": {"-1": 0, "0": 0}, "window": [0, 0]}
+    data[field] = value
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps(data))
+    assert main(["current", "--file", str(f)]) == 2
+    assert main(["ladder-ord", "--p", "3", "--q", "p", "--z", "5", "--file", str(f)]) == 2
+    for line in capsys.readouterr().out.splitlines():
+        error = json.loads(line)["error"]
+        assert error["kind"] == "ValueError"
+        assert error["reason"].startswith(f'"{field}" must be a JSON ')
+
+
+@pytest.mark.parametrize("check", ["compose", "separation"])
+def test_graph_index_that_is_not_an_integer_in_a_tower_file_exits_2(tmp_path, capsys,
+                                                                     check):
+    f = tower_file(tmp_path)
+    data = json.loads(f.read_text())
+    data["refinements"][0]["coarse"] = "x"
+    f.write_text(json.dumps(data))
+    assert main(["skeleton-tower", "--file", str(f), "--check", check,
+                 "--x", "a", "--y", "b"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {
+        "kind": "ValueError",
+        "reason": f"{f}: refinement \"coarse\" must be a graph index in 0..2, not 'x'"}
+
+
+def test_theta_request_builds_one_product(monkeypatch):
+    calls = []
+    product = nonarch.currents.theta_product
+    monkeypatch.setattr(nonarch.currents, "theta_product",
+                        lambda *a: calls.append(a) or product(*a))
+    code, payload = run(THETA + ["--q", "p", "--z", "5", "--z0", "2"])
+    assert code == 0 and len(calls) == 1
+    ratio = payload["result"]["automorphy_ratio"]
+    assert (ratio["digits"], ratio["error_valuation"]) == ("p^-1 + O(p^2)", "2")
+
 @pytest.mark.parametrize("length", ["1/0", None])
 @pytest.mark.parametrize("check", ["compose", "separation"])
 def test_bad_edge_length_in_a_tower_file_exits_2(tmp_path, capsys, check, length):

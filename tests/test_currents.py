@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonarch import (BallPoint, Current, DifferentialEval, FactoredFunction,
                      INF, PadicNumber, TateCurve, alpha_eval, alpha_germ,
                      current_from_slopes, current_x, delta_at_one, delta_eval,
                      dlog_ord, factored_alpha, ladder_ord, moebius,
                      moebius_current, poly_current_eval,
-                     theta_automorphy_constant, theta_product, validate_current)
+                     theta_automorphy_constant, theta_automorphy_ratio,
+                     theta_product, validate_current)
+from nonarch.currents import EvalResult
 from nonarch.errors import PoleCollisionError, TailCertificateError
 
 from helpers import seed_current_with_ord, seeded_window_current
@@ -332,6 +335,72 @@ def test_theta_tail_not_certifiable():
     fd = FactoredFunction(0, ((6, 1), (-6, -1)))
     with pytest.raises(TailCertificateError):
         theta_product(fd, q, 1, Q(3, 5), Q(3, 2), 0)
+
+
+def _ratio_from_two_products(fd, q, l, z, z0, M):
+    """theta(q^l z) / theta(z) from two full products, with the relative
+    error the worse of theirs."""
+    th = theta_product(fd, q, l, z, z0, M)
+    sh = theta_product(fd, q, l, (q ** l) * z, z0, M)
+    ratio = sh.value / th.value
+    rel = min(th.error_valuation - th.value.exact_valuation,
+              sh.error_valuation - sh.value.exact_valuation)
+    return EvalResult(ratio, rel if rel == INF else rel + ratio.exact_valuation)
+
+
+def _outcome(fn, *args):
+    try:
+        res = fn(*args)
+    except Exception as exc:  # compared by type and message
+        return ("raised", type(exc), str(exc))
+    v = res.value
+    return ("value", v.p, v.rat, v.pi_part, v.prec, res.error_valuation)
+
+
+@st.composite
+def _theta_requests(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    prec = draw(st.sampled_from([10, 64, 100]))
+    unit = st.fractions(min_value=-20, max_value=20, max_denominator=7).filter(
+        lambda u: u != 0 and u.numerator % p and u.denominator % p)
+
+    def point(ramified):
+        a = draw(unit) * Fraction(p) ** draw(st.integers(-3, 4))
+        b = draw(unit) * Fraction(p) ** draw(st.integers(-3, 4)) if ramified else 0
+        return PadicNumber(p, a, b, prec)
+
+    q = PadicNumber(p, draw(unit) * Fraction(p) ** draw(st.integers(1, 2)), 0, prec)
+    # a grid point z = q^t may meet a zero/pole of a translate of f
+    z = q ** draw(st.integers(-3, 3)) if draw(st.integers(0, 3)) == 0 \
+        else point(draw(st.booleans()))
+    z0 = point(draw(st.booleans()))
+    zeros = []
+    for _ in range(draw(st.integers(0, 2))):
+        ja, jb = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
+        k = draw(st.integers(1, 2))
+        zeros += [(ja, k), (jb, -k)]
+    fd = FactoredFunction(0, tuple(zeros))
+    return fd, q, draw(st.integers(1, 3)), z, z0, draw(st.integers(0, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_theta_requests())
+def test_telescoped_automorphy_ratio_matches_two_products(args):
+    # value, prec, error valuation, or exception type and message
+    assert _outcome(theta_automorphy_ratio, *args) == \
+        _outcome(_ratio_from_two_products, *args)
+
+
+def test_automorphy_ratio_reports_a_failing_shifted_bound():
+    # z's own tail certifies (bound 1); at q z the bound drops to 0
+    q = Q(3, 3)
+    fd = FactoredFunction(0, ((0, 1), (1, -1)))
+    z, z0 = Q(3, 15), Q(3, 2)
+    assert theta_product(fd, q, 1, z, z0, 1).error_valuation is not INF
+    for fn in (theta_automorphy_ratio, _ratio_from_two_products):
+        with pytest.raises(TailCertificateError,
+                           match=r"^truncation M=1 cannot certify the tail \(bound 0\)$"):
+            fn(fd, q, 1, z, z0, 1)
 
 
 # ------------------------------------------------------------ ladder

@@ -179,6 +179,33 @@ def test_precision_below_one_is_rejected():
             PadicNumber.from_rational(3, 1, prec=0)
 
 
+def test_padic_number_is_immutable_and_hash_ignores_prec():
+    x = PadicNumber(3, Fraction(2, 5), Fraction(1, 3), prec=20)
+    for attr in ("p", "rat", "pi_part", "prec", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, 1)
+    with pytest.raises(AttributeError):
+        del x.rat
+    y = PadicNumber(3, Fraction(2, 5), Fraction(1, 3), prec=64)
+    assert x == y and hash(x) == hash(y)
+    assert x != PadicNumber(3, Fraction(2, 5), Fraction(0), prec=20)
+    assert PadicNumber(3, 1) != PadicNumber(5, 1)
+    assert PadicNumber(3, 2) == PadicNumber(3, Fraction(2)) and PadicNumber(3, 2) != 2
+    for p in (3, 5):
+        a, b = Q(p, Fraction(7, 4), prec=12), Q(p, Fraction(-2, 9), prec=30)
+        pi = PadicNumber.uniformizer(p, prec=40)
+        for u, w in ((a, b), (a + pi, b), (b, a * pi - 1)):
+            for r in (u + w, u - w, u * w, u / w, w.inverse(), -u, u + 1, 2 - w,
+                      u * Fraction(1, 2), 3 / w, u ** 0, u ** 3, u ** -2):
+                assert type(r.rat) is Fraction and type(r.pi_part) is Fraction
+                assert type(r) is PadicNumber and r.p == p
+            assert (u + w).prec == (u * w).prec == (u / w).prec == min(u.prec, w.prec)
+    with pytest.raises(ValueError):
+        PadicNumber(4, 1)
+    with pytest.raises(ValueError):
+        PadicNumber(3, 1, prec=0)
+
+
 def test_power_edge_cases():
     pi = PadicNumber.uniformizer(5, prec=9)
     for x in (Q(5, Fraction(-7, 10), prec=9), pi * 3 + 2, PadicNumber.zero(5, 9)):
