@@ -625,6 +625,10 @@ def theta_automorphy_ratio(fd: FactoredFunction, q: PadicNumber, l: int,
     bounds, so both requests are checked as ``theta_product`` would check
     them, z's first.  The value carries the precision the quotient of the
     two products would carry, which includes z0's and DEFAULT_PREC.
+
+    A caller that has just built ``theta_product(fd, q, l, z, z0, M)``
+    repeats z's checks and the grid points here; that small cost keeps this
+    function safe to call on its own.
     """
     rel = min(_theta_tail(fd, q, l, z, z0, M),
               _theta_tail(fd, q, l, q ** l * z, z0, M))

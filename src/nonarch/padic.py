@@ -82,9 +82,9 @@ class PadicNumber:
     +inf exactly when the element is zero at precision ``prec``.  The raw
     valuation of the stored representative is ``exact_valuation``.
 
-    Instances are immutable; equality and hashing ignore ``prec``.  The
-    constructor validates ``p`` and ``prec``; arithmetic results, whose
-    operands are already valid, are built by the trusted ``_padic``.
+    Instances are immutable; equality and hashing ignore ``prec``.  Every
+    instance, arithmetic results included, is built by ``__init__``, which
+    validates ``p`` and ``prec``.
     """
 
     __slots__ = ("p", "rat", "pi_part", "prec")
@@ -199,7 +199,7 @@ class PadicNumber:
                 raise ValueError("mixed primes")
             return other
         if isinstance(other, (int, Fraction)):
-            return _padic(self.p, Fraction(other), _ZERO, self.prec)
+            return PadicNumber(self.p, Fraction(other), _ZERO, self.prec)
         return NotImplemented
 
     def __add__(self, other):
@@ -207,21 +207,21 @@ class PadicNumber:
         if o is NotImplemented:
             return NotImplemented
         b, d = self.pi_part, o.pi_part
-        return _padic(self.p, self.rat + o.rat, b + d if b or d else _ZERO,
-                      min(self.prec, o.prec))
+        return PadicNumber(self.p, self.rat + o.rat, b + d if b or d else _ZERO,
+                           min(self.prec, o.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _padic(self.p, -self.rat, -self.pi_part, self.prec)
+        return PadicNumber(self.p, -self.rat, -self.pi_part, self.prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         b, d = self.pi_part, o.pi_part
-        return _padic(self.p, self.rat - o.rat, b - d if b or d else _ZERO,
-                      min(self.prec, o.prec))
+        return PadicNumber(self.p, self.rat - o.rat, b - d if b or d else _ZERO,
+                           min(self.prec, o.prec))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -236,8 +236,8 @@ class PadicNumber:
         a, b, c, d = self.rat, self.pi_part, o.rat, o.pi_part
         prec = min(self.prec, o.prec)
         if not (b or d):
-            return _padic(self.p, a * c, _ZERO, prec)
-        return _padic(self.p, a * c + self.p * b * d, a * d + b * c, prec)
+            return PadicNumber(self.p, a * c, _ZERO, prec)
+        return PadicNumber(self.p, a * c + self.p * b * d, a * d + b * c, prec)
 
     __rmul__ = __mul__
 
@@ -246,9 +246,9 @@ class PadicNumber:
             raise ZeroDivisionError("inverse of zero")
         a, b = self.rat, self.pi_part
         if not b:
-            return _padic(self.p, 1 / a, _ZERO, self.prec)
+            return PadicNumber(self.p, 1 / a, _ZERO, self.prec)
         nrm = a * a - self.p * b * b  # nonzero: v(a^2) is even, v(p b^2) odd
-        return _padic(self.p, a / nrm, -b / nrm, self.prec)
+        return PadicNumber(self.p, a / nrm, -b / nrm, self.prec)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -268,7 +268,7 @@ class PadicNumber:
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
-            return _padic(self.p, _ONE, _ZERO, self.prec)
+            return PadicNumber(self.p, _ONE, _ZERO, self.prec)
         base = self
         while not k & 1:
             base = base * base
@@ -332,18 +332,6 @@ _set_p = PadicNumber.p.__set__
 _set_rat = PadicNumber.rat.__set__
 _set_pi = PadicNumber.pi_part.__set__
 _set_prec = PadicNumber.prec.__set__
-_new = object.__new__
-
-
-def _padic(p: int, rat: Fraction, pi_part: Fraction, prec: int) -> PadicNumber:
-    """Trusted constructor: p prime, prec >= 1 and Fraction components are
-    the caller's guarantee (they hold for results of valid operands)."""
-    x = _new(PadicNumber)
-    _set_p(x, p)
-    _set_rat(x, rat)
-    _set_pi(x, pi_part)
-    _set_prec(x, prec)
-    return x
 
 
 def valuation(x: PadicNumber):

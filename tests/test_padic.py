@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -191,6 +193,9 @@ def test_padic_number_is_immutable_and_hash_ignores_prec():
     assert x != PadicNumber(3, Fraction(2, 5), Fraction(0), prec=20)
     assert PadicNumber(3, 1) != PadicNumber(5, 1)
     assert PadicNumber(3, 2) == PadicNumber(3, Fraction(2)) and PadicNumber(3, 2) != 2
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is PadicNumber and twin == x and twin.prec == x.prec == 20
+        assert (twin.p, twin.rat, twin.pi_part) == (x.p, x.rat, x.pi_part)
     for p in (3, 5):
         a, b = Q(p, Fraction(7, 4), prec=12), Q(p, Fraction(-2, 9), prec=30)
         pi = PadicNumber.uniformizer(p, prec=40)
