@@ -158,9 +158,3 @@ class Segment:
         if not self.rho_end <= b.logradius <= self.rho_start:
             return False
         return valuation(b.center - self.anchor) >= b.logradius
-
-    def point_at(self, rho) -> BallPoint:
-        rho = _as_logradius(rho)
-        if not self.rho_end <= rho <= self.rho_start:
-            raise ValueError("log-radius outside the segment")
-        return BallPoint(self.anchor, rho)

@@ -125,13 +125,8 @@ def _load_current(path: str) -> currents.Current:
 
 
 def _cmd_current(args) -> dict:
-    cur = _load_current(args.file)
-    report = currents.validate_current(cur)
-    out = {"valid": report.ok}
-    if not report.ok:
-        out["violation_index"] = report.index
-        out["message"] = report.message
-        return out
+    cur = _load_current(args.file)  # raises on an invalid current
+    out = {"valid": True}
     if args.alpha_at is not None or args.delta_at is not None:
         if args.p is None:
             raise ValueError("--p is required to evaluate a current")
@@ -217,7 +212,17 @@ def _cmd_ladder_ord(args) -> dict:
 
 def _load_tower(path: str) -> skeleton.SkeletonTower:
     data = _load_object(path)
-    graphs = [skeleton.SkeletonGraph.from_json(g) for g in data["graphs"]]
+
+    def field(obj, key, kind, where=""):
+        value = obj[key]
+        if not isinstance(value, kind):
+            name = "list" if kind is list else "object"
+            raise ValueError(f'{path}: {where}"{key}" must be a JSON {name}, '
+                             f'not {value!r}')
+        return value
+
+    graphs = [skeleton.SkeletonGraph.from_json(g)
+              for g in field(data, "graphs", list)]
 
     def graph(r, key):
         i = r[key]
@@ -227,11 +232,19 @@ def _load_tower(path: str) -> skeleton.SkeletonTower:
         return graphs[i]
 
     refs = []
-    for r in data["refinements"]:
+    for r in field(data, "refinements", list):
+        if not isinstance(r, dict):
+            raise ValueError(f"{path}: a refinement must be a JSON object, not {r!r}")
+        coarse, fine = graph(r, "coarse"), graph(r, "fine")
+        vmap = field(r, "vertex_map", dict, "refinement ")
+        paths = field(r, "edge_paths", dict, "refinement ")
+        if not all(isinstance(p, list) and all(isinstance(step, list) for step in p)
+                   for p in paths.values()):
+            raise ValueError(f'{path}: refinement "edge_paths" must map each edge '
+                             f'to a JSON list of [edge, sign] steps')
         refs.append(skeleton.Refinement.build(
-            graph(r, "coarse"), graph(r, "fine"),
-            dict(r["vertex_map"]),
-            {e: [tuple(step) for step in p] for e, p in r["edge_paths"].items()}))
+            coarse, fine, dict(vmap),
+            {e: [tuple(step) for step in p] for e, p in paths.items()}))
     return skeleton.SkeletonTower(tuple(graphs), tuple(refs))
 
 

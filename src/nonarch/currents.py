@@ -41,6 +41,14 @@ RING_Z = "Z"
 RING_ZP = "Zp"
 
 
+def _tate_valuation(q: PadicNumber):
+    """v(q), checked to make q a Tate parameter: 0 < v(q) < inf."""
+    v = q.exact_valuation
+    if not 0 < v < INF:
+        raise ValueError("Tate parameter needs 0 < v(q) < inf")
+    return v
+
+
 @dataclass(frozen=True)
 class TateCurve:
     """G_m / q^Z with |q| < 1."""
@@ -48,9 +56,7 @@ class TateCurve:
     q: PadicNumber
 
     def __post_init__(self):
-        v = self.q.exact_valuation
-        if not (v != INF and 0 < v):
-            raise ValueError("Tate parameter needs 0 < v(q) < inf")
+        _tate_valuation(self.q)
 
     @property
     def p(self) -> int:
@@ -303,7 +309,7 @@ class EvalResult:
 
 def _grid_index(z: PadicNumber, q: PadicNumber) -> Optional[int]:
     """j with z = q^j exactly, if any."""
-    vz, vq = z.exact_valuation, q.exact_valuation
+    vz, vq = z.exact_valuation, _tate_valuation(q)
     if vz == INF:
         return None
     t = Fraction(vz) / Fraction(vq)
@@ -323,16 +329,10 @@ def alpha_eval(c: Current, q: PadicNumber, z: Union[PadicNumber, BallPoint],
     """
     if c.modulus is not None:
         raise ValueError("alpha needs an integer current, not Z/nZ")
-    if c.period is not None:
-        if any(v for _, v in c.cusp):
-            raise ValueError("alpha of a periodic current with cusps is only "
-                             "defined up to regularization; use a window current")
-        s0 = c.spine_at(0)
-        if isinstance(z, BallPoint):
-            return EvalResult(s0 * seminorm([PadicNumber.zero(q.p),
-                                             PadicNumber.one(q.p)], z), INF)
-        return EvalResult(z ** s0, INF)
     support = c.support()
+    if c.period is not None and support:
+        raise ValueError("alpha of a periodic current with cusps is only "
+                         "defined up to regularization; use a window current")
     if J is not None and any(abs(j) > J for j in support):
         raise ValueError(f"window J={J} does not cover the support {support}")
     s0 = c.spine_at(0)
@@ -340,6 +340,7 @@ def alpha_eval(c: Current, q: PadicNumber, z: Union[PadicNumber, BallPoint],
             not isinstance(s0, int):
         raise ValueError("alpha needs integer current values")
     if isinstance(z, BallPoint):
+        vq = _tate_valuation(q)
         p = q.p
         one = PadicNumber.one(p)
         sem_x = seminorm([PadicNumber.zero(p), one], z)
@@ -350,7 +351,7 @@ def alpha_eval(c: Current, q: PadicNumber, z: Union[PadicNumber, BallPoint],
             if j >= 1:
                 total += cj * (sem_f - sem_x)
             else:
-                total += cj * (sem_f - j * q.exact_valuation)
+                total += cj * (sem_f - j * vq)
         return EvalResult(total, INF)
     if z.is_exact_zero:
         raise PoleCollisionError("alpha is evaluated on G_m: z must be nonzero")
@@ -451,7 +452,7 @@ def delta_eval(c: Current, q: PadicNumber, z: PadicNumber,
         return EvalResult(value, INF)
     if J is None:
         raise ValueError("periodic currents with cusps need a truncation window J")
-    vq, vz = q.exact_valuation, valuation(z)
+    vq, vz = _tate_valuation(q), valuation(z)
     if not ((J + 1) * vq > vz and -(J + 1) * vq < vz):
         raise TailCertificateError(
             "window too small: grid points of index beyond J are not "
@@ -515,6 +516,7 @@ def delta_at_one(n: int, q: PadicNumber, J: int) -> EvalResult:
     of valuation >= n(J+1)v(q)."""
     if n < 1:
         raise ValueError("n must be positive")
+    vq = _tate_valuation(q)
     acc = PadicNumber.zero(q.p)
     one = PadicNumber.one(q.p)
     for j in range(1, J + 1):
@@ -523,12 +525,13 @@ def delta_at_one(n: int, q: PadicNumber, J: int) -> EvalResult:
             continue
         t = q ** (j * n)
         acc = acc + (t / (one - t)) * mu
-    return EvalResult(acc, Fraction(n) * (J + 1) * q.exact_valuation)
+    return EvalResult(acc, Fraction(n) * (J + 1) * vq)
 
 
 def poly_current_eval(P: Sequence[Value], q: PadicNumber, J: int) -> EvalResult:
     """delta(c_P)(1) for c_P = a_0 c_0 + sum_{n>=1} a_n c_n with P = sum a_n X^n;
     equals P(q) within the certified truncation error."""
+    vq = _tate_valuation(q)
     coeffs = list(P)
     total = current_x().scale(coeffs[0]) if coeffs else current_x().scale(0)
     for n, a in enumerate(coeffs[1:], start=1):
@@ -537,7 +540,6 @@ def poly_current_eval(P: Sequence[Value], q: PadicNumber, J: int) -> EvalResult:
     one = PadicNumber.one(q.p)
     res = delta_eval(total, q, one)
     err = INF
-    vq = q.exact_valuation
     for n, a in enumerate(coeffs[1:], start=1):
         if a != 0:
             va = vp_fraction(Fraction(a), q.p)
@@ -567,7 +569,7 @@ def _theta_tail(fd: FactoredFunction, q: PadicNumber, l: int,
         raise ValueError("theta products need x_exponent = 0 and total degree 0")
     if z.is_exact_zero or z0.is_exact_zero:
         raise PoleCollisionError("z and z0 must lie in G_m")
-    vq = q.exact_valuation
+    vq = _tate_valuation(q)
     for w, name in ((z, "z"), (z0, "z0")):
         t = _grid_index(w, q)
         if t is not None and any((t - j) % l == 0 for j, _ in fd.zeros):

@@ -221,7 +221,8 @@ def order_set(fam: PoleFamily, nmax: int) -> OrderSetResult:
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     C = fam.C
-    blocks, scale = _integer_blocks(fam.matrix(nmax + 2), C)
+    # blocks 0..nmax give ranks[0..nmax + 1], all that n <= nmax reads
+    blocks, scale = _integer_blocks(fam.matrix(nmax + 1), C)
     echelon = _Echelon(scale)
     ranks = [0]  # ranks[n] = dim V_n
     for block in blocks:

@@ -103,9 +103,15 @@ class SkeletonGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "SkeletonGraph":
-        return cls.build(data["vertices"],
-                         [(i, u, v, parse_fraction(L)) for i, u, v, L in data["edges"]],
-                         [tuple(c) for c in data.get("cusps", [])])
+        if not isinstance(data, dict):
+            raise ValueError(f"a graph must be a JSON object, not {data!r}")
+        vertices, edges, cusps = data["vertices"], data["edges"], data.get("cusps", [])
+        for key, value in (("vertices", vertices), ("edges", edges), ("cusps", cusps)):
+            if not isinstance(value, list):
+                raise ValueError(f'"{key}" must be a JSON list, not {value!r}')
+        return cls.build(vertices,
+                         [(i, u, v, parse_fraction(L)) for i, u, v, L in edges],
+                         [tuple(c) for c in cusps])
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class GraphPoint:
 
     @classmethod
     def on_edge(cls, eid: str, offset) -> "GraphPoint":
-        return cls(edge=eid, offset=Fraction(offset))
+        return cls(edge=eid, offset=offset)
 
     def __repr__(self):
         if self.vertex is not None:
@@ -158,19 +164,28 @@ def canonical_point(g: SkeletonGraph, pt: GraphPoint) -> GraphPoint:
 @dataclass(frozen=True)
 class Refinement:
     """Embedding of ``coarse`` into ``fine``: vertices map to vertices and
-    each coarse edge maps to a length-preserving fine edge-path."""
+    each coarse edge maps to a length-preserving fine edge-path.
+
+    Validation builds the two tables ``retract`` reads: ``edge_loc`` maps
+    each embedded fine edge to (coarse edge, sign, arclength before it), and
+    ``vertex_image`` maps every fine vertex to its retraction onto the
+    coarse graph."""
 
     coarse: SkeletonGraph
     fine: SkeletonGraph
     vertex_map: Tuple[Tuple[str, str], ...]
     edge_paths: Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...]
-    _loc: dict = field(init=False, repr=False, compare=False)
+    edge_loc: Dict[str, Tuple[str, int, Fraction]] = field(
+        init=False, repr=False, compare=False)
+    vertex_image: Dict[str, GraphPoint] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertex_map", tuple(sorted(self.vertex_map)))
         object.__setattr__(self, "edge_paths",
                            tuple(sorted((e, tuple(p)) for e, p in self.edge_paths)))
-        object.__setattr__(self, "_loc", self._validate())
+        edge_loc, vertex_image = self._validate()
+        object.__setattr__(self, "edge_loc", edge_loc)
+        object.__setattr__(self, "vertex_image", vertex_image)
 
     @classmethod
     def build(cls, coarse, fine, vertex_map: Dict[str, str],
@@ -186,7 +201,7 @@ class Refinement:
     def paths(self) -> Dict[str, Tuple[Tuple[str, int], ...]]:
         return dict(self.edge_paths)
 
-    def _validate(self) -> dict:
+    def _validate(self):
         vmap = self.vmap
         paths = self.paths
         fmap = self.fine.edge_map
@@ -202,9 +217,7 @@ class Refinement:
             raise ValueError("edge_paths must cover exactly the coarse edges")
 
         edge_loc: Dict[str, Tuple[str, int, Fraction]] = {}
-        interior_loc: Dict[str, Tuple[str, Fraction]] = {}
-        used = set()
-        mapped = set(vmap.values())
+        image = {fv: GraphPoint.at_vertex(cv) for cv, fv in vmap.items()}
         for ceid, path in paths.items():
             ce = cmap[ceid]
             if not path:
@@ -214,9 +227,8 @@ class Refinement:
             for idx, (feid, sign) in enumerate(path):
                 if sign not in (1, -1):
                     raise ValueError("path orientations must be +-1")
-                if feid in used:
+                if feid in edge_loc:
                     raise ValueError(f"fine edge {feid} used twice: not injective")
-                used.add(feid)
                 fe = fmap.get(feid)
                 if fe is None:
                     raise ValueError(f"unknown fine edge {feid}")
@@ -228,43 +240,39 @@ class Refinement:
                 cur = end
                 if idx < len(path) - 1:
                     # interior stop of the embedded arc
-                    if cur in mapped:
+                    if cur in image:
                         raise ValueError(
-                            f"path of {ceid} passes through the image vertex {cur}")
-                    if cur in interior_loc:
-                        raise ValueError(
+                            f"path of {ceid} passes through the image vertex {cur}"
+                            if image[cur].vertex is not None else
                             f"fine vertex {cur} lies on two coarse edges")
-                    interior_loc[cur] = (ceid, run)
+                    image[cur] = GraphPoint(edge=ceid, offset=run)
             if cur != vmap[ce.v]:
                 raise ValueError(f"path of {ceid} does not end at the image of {ce.v}")
             if run != ce.length:
                 raise ValueError(
                     f"path of {ceid} has length {run}, expected {ce.length}")
 
-        image_vertices = set(vmap.values()) | set(interior_loc)
-        # complement components must be trees hanging at a single image point
+        # complement components must be trees hanging at a single image point;
+        # each retracts onto the image of that point
+        on_image = set(image)
         adj: Dict[str, List[Tuple[str, str]]] = {w: [] for w in self.fine.vertices}
         for fe in self.fine.edges:
-            if fe.id in used:
-                continue
-            adj[fe.u].append((fe.id, fe.v))
-            adj[fe.v].append((fe.id, fe.u))
-        attach: Dict[str, str] = {}
-        seen_v = set(image_vertices)
+            if fe.id not in edge_loc:
+                adj[fe.u].append((fe.id, fe.v))
+                adj[fe.v].append((fe.id, fe.u))
         for start in self.fine.vertices:
-            if start in seen_v or not adj[start]:
+            if start in image or not adj[start]:
                 continue
-            comp_v, comp_e = set(), set()
+            comp_v, comp_e = {start}, set()
             anchors = set()
             stack = [start]
-            comp_v.add(start)
             while stack:
                 w = stack.pop()
                 for eid, nb in adj[w]:
                     if eid in comp_e:
                         continue
                     comp_e.add(eid)
-                    if nb in image_vertices:
+                    if nb in on_image:
                         anchors.add(nb)
                     elif nb not in comp_v:
                         comp_v.add(nb)
@@ -275,35 +283,19 @@ class Refinement:
                 raise ValueError(
                     f"hanging component {sorted(comp_v)} attaches at "
                     f"{len(anchors)} image points, expected 1")
-            anchor = anchors.pop()
             if len(comp_e) != len(comp_v):
                 raise ValueError("complement component is not a tree")
+            anchor_image = image[anchors.pop()]
             for w in comp_v:
-                attach[w] = anchor
-            seen_v |= comp_v
-        # isolated non-image vertices with no complement edges cannot retract
+                image[w] = anchor_image
         for w in self.fine.vertices:
-            if w not in image_vertices and w not in attach:
+            if w not in image:
                 raise ValueError(f"fine vertex {w} is disconnected from the image")
-        hang_edges = {}
+        # an untouched edge between two image points would close a cycle
         for fe in self.fine.edges:
-            if fe.id in used:
-                continue
-            hang_edges[fe.id] = attach.get(fe.u) or attach.get(fe.v) or \
-                (fe.u if fe.u in image_vertices else fe.v)
-            # an untouched edge between two image vertices would be a cycle
-            if fe.u in image_vertices and fe.v in image_vertices:
-                raise ValueError(
-                    f"complement edge {fe.id} joins two image points")
-        rev = {fv: cv for cv, fv in vmap.items()}
-        return {
-            "edge_loc": edge_loc,
-            "interior_loc": interior_loc,
-            "attach": attach,
-            "hang_edges": hang_edges,
-            "rev_vmap": rev,
-            "image_vertices": image_vertices,
-        }
+            if fe.id not in edge_loc and fe.u in on_image and fe.v in on_image:
+                raise ValueError(f"complement edge {fe.id} joins two image points")
+        return edge_loc, image
 
     def to_json(self) -> dict:
         return {
@@ -312,38 +304,20 @@ class Refinement:
         }
 
 
-def _image_vertex_to_coarse(ref: Refinement, fv: str) -> GraphPoint:
-    loc = ref._loc
-    if fv in loc["rev_vmap"]:
-        return GraphPoint.at_vertex(loc["rev_vmap"][fv])
-    ceid, off = loc["interior_loc"][fv]
-    return canonical_point(ref.coarse, GraphPoint.on_edge(ceid, off))
-
-
 def retract(pt: GraphPoint, ref: Refinement) -> GraphPoint:
     """Nearest-point projection of a fine point onto the embedded coarse graph."""
     pt = canonical_point(ref.fine, pt)
-    loc = ref._loc
     if pt.vertex is not None:
-        fv = pt.vertex
-        if fv in loc["image_vertices"]:
-            return _image_vertex_to_coarse(ref, fv)
-        anchor = loc["attach"].get(fv)
-        if anchor is None:
-            raise ValueError(f"vertex {fv} cannot be retracted")
-        return _image_vertex_to_coarse(ref, anchor)
-    feid = pt.edge
-    if feid in loc["edge_loc"]:
-        ceid, sign, prefix = loc["edge_loc"][feid]
-        fe = ref.fine.edge_map[feid]
-        t = pt.offset if sign == 1 else fe.length - pt.offset
-        return canonical_point(ref.coarse, GraphPoint.on_edge(ceid, prefix + t))
-    anchor = loc["hang_edges"].get(feid)
-    if anchor is None:
-        raise ValueError(f"edge {feid} cannot be retracted")
-    if anchor in loc["image_vertices"]:
-        return _image_vertex_to_coarse(ref, anchor)
-    return _image_vertex_to_coarse(ref, loc["attach"][anchor])
+        return ref.vertex_image[pt.vertex]
+    loc = ref.edge_loc.get(pt.edge)
+    fe = ref.fine.edge_map[pt.edge]
+    if loc is None:
+        # a hanging tree retracts whole onto its attachment point
+        return ref.vertex_image[fe.u]
+    ceid, sign, prefix = loc
+    t = pt.offset if sign == 1 else fe.length - pt.offset
+    # an interior point of a path edge lands strictly inside the coarse edge
+    return GraphPoint(edge=ceid, offset=prefix + t)
 
 
 def compose(r12: Refinement, r23: Refinement) -> Refinement:
@@ -351,12 +325,13 @@ def compose(r12: Refinement, r23: Refinement) -> Refinement:
     (r12: G1 <- G2 embedding ... fine=G1, coarse=G2; r23: fine=G2, coarse=G3)."""
     if r12.coarse != r23.fine:
         raise ValueError("refinements do not chain: r12.coarse must be r23.fine")
-    vmap = {cv: r12.vmap[fv2] for cv, fv2 in r23.vmap.items()}
+    vmap12, paths12 = r12.vmap, r12.paths
+    vmap = {cv: vmap12[fv2] for cv, fv2 in r23.vmap.items()}
     paths: Dict[str, List[Tuple[str, int]]] = {}
     for ceid, path2 in r23.paths.items():
         out: List[Tuple[str, int]] = []
         for eid2, sign2 in path2:
-            sub = list(r12.paths[eid2])
+            sub = list(paths12[eid2])
             if sign2 == -1:
                 sub = [(feid, -sign) for feid, sign in reversed(sub)]
             out.extend(sub)

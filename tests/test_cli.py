@@ -356,3 +356,74 @@ def test_bad_edge_length_in_a_tower_file_exits_2(tmp_path, capsys, check, length
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {"kind": "ValueError",
                                 "reason": f"not a rational number: {length!r}"}
+
+
+def _windowed_current_file(tmp_path):
+    from nonarch import Current
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps(Current.windowed({1: 1}).to_json()))
+    return f
+
+
+@pytest.mark.parametrize("q", ["1", "2", "1/3"])
+@pytest.mark.parametrize("command", ["theta", "poly-eval", "current", "ladder-ord",
+                                     "moebius-check"])
+def test_q_that_is_not_a_tate_parameter_exits_2(tmp_path, capsys, command, q):
+    f = _windowed_current_file(tmp_path)
+    argv = {
+        "theta": THETA + ["--z", "5", "--z0", "2"],
+        "poly-eval": ["poly-eval", "--p", "3", "--coeffs", "1,2"],
+        "current": ["current", "--file", str(f), "--p", "3", "--delta-at", "5"],
+        "ladder-ord": ["ladder-ord", "--file", str(f), "--p", "3", "--z", "5"],
+        "moebius-check": ["moebius-check", "--p", "3", "--n", "1", "--J", "3"],
+    }[command]
+    assert main(argv + ["--q", q]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "ValueError",
+                                "reason": "Tate parameter needs 0 < v(q) < inf"}
+
+
+@pytest.mark.parametrize("ring, spine, code, error", [
+    ("Z", -1, 4, {"kind": "PoleCollisionError",
+                  "reason": "alpha is evaluated on G_m: z must be nonzero"}),
+    ("Zp", "1/2", 2, {"kind": "ValueError",
+                      "reason": "alpha needs integer current values"}),
+])
+def test_alpha_of_a_cusp_free_periodic_current_at_zero(tmp_path, capsys, ring, spine,
+                                                        code, error):
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps({"ring": ring, "period": 1, "window": [0, 0],
+                             "cusp": {"0": 0}, "spine": {"0": spine}}))
+    assert main(["current", "--file", str(f), "--p", "3", "--alpha-at", "0"]) == code
+    assert json.loads(capsys.readouterr().out)["error"] == error
+
+
+@pytest.mark.parametrize("where, value, reason", [
+    ("graphs", 3, '{f}: "graphs" must be a JSON list, not 3'),
+    ("refinements", 3, '{f}: "refinements" must be a JSON list, not 3'),
+    ("graphs/1", 3, "a graph must be a JSON object, not 3"),
+    ("graphs/1/vertices", 3, '"vertices" must be a JSON list, not 3'),
+    ("graphs/1/edges", 3, '"edges" must be a JSON list, not 3'),
+    ("graphs/1/cusps", 3, '"cusps" must be a JSON list, not 3'),
+    ("refinements/0", 3, "{f}: a refinement must be a JSON object, not 3"),
+    ("refinements/0/vertex_map", 3,
+     '{f}: refinement "vertex_map" must be a JSON object, not 3'),
+    ("refinements/0/edge_paths", [],
+     '{f}: refinement "edge_paths" must be a JSON object, not []'),
+    ("refinements/0/edge_paths/e", 3,
+     '{f}: refinement "edge_paths" must map each edge to a JSON list of [edge, sign] steps'),
+    ("refinements/0/edge_paths/e/0", 3,
+     '{f}: refinement "edge_paths" must map each edge to a JSON list of [edge, sign] steps'),
+])
+def test_wrong_json_type_in_a_tower_file_exits_2(tmp_path, capsys, where, value, reason):
+    f = tower_file(tmp_path)
+    data = json.loads(f.read_text())
+    *parents, last = [int(k) if k.isdigit() else k for k in where.split("/")]
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    f.write_text(json.dumps(data))
+    assert main(["skeleton-tower", "--file", str(f), "--check", "compose"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "ValueError", "reason": reason.format(f=f)}

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonarch import (EdgeEnd, GraphPoint, Refinement,
                      SkeletonGraph, SkeletonTower, SubdivisionSet,
@@ -34,8 +35,11 @@ def base_refinement():
 
 def attachment_oracle(ref, vertex):
     """Independent BFS from a hanging vertex to the nearest image point."""
-    image_v = ref._loc["image_vertices"]
-    used = set(ref._loc["edge_loc"])
+    used = {feid for path in ref.paths.values() for feid, _ in path}
+    image_v = set(ref.vmap.values())
+    for feid in used:
+        e = ref.fine.edge_map[feid]
+        image_v |= {e.u, e.v}
     adj = {}
     for e in ref.fine.edges:
         if e.id in used:
@@ -101,6 +105,69 @@ def test_retract_of_embedding_is_identity_on_samples():
                 run += fe.length
             assert fine_pt is not None
         assert retract(fine_pt, ref) == pt
+
+
+def arclength_oracle(ref):
+    """Coarse positions read off ``ref.paths``: each path edge -> (coarse
+    edge, arclength before it, sign), and each image vertex -> its coarse
+    point (a vertex of the coarse graph or an interior stop of an arc)."""
+    edges = {}
+    stops = {fv: GraphPoint.at_vertex(cv) for cv, fv in ref.vmap.items()}
+    for ceid, path in ref.paths.items():
+        run = Fraction(0)
+        for feid, sign in path:
+            fe = ref.fine.edge_map[feid]
+            edges[feid] = (ceid, run, sign)
+            run += fe.length
+            stops.setdefault(fe.v if sign == 1 else fe.u, GraphPoint.on_edge(ceid, run))
+    return edges, stops
+
+
+def expected_retraction(ref, pt):
+    edges, stops = arclength_oracle(ref)
+    if pt.vertex is not None:
+        return stops[attachment_oracle(ref, pt.vertex)]
+    fe = ref.fine.edge_map[pt.edge]
+    if pt.edge not in edges:
+        # every point of a hanging tree goes to the tree's attachment point
+        return stops[attachment_oracle(ref, fe.u)]
+    ceid, run, sign = edges[pt.edge]
+    return GraphPoint.on_edge(ceid, run + (pt.offset if sign == 1 else fe.length - pt.offset))
+
+
+def reoriented(ref):
+    """The same refinement with every other fine edge stored the other way
+    round, so that paths run along edges against their orientation."""
+    flip = {e.id for e in ref.fine.edges[::2]}
+    fine = SkeletonGraph.build(
+        sorted(ref.fine.vertices),
+        [(e.id, *((e.v, e.u) if e.id in flip else (e.u, e.v)), e.length)
+         for e in ref.fine.edges])
+    paths = {c: [(f, -sign if f in flip else sign) for f, sign in path]
+             for c, path in ref.paths.items()}
+    return Refinement.build(ref.coarse, fine, ref.vmap, paths)
+
+
+def fine_points(ref, cuts):
+    return [GraphPoint.at_vertex(w) for w in sorted(ref.fine.vertices)] + \
+        [GraphPoint.on_edge(e.id, e.length * t) for e in ref.fine.edges for t in cuts]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), depth=st.integers(1, 4),
+       cuts=st.lists(st.fractions(0, 1, max_denominator=16).filter(lambda t: 0 < t < 1),
+                     min_size=1, max_size=3))
+def test_retract_matches_oracles_and_composes(seed, depth, cuts):
+    tower = random_tower(seed, depth)
+    for ref in tower.refinements:
+        for r in (ref, reoriented(ref)):
+            for pt in fine_points(r, cuts):
+                assert retract(pt, r) == expected_retraction(r, pt), pt
+    for r23, r12 in zip(tower.refinements, tower.refinements[1:]):
+        for r in (r12, reoriented(r12)):
+            r13 = compose(r, r23)
+            for pt in fine_points(r, cuts):
+                assert retract(retract(pt, r), r23) == retract(pt, r13), pt
 
 
 def test_invalid_refinement_rejected():
