@@ -110,9 +110,8 @@ def _cmd_order_set(args) -> dict:
 
 def _cmd_find_order(args) -> dict:
     fam = _load_pole_family(args)
-    p = args.p or fam.p
-    coeffs = poles.find_nonppower_order(fam, p, args.nmax)
-    order = poles.order_of_combination(coeffs, fam)
+    # the search returns the order its one re-verification found
+    coeffs, order = poles._find_witness(fam, args.p, args.nmax)
     return {
         "coefficients": [_frac_str(c) for c in coeffs],
         "order": order,

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .berkovich import BallPoint, seminorm
 from .errors import NoAdmissibleOrderError, PoleCollisionError, PrecisionExhaustedError
-from .padic import INF, PadicNumber, integer_lift_mod, valuation, vp_fraction
+from .padic import (INF, PadicNumber, integer_lift_mod, is_prime, valuation,
+                    vp_fraction)
 
 
 @dataclass(frozen=True)
@@ -71,32 +72,44 @@ class PoleFamily:
 # -- exact integer linear algebra -------------------------------------
 
 
-def _integer_blocks(rows: Sequence[Sequence[PadicNumber]],
-                    C: int) -> Tuple[List[List[List[int]]], List[int]]:
-    """Every coefficient of every pole as integer vectors over the pole
-    index, with the scales that make them integral.
+def _coefficient_blocks(fam: PoleFamily,
+                        K: int) -> Tuple[List[int], Iterator[List[List[int]]]]:
+    """Integer column scales and a lazy stream of coefficient blocks 0..K.
 
-    Block k holds the ``rat`` vector and (when C = 2) the ``pi_part`` vector
-    of coefficient k; entry i of each is that coordinate times scale[i], the
-    lcm of the denominators of every coordinate of row i.
-    Scaling a column by a nonzero rational keeps the rank and the pivot
-    columns and maps the kernel by the inverse scaling.
+    K is first capped at n - 1 for n poles: a nonzero combination has a
+    numerator of degree < n, so its order is at most n - 1 and blocks
+    0..n-1 already have full rank.
+
+    With (x - i)^(-1) = (R + S pi)/L for integers R, S and L > 0, coefficient
+    k of 1/(X - i) is (-1)^k (R + S pi)^(k+1) / L^(k+1).  Pole i gets the
+    scale L^(K+1), a positive multiple of the lcm of the denominators of its
+    coefficients 0..K, so block k holds the ``rat`` vector and (when C = 2)
+    the ``pi_part`` vector of (-1)^k (R + S pi)^(k+1) L^(K-k) over the poles.
+    Each block is the one before times -(R + S pi)/L, an exact division
+    while k < K.  Scaling a column by a nonzero rational keeps the rank and
+    the pivot columns and maps the kernel by the inverse scaling.
     """
-    scale = []
-    for row in rows:
-        d = 1
-        for e in row:
-            d = lcm(d, e.rat.denominator, e.pi_part.denominator)
-        scale.append(d)
-    blocks = []
-    for k in range(len(rows[0])):
-        entries = [row[k] for row in rows]
-        parts = [[e.rat for e in entries]]
-        if C == 2:
-            parts.append([e.pi_part for e in entries])
-        blocks.append([[c.numerator * (d // c.denominator) for c, d in zip(part, scale)]
-                       for part in parts])
-    return blocks, scale
+    p, C = fam.p, fam.C
+    K = min(K, len(fam.poles) - 1)
+    units = []
+    for i in fam.poles:
+        inv = (fam.x - i).inverse()
+        L = lcm(inv.rat.denominator, inv.pi_part.denominator)
+        units.append((inv.rat.numerator * (L // inv.rat.denominator),
+                      inv.pi_part.numerator * (L // inv.pi_part.denominator), L))
+
+    def blocks():
+        rat = [R * L ** K for R, _, L in units]
+        pi = [S * L ** K for _, S, L in units]
+        for k in range(K + 1):
+            yield [rat, pi] if C == 2 else [rat]
+            if k < K:
+                rat, pi = ([-(a * R + p * b * S) // L
+                            for a, b, (R, S, L) in zip(rat, pi, units)],
+                           [-(a * S + b * R) // L
+                            for a, b, (R, S, L) in zip(rat, pi, units)])
+
+    return [L ** (K + 1) for _, _, L in units], blocks()
 
 
 class _Echelon:
@@ -167,21 +180,25 @@ class _Echelon:
 
 def order_of_combination(a: Sequence, fam: PoleFamily,
                          window: Optional[int] = None) -> int:
-    """(X - x)-adic valuation of sum a_i/(X - i), by exact expansion."""
-    coeffs = [Fraction(c) if not isinstance(c, PadicNumber) else c for c in a]
+    """(X - x)-adic valuation of sum a_i/(X - i), by exact expansion.
+
+    Coefficient k of the sum is built from the PadicNumber expansions of
+    the poles, one k at a time, independently of the integer blocks.
+    """
+    coeffs = [c if isinstance(c, PadicNumber) else PadicNumber.from_rational(fam.p, c)
+              for c in a]
     if len(coeffs) != len(fam.poles):
         raise ValueError("coefficient count must match the pole count")
-    if all((c.is_exact_zero if isinstance(c, PadicNumber) else c == 0)
-           for c in coeffs):
+    if all(c.is_exact_zero for c in coeffs):
         raise ValueError("the zero combination has no order")
     kmax = len(fam.poles) if window is None else window
-    rows = fam.matrix(kmax + 1)
+    # terms[i] = a_i (-1)^k/(x - i)^(k+1), coefficient k of a_i/(X - i)
+    steps = [-(fam.x - i).inverse() for i in fam.poles]
+    terms = [-c * s for c, s in zip(coeffs, steps)]
     for k in range(kmax + 1):
-        acc = PadicNumber.zero(fam.p)
-        for c, row in zip(coeffs, rows):
-            acc = acc + row[k] * c
-        if not acc.is_exact_zero:
+        if not sum(terms, PadicNumber.zero(fam.p)).is_exact_zero:
             return k
+        terms = [t * s for t, s in zip(terms, steps)]
     raise PrecisionExhaustedError(
         f"order exceeds the certified window {kmax}")
 
@@ -221,14 +238,18 @@ def order_set(fam: PoleFamily, nmax: int) -> OrderSetResult:
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     C = fam.C
-    # blocks 0..nmax give ranks[0..nmax + 1], all that n <= nmax reads
-    blocks, scale = _integer_blocks(fam.matrix(nmax + 1), C)
+    # blocks 0..nmax give ranks[0..nmax + 1], all that n <= nmax reads; once
+    # the rank is full no later block can raise it
+    scale, blocks = _coefficient_blocks(fam, nmax)
     echelon = _Echelon(scale)
     ranks = [0]  # ranks[n] = dim V_n
     for block in blocks:
         for vec in block:
             echelon.add(vec)
         ranks.append(len(echelon.leading))
+        if ranks[-1] == echelon.n:
+            break
+    ranks += [ranks[-1]] * (nmax + 2 - len(ranks))
     E = tuple(n for n in range(nmax + 1) if ranks[n + 1] > ranks[n])
     u = []
     count = 0
@@ -254,11 +275,26 @@ def find_nonppower_order(fam: PoleFamily, p: Optional[int] = None,
 
     The combination is built from an exact kernel basis of phi_k and rescaled
     by a p-power so every entry is p-integral; the claimed order is
-    re-verified through the expansion before returning.
+    re-verified through the expansion before returning.  A p that is not
+    prime or a negative nmax raises ValueError.
+    """
+    return _find_witness(fam, p, nmax)[0]
+
+
+def _find_witness(fam: PoleFamily, p: Optional[int],
+                  nmax: Optional[int]) -> Tuple[Tuple[Fraction, ...], int]:
+    """``find_nonppower_order``'s witness with its verified order k.
+
+    Blocks are built up to the witness, or until the rank is full, after
+    which every kernel of phi_k is zero and no later order is achieved.
     """
     p = fam.p if p is None else p
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if nmax is not None and nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     window = (len(fam.poles) - 1) if nmax is None else nmax
-    blocks, scale = _integer_blocks(fam.matrix(window + 1), fam.C)
+    scale, blocks = _coefficient_blocks(fam, window)
     echelon = _Echelon(scale)
     achieved = []
     for k, block in enumerate(blocks):
@@ -275,9 +311,11 @@ def find_nonppower_order(fam: PoleFamily, p: Optional[int] = None,
                 if got != k:
                     raise PrecisionExhaustedError(
                         f"kernel construction promised order {k} but verified {got}")
-                return tuple(witness)
+                return tuple(witness), got
         if any([echelon.add(vec) for vec in block]):
             achieved.append(k)
+        if len(echelon.leading) == echelon.n:
+            break
     raise NoAdmissibleOrderError(window, achieved)
 
 

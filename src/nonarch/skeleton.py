@@ -109,6 +109,17 @@ class SkeletonGraph:
         for key, value in (("vertices", vertices), ("edges", edges), ("cusps", cusps)):
             if not isinstance(value, list):
                 raise ValueError(f'"{key}" must be a JSON list, not {value!r}')
+        for what, items, size in (("an edge", edges, 4), ("a cusp", cusps, 2)):
+            for item in items:
+                if not isinstance(item, list) or len(item) != size:
+                    raise ValueError(f"{what} must be a JSON list of {size} entries, "
+                                     f"not {item!r}")
+        names = (list(vertices) + [name for e in edges for name in e[:3]]
+                 + [name for c in cusps for name in c])
+        for name in names:
+            if isinstance(name, (list, dict)):
+                raise ValueError("a vertex or edge name must be a JSON scalar, "
+                                 f"not {name!r}")
         return cls.build(vertices,
                          [(i, u, v, parse_fraction(L)) for i, u, v, L in edges],
                          [tuple(c) for c in cusps])

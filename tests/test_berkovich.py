@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonarch import (BallPoint, INF, PadicNumber, Segment, classify_type, join,
                      ladder_point, same_point, seminorm, valuation)
@@ -155,3 +156,31 @@ def test_ballpoint_json_roundtrip():
     assert BallPoint.from_json(b.to_json()) == b
     t1 = BallPoint(Q(3, 7, prec=10), INF)
     assert BallPoint.from_json(t1.to_json()) == t1
+
+
+def _element(draw, p, ramified):
+    rat = Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from((1, 2, 3, 4, 25))))
+    pi = draw(st.integers(-3, 3)) if ramified else 0
+    return PadicNumber(p, rat, Fraction(pi))
+
+
+@st.composite
+def seminorm_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    ramified = draw(st.booleans())
+    f, g = ([_element(draw, p, ramified) for _ in range(draw(st.integers(1, 4)))]
+            for _ in range(2))
+    center = _element(draw, p, ramified)
+    rho = draw(st.one_of(st.just(INF), st.fractions(-4, 8, max_denominator=6)))
+    return f, g, BallPoint(center, rho)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seminorm_cases())
+def test_seminorm_is_multiplicative_property(case):
+    f, g, b = case
+    prod = [PadicNumber.zero(b.p) for _ in range(len(f) + len(g) - 1)]
+    for i, a in enumerate(f):
+        for j, c in enumerate(g):
+            prod[i + j] = prod[i + j] + a * c
+    assert seminorm(prod, b) == seminorm(f, b) + seminorm(g, b)

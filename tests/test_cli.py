@@ -427,3 +427,79 @@ def test_wrong_json_type_in_a_tower_file_exits_2(tmp_path, capsys, where, value,
     assert main(["skeleton-tower", "--file", str(f), "--check", "compose"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {"kind": "ValueError", "reason": reason.format(f=f)}
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("edges", [3], "an edge must be a JSON list of 4 entries, not 3"),
+    ("edges", [["f1", "a", "m"]],
+     "an edge must be a JSON list of 4 entries, not ['f1', 'a', 'm']"),
+    ("edges", [[["f1"], "a", "m", 1]], "a vertex or edge name must be a JSON scalar, not ['f1']"),
+    ("cusps", [3], "a cusp must be a JSON list of 2 entries, not 3"),
+    ("cusps", [["h", {"a": 1}]],
+     "a vertex or edge name must be a JSON scalar, not {'a': 1}"),
+    ("vertices", [["a"], "b"], "a vertex or edge name must be a JSON scalar, not ['a']"),
+])
+def test_malformed_entry_in_a_tower_graph_exits_2(tmp_path, capsys, key, value, reason):
+    f = tower_file(tmp_path)
+    data = json.loads(f.read_text())
+    data["graphs"][2][key] = value
+    f.write_text(json.dumps(data))
+    assert main(["skeleton-tower", "--file", str(f), "--check", "compose"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "ValueError", "reason": reason}
+
+
+def pole_file(tmp_path, family):
+    f = tmp_path / "poles.json"
+    f.write_text(json.dumps(family))
+    return str(f)
+
+
+def test_find_order_with_p_1_exits_2(tmp_path):
+    # the p-power test looped forever on p = 1; a fresh process with a
+    # timeout keeps a regression from hanging the suite
+    f = pole_file(tmp_path, {"p": 5, "x": "0", "poles": ["1", "2", "3"]})
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(nonarch.__file__)))
+    done = subprocess.run([sys.executable, "-m", "nonarch.cli", "find-order",
+                           "--poles", f, "--p", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["error"] == {"kind": "ValueError",
+                                                "reason": "p = 1 is not prime"}
+
+
+@pytest.mark.parametrize("p", ["4", "6", "-3", "0"])
+def test_find_order_with_a_non_prime_p_exits_2(tmp_path, capsys, p):
+    f = pole_file(tmp_path, {"p": 5, "x": "0", "poles": ["1", "2", "3"]})
+    assert main(["find-order", "--poles", f, "--p", p]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": f"p = {p} is not prime"}
+
+
+@pytest.mark.parametrize("nmax, code, error", [
+    ("-1", 2, {"kind": "ValueError", "reason": "nmax must be nonnegative"}),
+    ("0", 4, {"kind": "NoAdmissibleOrderError", "reason":
+              "no order k <= 0 with k+1 not a p-power; achieved orders: (0,)"}),
+])
+def test_find_order_nmax_bounds(tmp_path, capsys, nmax, code, error):
+    f = pole_file(tmp_path, {"p": 5, "x": "0", "poles": ["1", "2", "3"]})
+    assert main(["find-order", "--poles", f, "--nmax", nmax]) == code
+    assert json.loads(capsys.readouterr().out)["error"] == error
+
+
+def test_find_order_request_verifies_its_witness_once(tmp_path, monkeypatch):
+    from nonarch import poles
+    calls = []
+    verify = poles.order_of_combination
+
+    def counted(*args, **kw):
+        calls.append(verify(*args, **kw))
+        return calls[-1]
+
+    monkeypatch.setattr(poles, "order_of_combination", counted)
+    f = pole_file(tmp_path, {"p": 2, "x": "0",
+                             "poles": ["101", "117", "133", "150", "163", "188"]})
+    code, payload = run(["find-order", "--poles", f])
+    assert code == 0
+    assert calls == [payload["result"]["order"]]

@@ -10,6 +10,7 @@ from nonarch import (PadicNumber, PoleFamily, find_nonppower_order,
                      finite_product_eval, integer_approximation, moebius_orbit,
                      order_of_combination, order_set, BallPoint)
 from nonarch.errors import NoAdmissibleOrderError, PrecisionExhaustedError
+from nonarch import poles as poles_module
 from nonarch.poles import _Echelon
 
 
@@ -413,3 +414,140 @@ def test_echelon_kernel_matches_rref_on_scaled_columns():
                             > helpers.rank_oracle(rows[:m - 1]))
         assert echelon.kernel() == helpers.rref_nullspace(rows)
     assert unequal > 200
+
+
+# ----------------------------------------- lazy blocks and early exits
+
+
+@pytest.fixture
+def block_count(monkeypatch):
+    """Counts the coefficient blocks the solver actually builds."""
+    built = [0]
+    stream = poles_module._coefficient_blocks
+
+    def counted(fam, K):
+        scale, blocks = stream(fam, K)
+
+        def each():
+            for block in blocks:
+                built[0] += 1
+                yield block
+
+        return scale, each()
+
+    monkeypatch.setattr(poles_module, "_coefficient_blocks", counted)
+    return built
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from((2, 3, 5)),
+       ramified=st.booleans(), npoles=st.integers(1, 6), K=st.integers(0, 7))
+def test_coefficient_blocks_are_the_scaled_matrix(seed, p, ramified, npoles, K):
+    fam = seeded_family(seed, p, ramified, npoles)
+    scale, blocks = poles_module._coefficient_blocks(fam, K)
+    blocks = list(blocks)
+    K = min(K, npoles - 1)  # the rank is full by block npoles - 1
+    rows = fam.matrix(K + 1)
+    assert len(blocks) == K + 1
+    for d, row in zip(scale, rows):
+        lcm_scale = lcm(*(c.denominator for e in row for c in (e.rat, e.pi_part)))
+        assert d > 0 and d % lcm_scale == 0
+        assert d == lcm_scale or ramified  # the lcm scale itself when C = 1
+    for k, block in enumerate(blocks):
+        parts = [[e[k].rat for e in rows]]
+        if fam.C == 2:
+            parts.append([e[k].pi_part for e in rows])
+        assert block == [[c * d for c, d in zip(part, scale)] for part in parts]
+
+
+@pytest.mark.parametrize("seed, p, ramified", [(21, 3, False), (22, 5, True)])
+def test_order_set_far_past_full_rank_matches_the_rank_oracle(block_count, seed, p,
+                                                               ramified):
+    fam = seeded_family(seed, p, ramified, 5)
+    C, nmax = fam.C, 40
+    rows = family_rational_rows(fam, nmax + 1)
+    res = order_set(fam, nmax)
+    dims = tuple(helpers.rank_oracle([r[: n * C] for r in rows])
+                 for n in range(nmax + 1))
+    assert res.dims == dims
+    assert res.E_window == tuple(n for n in range(nmax) if dims[n + 1] > dims[n])
+    full = dims.index(5)  # blocks 0..full - 1 fill the rank
+    assert block_count[0] == full < nmax
+
+
+def test_find_order_without_witness_stops_at_full_rank(block_count):
+    fam = PoleFamily((Q(2, 1), Q(2, 3)), Q(2, 0))  # orders 0, 1; 1 and 2 are 2-powers
+    with pytest.raises(NoAdmissibleOrderError) as exc:
+        find_nonppower_order(fam, nmax=10)
+    assert str(exc.value) == ("no order k <= 10 with k+1 not a p-power; "
+                              "achieved orders: (0, 1)")
+    assert block_count[0] == 2
+
+
+def test_ramified_find_order_without_witness_stops_at_full_rank(block_count):
+    fam = seeded_family(3, 2, True, 4)
+    assert order_set(fam, 3).dims == (0, 2, 4, 4)
+    block_count[0] = 0
+    with pytest.raises(NoAdmissibleOrderError) as exc:
+        find_nonppower_order(fam, nmax=9)
+    assert str(exc.value) == ("no order k <= 9 with k+1 not a p-power; "
+                              "achieved orders: (0, 1)")
+    assert block_count[0] == 2
+
+
+@pytest.mark.parametrize("seed, p, ramified, npoles", [
+    (31, 2, False, 6), (32, 3, True, 8), (33, 5, False, 12), (34, 2, True, 10),
+])
+def test_find_order_builds_no_block_past_the_witness(block_count, seed, p, ramified,
+                                                     npoles):
+    fam = seeded_family(seed, p, ramified, npoles)
+    coeffs, order = poles_module._find_witness(fam, None, None)
+    assert block_count[0] == order + 1
+    assert numerator_order_oracle(coeffs, fam) == order
+    assert not is_p_power(order + 1, p)
+
+
+@pytest.mark.parametrize("p", [4, 6, -3, 0])
+def test_find_order_rejects_a_non_prime_p(p):
+    fam = PoleFamily((Q(5, 1), Q(5, 2), Q(5, 3)), Q(5, 0))
+    with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+        find_nonppower_order(fam, p)
+
+
+def test_find_order_rejects_a_negative_nmax():
+    fam = PoleFamily((Q(5, 1), Q(5, 2)), Q(5, 0))
+    with pytest.raises(ValueError, match="nmax must be nonnegative"):
+        find_nonppower_order(fam, nmax=-1)
+    with pytest.raises(NoAdmissibleOrderError):
+        find_nonppower_order(fam, nmax=0)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from((2, 3, 5)),
+       ramified=st.booleans(), npoles=st.integers(1, 7), window=st.integers(0, 6))
+def test_order_of_combination_matches_the_matrix(seed, p, ramified, npoles, window):
+    """A random combination of the kernel of phi_j, for a random j, has
+    the order of the first nonzero coefficient of the PadicNumber matrix."""
+    fam = seeded_family(seed, p, ramified, npoles)
+    rng = random.Random(seed)
+    C = fam.C
+    j = rng.randint(0, (npoles - 1) // C)  # phi_j has a nonzero kernel
+    rows = family_rational_rows(fam, j)
+    conditions = [[r[m] for r in rows] for m in range(j * C)]
+    kernel = (helpers.rref_nullspace(conditions) if j else
+              [[Fraction(int(a == b)) for b in range(npoles)] for a in range(npoles)])
+    coeffs = [Fraction(0)] * npoles
+    while not any(coeffs):
+        for vec in kernel:
+            c = rng.randint(-3, 3)
+            coeffs = [a + c * v for a, v in zip(coeffs, vec)]
+    matrix = fam.matrix(window + 1)
+    first = next((k for k in range(window + 1)
+                  if not sum((row[k] * c for row, c in zip(matrix, coeffs)),
+                             PadicNumber.zero(p)).is_exact_zero), None)
+    if first is None:
+        with pytest.raises(PrecisionExhaustedError):
+            order_of_combination(coeffs, fam, window)
+    else:
+        assert first >= j
+        assert order_of_combination(coeffs, fam, window) == first
