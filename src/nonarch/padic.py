@@ -45,19 +45,40 @@ def is_prime(n: int) -> bool:
 
 
 def vp_int(n: int, p: int):
-    """p-adic valuation of an integer; INF for 0."""
+    """p-adic valuation of an integer; INF for 0.  Raises ValueError for
+    p < 2, where no valuation exists.
+
+    Divides by p, p^2, p^4, ... while they divide n, then tries the same
+    powers back down, so a valuation v costs O(log v) big-integer
+    divisions; n prime to p costs one.
+    """
+    if p < 2:
+        raise ValueError(f"p = {p} is not prime")
     if n == 0:
         return INF
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return _ZERO
+    powers = []
+    q = p
+    while True:
+        n2, r = divmod(n, q)
+        if r:
+            break
+        n = n2
+        powers.append(q)
+        q *= q
+    v = (1 << len(powers)) - 1
+    for i in range(len(powers) - 1, -1, -1):
+        n2, r = divmod(n, powers[i])
+        if not r:
+            n = n2
+            v += 1 << i
     return Fraction(v)
 
 
 def vp_fraction(x, p: int):
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x == 0:
         return INF
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)

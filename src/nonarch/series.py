@@ -17,6 +17,8 @@ from .errors import PrecisionExhaustedError, UndecidableSlopeError
 # binom_fractional is re-exported (public name of this module), not called here
 from .padic import DEFAULT_PREC, NEG_INF, PadicNumber, binom_fractional  # noqa: F401
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class TailBound:
@@ -43,7 +45,7 @@ def _as_coeff(p: int, c, prec: int) -> PadicNumber:
         if c.p != p:
             raise ValueError("mixed primes in series")
         return c
-    return PadicNumber(p, Fraction(c), Fraction(0), prec)
+    return PadicNumber(p, c, _ZERO, prec)
 
 
 @dataclass(frozen=True)
@@ -273,18 +275,83 @@ def _power_coeffs(v: Sequence[PadicNumber], a: Fraction, w0: PadicNumber,
     n V_0 W_n = sum_{k=1..n} ((a+1)k - n) V_k W_{n-k}.  Exact arithmetic
     makes the coefficients unique, so every caller gets the values a
     binomial or convolution expansion would give, in O(d^2) operations.
+
+    The sum runs on the (rat, pi_part) Fraction components, and the pi
+    products are skipped when every pi part is zero.  Each W_n is one
+    PadicNumber whose prec is the running minimum that PadicNumber
+    arithmetic would give it: DEFAULT_PREC, V_0's prec, and the precs of
+    the V_k and W_{n-k} that feed it.
     """
+    p = w0.p
     inv0 = v[0].inverse()
-    support = [k for k in range(1, min(d, len(v) - 1) + 1) if not v[k].is_exact_zero]
+    r0, s0 = inv0.rat, inv0.pi_part
+    support = [(k, c.rat, c.pi_part, c.prec)
+               for k, c in enumerate(v[1:min(d, len(v) - 1) + 1], 1)
+               if not c.is_exact_zero]
+    ramified = bool(s0 or w0.pi_part or any(s for _, _, s, _ in support))
+    a1 = a + 1
+    prec0 = min(DEFAULT_PREC, inv0.prec)
+    xs, ys, precs = [w0.rat], [w0.pi_part], [w0.prec]
     w = [w0]
     for n in range(1, d + 1):
-        acc = PadicNumber.zero(w0.p)
-        for k in support:
+        x = y = _ZERO
+        prec = prec0
+        for k, r, s, pk in support:
             if k > n:
                 break
-            acc = acc + v[k] * w[n - k] * ((a + 1) * k - n)
-        w.append(acc * (inv0 / n))
+            prec = min(prec, pk, precs[n - k])
+            c = a1 * k - n
+            xj, yj = xs[n - k], ys[n - k]
+            if not c or not (xj or yj):
+                continue
+            if ramified:
+                x += (r * xj + s * yj * p) * c
+                y += (r * yj + s * xj) * c
+            else:
+                x += r * xj * c
+        if ramified:
+            x, y = (x * r0 + y * s0 * p) / n, (x * s0 + y * r0) / n
+        else:
+            x = x * r0 / n
+        xs.append(x)
+        ys.append(y)
+        precs.append(prec)
+        w.append(PadicNumber(p, x, y, prec))
     return w
+
+
+def _unit_points(f: BoundedSeries):
+    """The constraint points of u = f - 1 and u's tail slope, for f(0) = 1:
+    (j, v(u_j)) for the nonzero explicit u_j, j >= 1, plus the tail point
+    (D + 1, tail.at(D + 1)), and tail.alpha (None for a polynomial).  The
+    points are empty when u = 0.  Raises PrecisionExhaustedError when
+    ord(u) is not certified (only the tail carries terms).
+    """
+    points = [(j, w) for j, w in f.explicit_points() if j]
+    if f.tail is None:
+        return points, None
+    if not points:
+        raise PrecisionExhaustedError(
+            "order not certified: all explicit coefficients vanish but a tail remains")
+    j0 = f.degree + 1
+    points.append((j0, f.tail.at(j0)))
+    return points, f.tail.alpha
+
+
+def _tail_from_points(points, alpha_u, p: int, m: int) -> Optional[TailBound]:
+    """The root tail of ``_root_tail`` at level m >= 1 from ``_unit_points``:
+    None when there are no points (u = 0), else (a*, 1/(p-1)) with
+    a* = min (w - M)/j, M = m + 1/(p-1), or, when u's tail slope lies
+    below a*, that slope with offset bmax - M + 1/(p-1)."""
+    if not points:
+        return None
+    one_over = Fraction(1, p - 1)
+    M = m + one_over
+    a = min((w - M) / j for j, w in points)
+    if alpha_u is not None and alpha_u < a:
+        bmax = min(w - alpha_u * j for j, w in points)
+        return TailBound(alpha_u, bmax - M + one_over)
+    return TailBound(a, one_over)
 
 
 def _root_tail(f: BoundedSeries, m: int) -> Optional[TailBound]:
@@ -305,22 +372,12 @@ def _root_tail(f: BoundedSeries, m: int) -> Optional[TailBound]:
     is a and grows; past a*, it changes at rate 1 - j/e <= 0 (j the point
     attaining bmax, j >= e), so it never exceeds a*.  The tail is therefore
     (a*, 1/(p-1)), or, when u's tail slope lies below a*, that slope with
-    offset bmax - M + 1/(p-1).  This is a single pass over the points.
+    offset bmax - M + 1/(p-1).  This is a single pass over the points;
+    the points (``_unit_points``) do not depend on m, so a caller that
+    asks for several levels reads them once and calls
+    ``_tail_from_points`` per level.
     """
-    p = f.p
-    u = BoundedSeries(p, (PadicNumber.zero(p),) + f.coeffs[1:], f.tail)
-    if u.is_zero():
-        return None
-    u.ord()  # raises when only the tail carries terms
-    M = Fraction(m) + Fraction(1, p - 1)
-    one_over = Fraction(1, p - 1)
-    points = u.explicit_points()
-    if u.tail is not None:
-        points.append((u.degree + 1, u.tail.at(u.degree + 1)))
-    a = min((w - M) / j for j, w in points)
-    if u.tail is not None and u.tail.alpha < a:
-        return TailBound(u.tail.alpha, u.minorant_at(u.tail.alpha) - M + one_over)
-    return TailBound(a, one_over)
+    return _tail_from_points(*_unit_points(f), f.p, m)
 
 
 def series_p_power_root(f: BoundedSeries, m: int) -> BoundedSeries:

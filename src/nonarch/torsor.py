@@ -13,19 +13,23 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import IndeterminateGermError, PrecisionExhaustedError
-from .padic import DEFAULT_PREC, NEG_INF, PadicNumber, vp_int
-from .series import BoundedSeries, _root_tail
+from .padic import DEFAULT_PREC, NEG_INF, PadicNumber, is_prime, vp_int
+from .series import BoundedSeries, _tail_from_points, _unit_points
 
 
 @dataclass(frozen=True)
 class RamifiedGerm:
     """A unit germ at 0, normalized to f(0) = 1, with its ramification index.
 
-    e0 = min{k >= 1 : a_k != 0} = ord_0(df/f) + 1.
+    e0 = min{k >= 1 : a_k != 0} = ord_0(df/f) + 1.  ``u_points`` and
+    ``u_slope`` are the constraint points and tail slope of u = f - 1
+    (``series._unit_points``), read once for every torsor level.
     """
 
     series: BoundedSeries
     e0: int = field(init=False)
+    u_points: tuple = field(init=False, repr=False, compare=False)
+    u_slope: Optional[Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c0 = self.series.coeffs[0]
@@ -34,6 +38,9 @@ class RamifiedGerm:
         if c0 != PadicNumber.one(self.series.p):
             object.__setattr__(self, "series", self.series.scalar_mul(c0.inverse()))
         object.__setattr__(self, "e0", ramification_index(self.series))
+        points, slope = _unit_points(self.series)
+        object.__setattr__(self, "u_points", tuple(points))
+        object.__setattr__(self, "u_slope", slope)
 
     @property
     def p(self) -> int:
@@ -57,6 +64,11 @@ def ramification_index(f: BoundedSeries) -> int:
         "nonconstant term not certified at the explicit degree")
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def splitting_logradius_exact(N: int, n: int, p: int) -> Fraction:
     """Closed form (n + 1/(p-1))/N for the model germ 1 + X^N.
 
@@ -65,6 +77,7 @@ def splitting_logradius_exact(N: int, n: int, p: int) -> Fraction:
     """
     if N < 1 or n < 1:
         raise ValueError("N and n must be positive")
+    _require_prime(p)
     return (Fraction(n) + Fraction(1, p - 1)) / N
 
 
@@ -85,14 +98,15 @@ def splitting_logradius_numeric(germ: RamifiedGerm, n: int):
     below degree k*e, the term k of coefficient j is bounded by the tail
     line for every k <= j/e and every j >= 1, not only beyond the explicit
     degree; by the ultrametric inequality so is their sum, the exact root
-    coefficient.
+    coefficient.  The tail is ``series._root_tail``'s, computed from the
+    germ's points of f - 1, which the germ reads once for every level.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return NEG_INF
     # RamifiedGerm certifies a nonzero coefficient of f - 1, so the tail exists
-    return -_root_tail(germ.series, n).alpha
+    return -_tail_from_points(germ.u_points, germ.u_slope, germ.p, n).alpha
 
 
 @dataclass(frozen=True)
@@ -127,6 +141,7 @@ class ArtinSchreierData:
 def artin_schreier_certificate(e: int, p: int) -> ArtinSchreierData:
     if e < 1:
         raise ValueError("e must be positive")
+    _require_prime(p)
     m = int(vp_int(e, p))
     d = e // p ** m
     genus = (d - 1) * (p - 1) // 2

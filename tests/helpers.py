@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from nonarch import (Current, FactoredFunction, Refinement,
+from nonarch import (Current, FactoredFunction, PadicNumber, Refinement,
                      SkeletonGraph, SkeletonTower, TailBound, current_from_slopes)
 
 
@@ -83,6 +83,23 @@ def root_tail_oracle(u, e, m, p):
         key = (a, b - M + one_over) if b >= M else (a + (b - M) / e, one_over)
         best = key if best is None else max(best, key)
     return TailBound(*best)
+
+
+def power_coeffs_oracle(v, a, w0, d):
+    """Miller's power recurrence on PadicNumber scalars, one scalar
+    operation at a time: coefficients 0..d of V^a with W_0 = w0, each
+    carrying the prec that PadicNumber arithmetic gives it."""
+    inv0 = v[0].inverse()
+    support = [k for k in range(1, min(d, len(v) - 1) + 1) if not v[k].is_exact_zero]
+    w = [w0]
+    for n in range(1, d + 1):
+        acc = PadicNumber.zero(w0.p)
+        for k in support:
+            if k > n:
+                break
+            acc = acc + v[k] * w[n - k] * ((a + 1) * k - n)
+        w.append(acc * (inv0 / n))
+    return w
 
 
 def seeded_window_current(rng, lo=-3, hi=5):

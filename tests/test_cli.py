@@ -503,3 +503,31 @@ def test_find_order_request_verifies_its_witness_once(tmp_path, monkeypatch):
     code, payload = run(["find-order", "--poles", f])
     assert code == 0
     assert calls == [payload["result"]["order"]]
+
+
+def test_as_genus_with_p_1_exits_2():
+    # v_p(e) looped forever on p = 1; a fresh process with a timeout keeps
+    # a regression from hanging the suite
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(nonarch.__file__)))
+    done = subprocess.run([sys.executable, "-m", "nonarch.cli", "as-genus",
+                           "--e", "6", "--p", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["error"] == {"kind": "ValueError",
+                                                "reason": "p = 1 is not prime"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["as-genus", "--e", "6", "--p", "0"],
+    ["as-genus", "--e", "6", "--p", "4"],
+    ["as-genus", "--e", "6", "--p", "-3"],
+    ["splitting-radius", "--p", "1", "--N", "3", "--n", "2"],
+    ["splitting-radius", "--p", "0", "--N", "3", "--n", "2"],
+    ["splitting-radius", "--p", "4", "--N", "3", "--n", "2"],
+])
+def test_torsor_commands_with_a_non_prime_p_exit_2(capsys, argv):
+    p = argv[argv.index("--p") + 1]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": f"p = {p} is not prime"}

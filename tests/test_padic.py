@@ -1,19 +1,24 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import nonarch
 from nonarch import (BoundedSeries, INF, NEG_INF, PadicNumber, RamifiedGerm, TailBound,
                      binom_fractional, convergence_logradius, series_p_power_root,
                      splitting_logradius_numeric, valuation, vp_factorial)
 from nonarch.currents import _binomial_factor
 from nonarch.errors import PrecisionExhaustedError, UndecidableSlopeError
-from nonarch.series import _root_tail
+from nonarch.padic import vp_int
+from nonarch.series import _power_coeffs, _root_tail
 
-from helpers import root_tail_oracle
+from helpers import power_coeffs_oracle, root_tail_oracle
 
 
 def Q(p, r, prec=64):
@@ -524,6 +529,79 @@ def test_binomial_factor_matches_binomial_oracle(p, rat, pi_part, mexp, D):
     assert (factor.tail is None) == (0 <= mexp <= D)
 
 
+@st.composite
+def power_inputs(draw):
+    """(v, a, w0, d) for Miller's recurrence: Q_p or Q_p(pi) coefficients
+    with sparse support and mixed precs, a in {1/p^m, -1, small integers}
+    and w0 = V_0^a."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ramified = draw(st.booleans())
+    precs = st.integers(1, 80)
+
+    def scalar():
+        rat = draw(coeff_part) * Fraction(p) ** draw(st.integers(-1, 3))
+        pi_part = draw(coeff_part) if ramified else Fraction(0)
+        return PadicNumber(p, rat, pi_part, draw(precs))
+
+    kind = draw(st.sampled_from(("root", "inverse", "integer")))
+    if kind == "root":
+        a = Fraction(1, p ** draw(st.integers(1, 3)))
+        v0 = PadicNumber(p, 1, 0, draw(precs))
+        w0 = PadicNumber(p, 1, 0, draw(precs))
+    else:
+        v0 = scalar()
+        assume(not v0.is_exact_zero)
+        a = Fraction(-1 if kind == "inverse" else draw(st.integers(-3, 4)))
+        w0 = v0 ** int(a)
+    v = [v0] + [scalar() if draw(st.booleans()) else PadicNumber(p, 0, 0, draw(precs))
+                for _ in range(draw(st.integers(0, 10)))]
+    return v, a, w0, draw(st.integers(0, 14))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=power_inputs())
+def test_power_coeffs_match_the_scalar_oracle(data):
+    v, a, w0, d = data
+    got = _power_coeffs(v, a, w0, d)
+    want = power_coeffs_oracle(v, a, w0, d)
+    assert len(got) == len(want) == d + 1
+    for n, (x, y) in enumerate(zip(got, want)):
+        assert x == y, n
+        assert x.prec == y.prec, n
+
+
+def naive_vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), v=st.integers(0, 300),
+       unit=st.integers(1, 10 ** 30), negative=st.booleans())
+def test_vp_int_matches_the_naive_loop(p, v, unit, negative):
+    n = unit * p ** v * (-1 if negative else 1)
+    assert vp_int(n, p) == naive_vp(n, p)
+    assert vp_int(n, p) == v + naive_vp(unit, p)
+
+
+def test_vp_int_edge_cases():
+    assert vp_int(0, 3) == INF
+    for p in (0, -3):
+        with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+            vp_int(6, p)
+    # p = 1 looped forever; a fresh process with a timeout keeps a
+    # regression from hanging the suite
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(nonarch.__file__)))
+    done = subprocess.run([sys.executable, "-c",
+                           "from nonarch.padic import vp_int; vp_int(6, 1)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert "ValueError: p = 1 is not prime" in done.stderr
+
+
 POWER_OPS = {
     "root1": lambda f: series_p_power_root(f, 1),
     "root2": lambda f: series_p_power_root(f, 2),
@@ -628,6 +706,23 @@ def test_root_tail_matches_the_all_pairs_oracle(data, tail, m):
     for j, v in root.explicit_points():
         if j >= 1:
             assert v >= root.tail.at(j), (j, root.tail)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=unit_series(tailed=False), tail=tails)
+def test_germ_points_give_the_root_tail_at_every_level(data, tail):
+    # the germ reads the points of f - 1 once; every level must agree with
+    # the certificate computed from the series and, for small levels, with
+    # the radius of the expanded root
+    p, f = data
+    f = BoundedSeries(p, f.coeffs, tail)
+    assume(any(not c.is_exact_zero for c in f.coeffs[1:]))
+    germ = RamifiedGerm(f)
+    for n in range(1, 21):
+        assert splitting_logradius_numeric(germ, n) == -_root_tail(f, n).alpha, n
+    for n in (1, 2):
+        root = series_p_power_root(f, n)
+        assert splitting_logradius_numeric(germ, n) == convergence_logradius(root), n
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (5, 3)])

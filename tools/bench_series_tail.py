@@ -3,7 +3,8 @@
 For each input (explicit degree 8, 32 or 64; p, m; with or without a tail)
 it times the root tail (``series._root_tail(f, m)``, or in older trees
 ``series._root_tail(u, e, m, p)`` on a prebuilt u = f - 1),
-``series_p_power_root`` and
+``series_p_power_root``, ``BoundedSeries.inverse`` (the other caller of
+the power recurrence ``series._power_coeffs``) and
 ``torsor.splitting_logradius_numeric`` (best of ``REPEAT`` runs,
 ``time.perf_counter``), and records the number of constraint points of
 f - 1 and the largest operand bit-length (numerator or denominator) of
@@ -84,6 +85,7 @@ def main(argv=None):
         else:
             t_tail, tail = best_of(lambda: series._root_tail(u, u.ord(), m, p))
         t_root, root = best_of(lambda: series.series_p_power_root(f, m))
+        t_inverse, _ = best_of(f.inverse)
         t_radius, radius = best_of(lambda: torsor.splitting_logradius_numeric(germ, m))
         rows.append({
             "p": p, "degree": D, "m": m, "tail": tailed,
@@ -94,6 +96,7 @@ def main(argv=None):
             "radius": str(radius),
             "root_tail_ms": round(t_tail * 1e3, 3),
             "series_p_power_root_ms": round(t_root * 1e3, 3),
+            "inverse_ms": round(t_inverse * 1e3, 3),
             "splitting_logradius_numeric_ms": round(t_radius * 1e3, 3),
         })
 
@@ -113,6 +116,7 @@ def main(argv=None):
         print(f"p={r['p']} D={r['degree']:>2} m={r['m']} tail={r['tail']!s:5} "
               f"points={r['constraint_points']:>2} tail {r['root_tail_ms']:8.3f} ms  "
               f"root {r['series_p_power_root_ms']:8.3f} ms  "
+              f"inverse {r['inverse_ms']:8.3f} ms  "
               f"radius {r['splitting_logradius_numeric_ms']:8.3f} ms")
 
 
