@@ -13,20 +13,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .padic import INF, PadicNumber, valuation
-
-LogRadius = Union[Fraction, float]
-
-
-def _as_logradius(rho) -> LogRadius:
-    if rho == INF:
-        return INF
-    return Fraction(rho)
+from .padic import INF, PadicNumber, exact_text, parse_extended, valuation
 
 
 @dataclass(frozen=True, eq=False)
 class BallPoint:
-    """b_{a, rho}; type 1 when rho = +inf, type 2 otherwise.
+    """b_{a, rho}; type 1 when rho = INF, type 2 otherwise.  ``logradius``
+    is a Fraction or INF; the constructor also takes its ``exact_text``.
 
     Equality is ball equality: same log-radius and v(a - a') >= rho.  The
     ``degenerate`` flag marks points produced by joining two centers that
@@ -34,11 +27,11 @@ class BallPoint:
     """
 
     center: PadicNumber
-    logradius: LogRadius
+    logradius: Union[Fraction, float]
     degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "logradius", _as_logradius(self.logradius))
+        object.__setattr__(self, "logradius", parse_extended(self.logradius))
 
     @property
     def p(self) -> int:
@@ -56,17 +49,14 @@ class BallPoint:
         return f"b({self.center!r}, rho={self.logradius})"
 
     def to_json(self) -> dict:
-        rho = self.logradius
         return {
             "center": self.center.to_json(),
-            "logradius": "inf" if rho == INF else str(rho),
+            "logradius": exact_text(self.logradius),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "BallPoint":
-        rho = data["logradius"]
-        return cls(PadicNumber.from_json(data["center"]),
-                   INF if rho == "inf" else Fraction(rho))
+        return cls(PadicNumber.from_json(data["center"]), data["logradius"])
 
 
 def same_point(b1: BallPoint, b2: BallPoint) -> bool:
@@ -107,9 +97,7 @@ def seminorm(coeffs: Sequence[PadicNumber], b: BallPoint):
     best = INF
     for i, c in enumerate(shifted):
         v = c.exact_valuation
-        if v == INF:
-            continue
-        term = v if i == 0 else (INF if rho == INF else v + i * rho)
+        term = v + i * rho if i else v  # i = 0 would give 0 * INF = nan
         if term < best:
             best = term
     return best
@@ -127,16 +115,15 @@ def join(a1: PadicNumber, a2: PadicNumber) -> BallPoint:
     return BallPoint(a1, v)
 
 
-def ladder_point(z: PadicNumber, n: int, p: int = None) -> BallPoint:
+def ladder_point(z: PadicNumber, n: int) -> BallPoint:
     """b_{z, v(z) + n + 1/(p-1)}, the level-n splitting point of the
     canonical p^n-torsor of the coordinate function about z."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = z.p if p is None else p
     vz = valuation(z)
     if vz == INF:
         raise ValueError("ladder_point requires z nonzero at working precision")
-    return BallPoint(z, vz + n + Fraction(1, p - 1))
+    return BallPoint(z, vz + n + Fraction(1, z.p - 1))
 
 
 @dataclass(frozen=True)
@@ -145,12 +132,12 @@ class Segment:
     rho decreasing from rho_start (closest to the anchor) to rho_end."""
 
     anchor: PadicNumber
-    rho_start: LogRadius
-    rho_end: LogRadius
+    rho_start: Union[Fraction, float]
+    rho_end: Union[Fraction, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "rho_start", _as_logradius(self.rho_start))
-        object.__setattr__(self, "rho_end", _as_logradius(self.rho_end))
+        object.__setattr__(self, "rho_start", parse_extended(self.rho_start))
+        object.__setattr__(self, "rho_end", parse_extended(self.rho_end))
         if self.rho_start < self.rho_end:
             raise ValueError("rho_start must be >= rho_end")
 

@@ -19,18 +19,10 @@ from fractions import Fraction
 
 from . import currents, poles, skeleton, torsor
 from .errors import NonarchError, PrecisionExhaustedError, UndecidableSlopeError
-from .padic import (DEFAULT_PREC, INF, NEG_INF, PadicNumber, padic_digit_string,
+from .padic import (DEFAULT_PREC, INF, PadicNumber, exact_text, padic_digit_string,
                     parse_fraction)
 
 USAGE_ERROR, PRECISION_ERROR, MATH_FAILURE = 2, 3, 4
-
-
-def _frac_str(x) -> str:
-    if x == INF:
-        return "inf"
-    if x == NEG_INF:
-        return "-inf"
-    return str(Fraction(x))
 
 
 def _load_object(path: str) -> dict:
@@ -64,8 +56,8 @@ def _parse_pole(entry, p: int, prec: int) -> PadicNumber:
 def _padic_json(x: PadicNumber, err) -> dict:
     return {
         "digits": padic_digit_string(x, err),
-        "valuation": _frac_str(x.val),
-        "error_valuation": _frac_str(err),
+        "valuation": exact_text(x.val),
+        "error_valuation": exact_text(err),
         "exact": x.to_json(),
     }
 
@@ -76,11 +68,11 @@ def _padic_json(x: PadicNumber, err) -> dict:
 def _cmd_splitting_radius(args) -> dict:
     exact = torsor.splitting_logradius_exact(args.N, args.n, args.p)
     cert = torsor.artin_schreier_certificate(args.N, args.p)
-    out = {"logradius": _frac_str(exact), "genus_flag": cert.forces_vertex}
+    out = {"logradius": exact_text(exact), "genus_flag": cert.forces_vertex}
     if args.numeric:
         germ = torsor.RamifiedGerm.model(args.p, args.N, args.prec)
         numeric = torsor.splitting_logradius_numeric(germ, args.n)
-        out["numeric_logradius"] = _frac_str(numeric)
+        out["numeric_logradius"] = exact_text(numeric)
         out["agrees"] = numeric == exact
     return out
 
@@ -113,7 +105,7 @@ def _cmd_find_order(args) -> dict:
     # the search returns the order its one re-verification found
     coeffs, order = poles._find_witness(fam, args.p, args.nmax)
     return {
-        "coefficients": [_frac_str(c) for c in coeffs],
+        "coefficients": [exact_text(c) for c in coeffs],
         "order": order,
         "order_plus_one": order + 1,
     }
@@ -153,8 +145,8 @@ def _cmd_moebius_check(args) -> dict:
     return {
         "value": padic_digit_string(res.value, res.error_valuation),
         "target": padic_digit_string(target, res.error_valuation),
-        "error_valuation": _frac_str(res.error_valuation),
-        "difference_valuation": _frac_str(diff.exact_valuation),
+        "error_valuation": exact_text(res.error_valuation),
+        "difference_valuation": exact_text(diff.exact_valuation),
         "ok": ok,
     }
 
@@ -170,7 +162,7 @@ def _cmd_poly_eval(args) -> dict:
     return {
         "value": padic_digit_string(res.value, res.error_valuation),
         "direct": padic_digit_string(direct, res.error_valuation),
-        "error_valuation": _frac_str(res.error_valuation),
+        "error_valuation": exact_text(res.error_valuation),
         "ok": diff.exact_valuation >= res.error_valuation,
     }
 
@@ -188,7 +180,7 @@ def _cmd_theta(args) -> dict:
     res = currents.theta_product(fd, q, args.l, z, z0, args.M)
     out = {
         "value": _padic_json(res.value, res.error_valuation),
-        "error_valuation": _frac_str(res.error_valuation),
+        "error_valuation": exact_text(res.error_valuation),
     }
     ratio = currents.theta_automorphy_ratio(fd, q, args.l, z, z0, args.M)
     out["automorphy_ratio"] = _padic_json(ratio.value, ratio.error_valuation)
@@ -271,6 +263,8 @@ def _cmd_skeleton_tower(args) -> dict:
                             "message": rep.message})
         return {"check": "compose", "ok": all(r["ok"] for r in reports),
                 "reports": reports}
+    if args.x is None or args.y is None:
+        raise ValueError("the separation check needs both --x and --y")
     x = _parse_point(args.x)
     y = _parse_point(args.y)
     level = skeleton.tower_separation(tower, x, y)

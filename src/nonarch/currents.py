@@ -516,6 +516,8 @@ def delta_at_one(n: int, q: PadicNumber, J: int) -> EvalResult:
     of valuation >= n(J+1)v(q)."""
     if n < 1:
         raise ValueError("n must be positive")
+    if J < 0:
+        raise ValueError("J must be nonnegative")
     vq = _tate_valuation(q)
     acc = PadicNumber.zero(q.p)
     one = PadicNumber.one(q.p)
@@ -613,8 +615,7 @@ def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
             raise PoleCollisionError("z translate hits a zero of f")
         value = value * num / den
     # the tail bound is multiplicative; report it additively
-    err = rel_err if rel_err == INF else rel_err + value.exact_valuation
-    return EvalResult(value, err)
+    return EvalResult(value, rel_err + value.exact_valuation)
 
 
 def theta_automorphy_ratio(fd: FactoredFunction, q: PadicNumber, l: int,
@@ -639,7 +640,7 @@ def theta_automorphy_ratio(fd: FactoredFunction, q: PadicNumber, l: int,
     num = fd._value_at(points, q ** (l * (M + 1)) * z)
     den = fd._value_at(points, q ** (-l * M) * z)
     value = PadicNumber.one(q.p, min(DEFAULT_PREC, z0.prec)) * num / den
-    return EvalResult(value, rel if rel == INF else rel + value.exact_valuation)
+    return EvalResult(value, rel + value.exact_valuation)
 
 
 @dataclass(frozen=True)
@@ -687,8 +688,7 @@ def alpha_germ(c: Current, q: PadicNumber, z: PadicNumber,
     return out
 
 
-def ladder_ord(c: Current, q: PadicNumber, z: PadicNumber, nmax: int,
-               degree: int = 8, level_cap: Optional[int] = None) -> LadderResult:
+def ladder_ord(c: Current, q: PadicNumber, z: PadicNumber, nmax: int) -> LadderResult:
     """Ladder computation of ord_z(delta(c)) + 1.
 
     For each n <= nmax the canonical ladder point z'_n = b_{z, v(z)+n+1/(p-1)}
@@ -707,7 +707,7 @@ def ladder_ord(c: Current, q: PadicNumber, z: PadicNumber, nmax: int,
     if z.is_exact_zero:
         raise ValueError("z must be a nonzero type-1 point")
     germ = None
-    d = degree
+    d = 8
     while germ is None:
         try:
             germ = RamifiedGerm(alpha_germ(c, q, z, degree=d))
@@ -717,7 +717,7 @@ def ladder_ord(c: Current, q: PadicNumber, z: PadicNumber, nmax: int,
                 raise
     vz = valuation(z)
     offset = Fraction(1, p - 1)
-    cap = level_cap if level_cap is not None else 16 * (nmax + 4)
+    cap = 16 * (nmax + 4)
     table = []
     m = 1
     rho_m = splitting_logradius_numeric(germ, m)

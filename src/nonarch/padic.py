@@ -44,6 +44,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def vp_int(n: int, p: int):
     """p-adic valuation of an integer; INF for 0.  Raises ValueError for
     p < 2, where no valuation exists.
@@ -163,6 +168,8 @@ class PadicNumber:
     def exact_valuation(self):
         va = vp_fraction(self.rat, self.p)
         vb = vp_fraction(self.pi_part, self.p)
+        # INF + 1/2 is INF too, but every Q_p element (vb = INF) passes here,
+        # and the float/Fraction sum costs ~1.8 us against ~25 ns for this test
         if vb != INF:
             vb = vb + _HALF
         return min(va, vb)
@@ -315,7 +322,7 @@ class PadicNumber:
         v = self.exact_valuation
         out = {
             "p": self.p,
-            "val": "inf" if v == INF else str(Fraction(v)),
+            "val": exact_text(v),
             "unit": str(self.unit_digits),
             "prec": self.prec,
         }
@@ -327,9 +334,9 @@ class PadicNumber:
     def from_json(cls, data: dict) -> "PadicNumber":
         p = int(data["p"])
         prec = int(data["prec"])
-        if data["val"] == "inf":
+        v = parse_extended(data["val"])
+        if v == INF:
             return cls.zero(p, prec)
-        v = Fraction(data["val"])
         unit = int(data["unit"])
         if not data.get("ext", False) and v.denominator == 1:
             return cls(p, Fraction(unit) * Fraction(p) ** v, Fraction(0), prec)
@@ -383,6 +390,24 @@ def parse_fraction(s) -> Fraction:
         raise ValueError(f"not a rational number: {s!r}") from None
 
 
+def exact_text(x) -> str:
+    """Text form of a valuation or log-radius: "inf", "-inf" or "a/b"."""
+    if x == INF:
+        return "inf"
+    if x == NEG_INF:
+        return "-inf"
+    return str(Fraction(x))
+
+
+def parse_extended(s):
+    """Inverse of ``exact_text`` on Q and +inf: INF for INF or "inf", else
+    ``parse_fraction``.  No parsed quantity (a valuation or a log-radius)
+    can be -inf."""
+    if s == INF or s == "inf":
+        return INF
+    return parse_fraction(s)
+
+
 def integer_lift_mod(value: Fraction, p: int, n: int) -> int:
     """Canonical representative in [0, p^n) of a p-integral rational mod p^n."""
     if value.denominator % p == 0:
@@ -393,7 +418,7 @@ def integer_lift_mod(value: Fraction, p: int, n: int) -> int:
     return num * pow(den, -1, pk) % pk
 
 
-def padic_digit_string(x: PadicNumber, cutoff, symbol: str = "p") -> str:
+def padic_digit_string(x: PadicNumber, cutoff) -> str:
     """Render x as a digit expansion in powers of p up to the cutoff valuation.
 
     Produces strings like ``"p + 2*p^3 + O(p^11)"``; the O-term is omitted
@@ -403,9 +428,9 @@ def padic_digit_string(x: PadicNumber, cutoff, symbol: str = "p") -> str:
         raise ValueError("digit strings are only rendered for Q_p elements")
     terms = []
     v = x.exact_valuation
-    if v != INF and (cutoff == INF or v < cutoff):
+    if v < cutoff:
         k = int(v)
-        limit = x.prec if cutoff == INF else min(x.prec, int(math.ceil(cutoff)))
+        limit = x.prec if cutoff >= x.prec else math.ceil(cutoff)
         # the digits at p^k .. p^(limit-1) are those of one lift of x/p^v
         n = integer_lift_mod(x.rat / Fraction(x.p) ** k, x.p, limit - k) \
             if limit > k else 0
@@ -415,12 +440,12 @@ def padic_digit_string(x: PadicNumber, cutoff, symbol: str = "p") -> str:
                 if k == 0:
                     terms.append(str(d))
                 elif k == 1:
-                    terms.append(f"{symbol}" if d == 1 else f"{d}*{symbol}")
+                    terms.append("p" if d == 1 else f"{d}*p")
                 else:
-                    terms.append(f"{symbol}^{k}" if d == 1 else f"{d}*{symbol}^{k}")
+                    terms.append(f"p^{k}" if d == 1 else f"{d}*p^{k}")
             k += 1
     body = " + ".join(terms) if terms else "0"
     if cutoff == INF:
         return body
-    tail = f"O({symbol}^{Fraction(cutoff)})"
+    tail = f"O(p^{exact_text(cutoff)})"
     return tail if body == "0" else f"{body} + {tail}"

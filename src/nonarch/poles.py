@@ -16,8 +16,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .berkovich import BallPoint, seminorm
 from .errors import NoAdmissibleOrderError, PoleCollisionError, PrecisionExhaustedError
-from .padic import (INF, PadicNumber, integer_lift_mod, is_prime, valuation,
-                    vp_fraction)
+from .padic import (PadicNumber, integer_lift_mod, require_prime, valuation,
+                    vp_fraction, vp_int)
 
 
 @dataclass(frozen=True)
@@ -262,11 +262,7 @@ def order_set(fam: PoleFamily, nmax: int) -> OrderSetResult:
 
 
 def _is_p_power(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return n >= 1 and n == p ** int(vp_int(n, p))
 
 
 def find_nonppower_order(fam: PoleFamily, p: Optional[int] = None,
@@ -289,8 +285,7 @@ def _find_witness(fam: PoleFamily, p: Optional[int],
     which every kernel of phi_k is zero and no later order is achieved.
     """
     p = fam.p if p is None else p
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if nmax is not None and nmax < 0:
         raise ValueError("nmax must be nonnegative")
     window = (len(fam.poles) - 1) if nmax is None else nmax
@@ -330,7 +325,7 @@ def integer_approximation(a: PadicNumber, n: int) -> int:
         raise PrecisionExhaustedError(
             f"precision {a.prec} is below the requested modulus exponent {n}")
     v = a.exact_valuation
-    if v != INF and v < 0:
+    if v < 0:
         raise ValueError("a must be p-integral")
     if n == 0:
         return 0

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 from .errors import PrecisionExhaustedError, UndecidableSlopeError
 # binom_fractional is re-exported (public name of this module), not called here
-from .padic import DEFAULT_PREC, NEG_INF, PadicNumber, binom_fractional  # noqa: F401
+from .padic import (DEFAULT_PREC, INF, NEG_INF, PadicNumber,  # noqa: F401
+                    binom_fractional)
 
 _ZERO = Fraction(0)
 
@@ -103,17 +104,13 @@ class BoundedSeries:
         Requires a <= tail.alpha when a tail is present.
         """
         a = Fraction(a)
-        best = None
-        for j, v in self.explicit_points():
-            cand = v - a * j
-            best = cand if best is None else min(best, cand)
+        best = min((v - a * j for j, v in self.explicit_points()), default=INF)
         if self.tail is not None:
             if a > self.tail.alpha:
                 raise ValueError("slope exceeds the certified tail slope")
             j0 = self.degree + 1
-            cand = self.tail.at(j0) - a * j0
-            best = cand if best is None else min(best, cand)
-        if best is None:
+            best = min(best, self.tail.at(j0) - a * j0)
+        if best == INF:
             raise ValueError("zero series has no affine minorant")
         return best
 
@@ -143,15 +140,14 @@ class BoundedSeries:
         if f.tail is None and g.tail is None:
             return BoundedSeries(self.p, coeffs, None)
         alpha = min(t.alpha for t in (f.tail, g.tail) if t is not None)
-        beta = None
+        beta = INF
         for s in (f, g):
             if s.tail is not None:
-                cand = s.tail.beta + (s.tail.alpha - alpha) * (s.degree + 1)
-                beta = cand if beta is None else min(beta, cand)
+                beta = min(beta, s.tail.beta + (s.tail.alpha - alpha) * (s.degree + 1))
             for j, v in s.explicit_points():
                 # explicit coefficients beyond the common explicit degree
                 if j > d_out:
-                    beta = (v - alpha * j) if beta is None else min(beta, v - alpha * j)
+                    beta = min(beta, v - alpha * j)
         return BoundedSeries(self.p, coeffs, TailBound(alpha, beta))
 
     def __sub__(self, other: "BoundedSeries") -> "BoundedSeries":
@@ -323,13 +319,13 @@ def _power_coeffs(v: Sequence[PadicNumber], a: Fraction, w0: PadicNumber,
 def _unit_points(f: BoundedSeries):
     """The constraint points of u = f - 1 and u's tail slope, for f(0) = 1:
     (j, v(u_j)) for the nonzero explicit u_j, j >= 1, plus the tail point
-    (D + 1, tail.at(D + 1)), and tail.alpha (None for a polynomial).  The
+    (D + 1, tail.at(D + 1)), and tail.alpha (INF for a polynomial).  The
     points are empty when u = 0.  Raises PrecisionExhaustedError when
     ord(u) is not certified (only the tail carries terms).
     """
     points = [(j, w) for j, w in f.explicit_points() if j]
     if f.tail is None:
-        return points, None
+        return points, INF
     if not points:
         raise PrecisionExhaustedError(
             "order not certified: all explicit coefficients vanish but a tail remains")
@@ -348,7 +344,7 @@ def _tail_from_points(points, alpha_u, p: int, m: int) -> Optional[TailBound]:
     one_over = Fraction(1, p - 1)
     M = m + one_over
     a = min((w - M) / j for j, w in points)
-    if alpha_u is not None and alpha_u < a:
+    if alpha_u < a:
         bmax = min(w - alpha_u * j for j, w in points)
         return TailBound(alpha_u, bmax - M + one_over)
     return TailBound(a, one_over)

@@ -378,6 +378,8 @@ def compose_check(r12: Refinement, r23: Refinement, samples: int = 100,
     """Verify r23(r12(x)) = (r23 o r12)(x) on sampled points of the finest
     graph, with exact rational comparisons."""
     import random
+    if samples < 1:
+        raise ValueError("samples must be positive")
     r13 = compose(r12, r23)
     rng = random.Random(seed)
     for pt in sample_points(r12.fine, samples, rng):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import IndeterminateGermError, PrecisionExhaustedError
-from .padic import DEFAULT_PREC, NEG_INF, PadicNumber, is_prime, vp_int
+from .padic import DEFAULT_PREC, NEG_INF, PadicNumber, require_prime, vp_int
 from .series import BoundedSeries, _tail_from_points, _unit_points
 
 
@@ -23,13 +23,14 @@ class RamifiedGerm:
 
     e0 = min{k >= 1 : a_k != 0} = ord_0(df/f) + 1.  ``u_points`` and
     ``u_slope`` are the constraint points and tail slope of u = f - 1
-    (``series._unit_points``), read once for every torsor level.
+    (``series._unit_points``; the slope is INF for a polynomial), read once
+    for every torsor level.
     """
 
     series: BoundedSeries
     e0: int = field(init=False)
     u_points: tuple = field(init=False, repr=False, compare=False)
-    u_slope: Optional[Fraction] = field(init=False, repr=False, compare=False)
+    u_slope: Union[Fraction, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c0 = self.series.coeffs[0]
@@ -64,11 +65,6 @@ def ramification_index(f: BoundedSeries) -> int:
         "nonconstant term not certified at the explicit degree")
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-
-
 def splitting_logradius_exact(N: int, n: int, p: int) -> Fraction:
     """Closed form (n + 1/(p-1))/N for the model germ 1 + X^N.
 
@@ -77,7 +73,7 @@ def splitting_logradius_exact(N: int, n: int, p: int) -> Fraction:
     """
     if N < 1 or n < 1:
         raise ValueError("N and n must be positive")
-    _require_prime(p)
+    require_prime(p)
     return (Fraction(n) + Fraction(1, p - 1)) / N
 
 
@@ -141,7 +137,7 @@ class ArtinSchreierData:
 def artin_schreier_certificate(e: int, p: int) -> ArtinSchreierData:
     if e < 1:
         raise ValueError("e must be positive")
-    _require_prime(p)
+    require_prime(p)
     m = int(vp_int(e, p))
     d = e // p ** m
     genus = (d - 1) * (p - 1) // 2

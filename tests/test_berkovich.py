@@ -27,6 +27,11 @@ def test_seminorm_of_constant_p():
         assert seminorm(poly(3, 3), b) == 1
 
 
+def test_seminorm_at_a_type_1_root_is_inf():
+    # (X - 7)(X + 2) = X^2 - 5X - 14 vanishes at the type-1 point 7
+    assert seminorm(poly(3, -14, -5, 1), BallPoint(Q(3, 7), INF)) == INF
+
+
 def test_seminorm_termwise_example():
     # X^2 + pX at b_{0,1}: min(2*1, 1 + 1) = 2
     b = BallPoint(Q(3, 0), Fraction(1))

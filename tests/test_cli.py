@@ -531,3 +531,31 @@ def test_torsor_commands_with_a_non_prime_p_exit_2(capsys, argv):
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().out)["error"] == {
         "kind": "ValueError", "reason": f"p = {p} is not prime"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["moebius-check", "--p", "3", "--q", "p", "--n", "1", "--J", "-5"],
+    ["moebius-check", "--p", "3", "--q", "p", "--n", "2", "--J", "-1"],
+    ["poly-eval", "--p", "3", "--q", "p", "--coeffs", "0,1", "--J", "-5"],
+])
+def test_negative_J_exits_2(capsys, argv):
+    # a negative window must not yield a vacuous certificate
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": "J must be nonnegative"}
+
+
+@pytest.mark.parametrize("extra, reason", [
+    (["--check", "separation"], "the separation check needs both --x and --y"),
+    (["--check", "separation", "--x", "f1@1/2"],
+     "the separation check needs both --x and --y"),
+    (["--check", "separation", "--y", "f1@1/2"],
+     "the separation check needs both --x and --y"),
+    (["--check", "compose", "--samples", "0"], "samples must be positive"),
+    (["--check", "compose", "--samples", "-3"], "samples must be positive"),
+])
+def test_skeleton_tower_input_checks_exit_2(tmp_path, capsys, extra, reason):
+    f = tower_file(tmp_path)
+    assert main(["skeleton-tower", "--file", str(f)] + extra) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": reason}

@@ -285,7 +285,8 @@ def test_theta_constant_function():
     fd = FactoredFunction(0, ())
     res = theta_product(fd, q, 1, Q(3, 5), Q(3, 2), 6)
     assert (res.value - 1).is_exact_zero
-    assert res.error_valuation is INF
+    assert res.error_valuation == INF
+    assert theta_automorphy_ratio(fd, q, 1, Q(3, 5), Q(3, 2), 6).error_valuation == INF
 
 
 def test_theta_normalization_at_base_point():

@@ -15,7 +15,7 @@ from nonarch import (BoundedSeries, INF, NEG_INF, PadicNumber, RamifiedGerm, Tai
                      splitting_logradius_numeric, valuation, vp_factorial)
 from nonarch.currents import _binomial_factor
 from nonarch.errors import PrecisionExhaustedError, UndecidableSlopeError
-from nonarch.padic import vp_int
+from nonarch.padic import exact_text, padic_digit_string, parse_extended, vp_int
 from nonarch.series import _power_coeffs, _root_tail
 
 from helpers import power_coeffs_oracle, root_tail_oracle
@@ -134,6 +134,34 @@ def test_padic_json_format():
     assert set(data) == {"p", "val", "unit", "prec"}
     assert data["p"] == 3 and data["val"] == "2" and data["prec"] == 8
     assert data["unit"].isdigit()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(x=st.one_of(st.fractions(), st.sampled_from([INF, NEG_INF])))
+def test_exact_text_round_trip(x):
+    text = exact_text(x)
+    if x == NEG_INF:
+        # printed (an entire series' log-radius) but never a parsed quantity
+        assert text == "-inf"
+        with pytest.raises(ValueError):
+            parse_extended(text)
+    else:
+        assert text == ("inf" if x == INF else str(x))
+        assert parse_extended(text) == x
+        assert parse_extended(x) == x
+
+
+@pytest.mark.parametrize("x, cutoff, text", [
+    (Q(3, 0, prec=10), INF, "0"),
+    (Q(3, 0, prec=10), 5, "O(p^5)"),
+    (Q(3, 0, prec=10), Fraction(7, 2), "O(p^7/2)"),
+    (Q(3, 9), 2, "O(p^2)"),
+    (Q(3, -1, prec=3), INF, "2 + 2*p + 2*p^2"),
+    (Q(3, -1, prec=3), 10, "2 + 2*p + 2*p^2 + O(p^10)"),
+    (Q(3, -1), Fraction(7, 2), "2 + 2*p + 2*p^2 + 2*p^3 + O(p^7/2)"),
+])
+def test_digit_string_cutoffs(x, cutoff, text):
+    assert padic_digit_string(x, cutoff) == text
 
 
 def test_series_json_format_and_roundtrip():
@@ -735,6 +763,29 @@ def test_root_tail_capped_by_a_strong_input_tail(p, m):
     assert _root_tail(f, m) == root_tail_oracle(u, 1, m, p) == want
     assert series_p_power_root(f, m).tail == want
     assert splitting_logradius_numeric(RamifiedGerm(f), m) == 0
+
+
+def test_minorant_of_the_zero_series_raises():
+    with pytest.raises(ValueError, match="^zero series has no affine minorant$"):
+        BoundedSeries.build(3, [0, 0]).minorant_at(0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=unit_series(tailed=False), tail_f=tails, tail_g=tails,
+       g_coeffs=st.lists(coeff_part, min_size=1, max_size=25))
+def test_sum_tail_is_the_minimum_over_the_points_past_the_sum(data, tail_f, tail_g,
+                                                              g_coeffs):
+    p, f = data
+    f = BoundedSeries(p, f.coeffs, tail_f)
+    g = BoundedSeries.build(p, g_coeffs, tail_g)
+    h = f + g
+    if tail_f is None and tail_g is None:
+        assert h.tail is None
+        return
+    alpha = min(t.alpha for t in (tail_f, tail_g) if t is not None)
+    beta = min(w - alpha * j for s in (f, g) for j, w in constraint_points(s)
+               if j > h.degree)
+    assert h.tail == TailBound(alpha, beta)
 
 
 @settings(max_examples=150, deadline=None, database=None)

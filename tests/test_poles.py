@@ -279,6 +279,7 @@ def test_order_set_and_witness_match_oracles(seed, p, ramified, npoles):
 
 def test_integer_approximation_examples():
     assert integer_approximation(Q(3, 0), 4) == 0
+    assert integer_approximation(Q(3, 0), 0) == 0
     assert integer_approximation(Q(3, -1), 2) == 8  # -1 = 8 mod 9
 
 
@@ -551,3 +552,16 @@ def test_order_of_combination_matches_the_matrix(seed, p, ramified, npoles, wind
     else:
         assert first >= j
         assert order_of_combination(coeffs, fam, window) == first
+
+
+def test_is_p_power_matches_the_division_loop():
+    def naive(n, p):
+        if n < 1:
+            return False
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    for p in (2, 3, 5, 7):
+        for n in list(range(-3, 400)) + [p ** 40, p ** 40 + 1, 3 * p ** 40]:
+            assert poles_module._is_p_power(n, p) == naive(n, p), (n, p)

@@ -30,14 +30,14 @@ Stdlib only; ``--src`` picks the ``nonarch`` source tree to import.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
 import random
 import sys
 import tempfile
-import time
+
+from _bench import best_of, report_digest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_poles.json")
@@ -49,15 +49,6 @@ from perfbench.workloads import POLE_SHAPES, _pole_family  # noqa: E402
 
 SHAPES = [(cmd, p, n, C, n if C == 1 else n // 2 + 2) for cmd, p, n, C in POLE_SHAPES]
 SHAPES.append(("order-set", 3, 45, 2, 45))
-
-
-def best_of(fn):
-    times = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), out
 
 
 class PoleCount:
@@ -115,15 +106,11 @@ class PoleCount:
             setattr(owner, name, old)
 
 
-def report_digest(payload):
-    """sha256 of the report without ``wall_time_ms`` and with the input
-    file's temporary directory dropped."""
-    payload = dict(payload)
-    payload.pop("wall_time_ms", None)
-    payload["inputs"] = dict(payload["inputs"],
-                             poles=os.path.basename(payload["inputs"]["poles"]))
-    text = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode()).hexdigest()
+def poles_digest(payload):
+    """``report_digest`` with the input file's temporary directory dropped."""
+    inputs = dict(payload["inputs"],
+                  poles=os.path.basename(payload["inputs"]["poles"]))
+    return report_digest(dict(payload, inputs=inputs))
 
 
 def main(argv=None):
@@ -144,7 +131,7 @@ def main(argv=None):
             argv_ = [cmd, "--poles", path]
             if cmd == "order-set":
                 argv_ += ["--nmax", str(nmax)]
-            t_req, (code, payload) = best_of(lambda: cli.dispatch(argv_))
+            t_req, (code, payload) = best_of(lambda: cli.dispatch(argv_), REPEAT)
             with PoleCount(poles) as count:
                 cli.dispatch(argv_)
             rows.append({
@@ -155,7 +142,7 @@ def main(argv=None):
                 "columns_built": count.columns,
                 "verify_calls": count.verify_calls,
                 "entry_bits_max": count.bits_max,
-                "report_sha256": report_digest(payload),
+                "report_sha256": poles_digest(payload),
             })
 
     data = {}

@@ -26,8 +26,9 @@ import os
 import platform
 import random
 import sys
-import time
 from fractions import Fraction
+
+from _bench import best_of
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_series_tail.json")
@@ -53,15 +54,6 @@ def make_series(series, p, D, tailed, seed):
     return series.BoundedSeries.build(p, coeffs, tail)
 
 
-def best_of(fn):
-    times = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), out
-
-
 def operand_bits(coeffs):
     return max(max(x.numerator.bit_length(), x.denominator.bit_length())
                for c in coeffs for x in (c.rat, c.pi_part))
@@ -81,12 +73,12 @@ def main(argv=None):
         u = series.BoundedSeries(p, (series.PadicNumber.zero(p),) + f.coeffs[1:], f.tail)
         germ = torsor.RamifiedGerm(f)
         if series._root_tail.__code__.co_argcount == 2:
-            t_tail, tail = best_of(lambda: series._root_tail(f, m))
+            t_tail, tail = best_of(lambda: series._root_tail(f, m), REPEAT)
         else:
-            t_tail, tail = best_of(lambda: series._root_tail(u, u.ord(), m, p))
-        t_root, root = best_of(lambda: series.series_p_power_root(f, m))
-        t_inverse, _ = best_of(f.inverse)
-        t_radius, radius = best_of(lambda: torsor.splitting_logradius_numeric(germ, m))
+            t_tail, tail = best_of(lambda: series._root_tail(u, u.ord(), m, p), REPEAT)
+        t_root, root = best_of(lambda: series.series_p_power_root(f, m), REPEAT)
+        t_inverse, _ = best_of(f.inverse, REPEAT)
+        t_radius, radius = best_of(lambda: torsor.splitting_logradius_numeric(germ, m), REPEAT)
         rows.append({
             "p": p, "degree": D, "m": m, "tail": tailed,
             "constraint_points": len(u.explicit_points()) + tailed,

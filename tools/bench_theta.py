@@ -21,12 +21,12 @@ Stdlib only; ``--src`` picks the ``nonarch`` source tree to import.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
 import sys
-import time
+
+from _bench import best_of, report_digest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_theta.json")
@@ -38,15 +38,6 @@ SHAPES = [(M, l) for M in (8, 32, 128, 256) for l in (1, 3)]
 def theta_argv(M, l):
     return ["theta", "--p", "3", "--q", "p", "--factors", "[[1, 1], [2, -1]]",
             "--l", str(l), "--z", "5", "--z0", "2", "--M", str(M)]
-
-
-def best_of(fn):
-    times = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), out
 
 
 class ScalarCount:
@@ -79,13 +70,6 @@ class ScalarCount:
         self.padic.PadicNumber.__init__ = self.init
 
 
-def report_digest(payload):
-    payload = dict(payload)
-    payload.pop("wall_time_ms", None)
-    text = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
@@ -97,7 +81,7 @@ def main(argv=None):
     rows = []
     for M, l in SHAPES:
         argv_ = theta_argv(M, l)
-        t_req, (code, payload) = best_of(lambda: cli.dispatch(argv_))
+        t_req, (code, payload) = best_of(lambda: cli.dispatch(argv_), REPEAT)
         with ScalarCount(padic) as count:
             cli.dispatch(argv_)
         rows.append({
