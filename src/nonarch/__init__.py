@@ -13,19 +13,19 @@ from .padic import (DEFAULT_PREC, INF, NEG_INF, PadicNumber, binom_fractional,
 from .series import (BoundedSeries, TailBound, convergence_logradius,
                      series_p_power_root)
 from .berkovich import (BallPoint, Segment, classify_type, join, ladder_point,
-                        same_point, seminorm)
+                        product_at, same_point, seminorm)
 from .torsor import (ArtinSchreierData, RamifiedGerm, artin_schreier_certificate,
                      dlog_ord, ramification_index, splitting_logradius_exact,
                      splitting_logradius_numeric)
 from .poles import (OrderSetResult, PoleFamily, find_nonppower_order,
                     finite_product_eval, integer_approximation, moebius_orbit,
                     order_of_combination, order_set)
-from .currents import (Current, DifferentialEval, EvalResult, FactoredFunction,
-                       LadderResult, TateCurve, alpha_eval, alpha_germ,
-                       current_from_slopes, current_x, delta_at_one, delta_eval,
-                       factored_alpha, ladder_ord, moebius, moebius_current,
-                       poly_current_eval, theta_automorphy_constant,
-                       theta_automorphy_ratio, theta_product, validate_current)
+from .currents import (Current, EvalResult, FactoredFunction, LadderResult,
+                       TateCurve, alpha_eval, alpha_germ, current_from_slopes,
+                       current_x, delta_at_one, delta_eval, factored_alpha,
+                       ladder_ord, moebius, moebius_current, poly_current_eval,
+                       theta_automorphy_constant, theta_automorphy_ratio,
+                       theta_product, validate_current)
 from .skeleton import (CompletedSubdivision, Edge, EdgeEnd, GraphPoint,
                        Refinement, SkeletonGraph, SkeletonTower, SubdivisionSet,
                        canonical_point, compose, compose_check, retract,

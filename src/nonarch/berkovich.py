@@ -4,15 +4,17 @@ A point b_{a,rho} is a center a together with the log-radius
 rho = -log_p r; rho = +inf encodes the type-1 point a itself.  The
 multiplicative seminorm |f|_b = max_i |a_i| r^i is computed in log form as
 min_i (v(a_i) + i*rho) after recentering f at a, which is exact for
-polynomial input.
+polynomial input.  A factored function prod (X - a)^k is evaluated at both
+kinds of point by ``product_at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
+from .errors import PoleCollisionError
 from .padic import INF, PadicNumber, exact_text, parse_extended, valuation
 
 
@@ -101,6 +103,36 @@ def seminorm(coeffs: Sequence[PadicNumber], b: BallPoint):
         if term < best:
             best = term
     return best
+
+
+def product_at(factors: Sequence[Tuple[PadicNumber, int]],
+               z: Union[PadicNumber, BallPoint]):
+    """prod (X - a)^k over the factors (a, k) with k != 0, at z.
+
+    At a type-1 point z this is prod (z - a)^k, a zero (z = a, k > 0)
+    carrying its operands' prec.  At a ball point b_{c, rho} it is the
+    log-seminorm sum k * min(v(c - a), rho), exact as in ``seminorm``; a
+    type-1 ball gives INF at a zero, never nan.  A pole (z = a, k < 0)
+    raises PoleCollisionError at either kind of point.
+    """
+    if isinstance(z, BallPoint):
+        c, rho = z.center, z.logradius
+        total = Fraction(0)
+        for a, k in factors:
+            if k:
+                v = min((c - a).exact_valuation, rho)
+                if v == INF and k < 0:
+                    raise PoleCollisionError(f"evaluation point hits the pole {a!r}")
+                total += k * v
+        return total
+    out = PadicNumber.one(z.p, z.prec)
+    for a, k in factors:
+        if k:
+            d = z - a
+            if k < 0 and d.is_exact_zero:
+                raise PoleCollisionError(f"evaluation point hits the pole {a!r}")
+            out = out * d ** k
+    return out
 
 
 def join(a1: PadicNumber, a2: PadicNumber) -> BallPoint:

@@ -168,8 +168,14 @@ def _cmd_poly_eval(args) -> dict:
 
 
 def _parse_factored(args) -> currents.FactoredFunction:
-    zeros = tuple((int(j), int(k)) for j, k in json.loads(args.factors))
-    return currents.FactoredFunction(x_exponent=args.x_exponent, zeros=zeros)
+    zeros = json.loads(args.factors)
+    if not (isinstance(zeros, list) and all(
+            isinstance(f, list) and len(f) == 2 and all(type(n) is int for n in f)
+            for f in zeros)):
+        raise ValueError("--factors must be a JSON list of [j, k] integer pairs, "
+                         f"not {args.factors}")
+    return currents.FactoredFunction(x_exponent=args.x_exponent,
+                                     zeros=tuple(map(tuple, zeros)))
 
 
 def _cmd_theta(args) -> dict:

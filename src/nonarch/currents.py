@@ -16,17 +16,22 @@ and delta = dlog o alpha extends Z_p-linearly to
     delta(c) = c(e'_0) dx/x + sum_{j>=1} c(e_j) (dx/(x-q^j) - dx/x)
                             + sum_{j<=0} c(e_j) dx/(x-q^j).
 
+Both read one factored form: alpha(c) = q^N x^m prod_j (x-q^j)^{c(e_j)} with
+m = c(e'_0) - sum_{j>=1} c(e_j) and N = -sum_{j<=0} j c(e_j), so
+delta(c) = (m/x + sum_j c(e_j)/(x-q^j)) dx.
+
 Every truncated evaluation carries a certified lower bound on the valuation
 of the discarded tail.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .berkovich import BallPoint, seminorm
+from .berkovich import BallPoint, product_at
 from .errors import (NonStabilizedError, PoleCollisionError,
                      PrecisionExhaustedError, TailCertificateError)
 # binom_fractional is re-exported (public name of this module), not called here
@@ -234,12 +239,11 @@ class Current:
         for part in ("cusp", "spine"):
             if not isinstance(data[part], dict):
                 raise ValueError(f'"{part}" must be a JSON object, not {data[part]!r}')
-        modulus = None
-        if ring.startswith("Z/"):
-            modulus = int(ring[2:].rstrip("Z"))
-            ring_tag = "Z/nZ"
-        else:
-            ring_tag = ring
+        n = re.fullmatch(r"Z/([1-9][0-9]*)Z", ring)
+        if not n and ring not in (RING_Z, RING_ZP):
+            raise ValueError('"ring" must be "Z", "Zp" or "Z/nZ" with n a positive '
+                             f'integer, not {ring!r}')
+        ring_tag, modulus = ("Z/nZ", int(n[1])) if n else (ring, None)
 
         def dec(v):
             if isinstance(v, int):
@@ -325,8 +329,11 @@ def alpha_eval(c: Current, q: PadicNumber, z: Union[PadicNumber, BallPoint],
     the support.
 
     Periodic currents are admitted only when cusp-free (alpha = x^spine);
-    otherwise the one-orbit product has no certified tail in rank 1.
+    otherwise the one-orbit product has no certified tail in rank 1.  At a
+    ball point the value is the log-seminorm N*v(q) + ``product_at``.
     """
+    if J is not None and J < 0:
+        raise ValueError("J must be nonnegative")
     if c.modulus is not None:
         raise ValueError("alpha needs an integer current, not Z/nZ")
     support = c.support()
@@ -335,35 +342,21 @@ def alpha_eval(c: Current, q: PadicNumber, z: Union[PadicNumber, BallPoint],
                          "defined up to regularization; use a window current")
     if J is not None and any(abs(j) > J for j in support):
         raise ValueError(f"window J={J} does not cover the support {support}")
-    s0 = c.spine_at(0)
-    if not all(isinstance(c.cusp_at(j), int) for j in support) or \
-            not isinstance(s0, int):
+    fd = _factored(c, support)
+    if not isinstance(fd.x_exponent, int) or \
+            not all(isinstance(k, int) for _, k in fd.zeros):
         raise ValueError("alpha needs integer current values")
+    N = -sum(j * k for j, k in fd.zeros if j <= 0)
     if isinstance(z, BallPoint):
-        vq = _tate_valuation(q)
-        p = q.p
-        one = PadicNumber.one(p)
-        sem_x = seminorm([PadicNumber.zero(p), one], z)
-        total = s0 * sem_x
-        for j in support:
-            cj = c.cusp_at(j)
-            sem_f = seminorm([-(q ** j), one], z)
-            if j >= 1:
-                total += cj * (sem_f - sem_x)
-            else:
-                total += cj * (sem_f - j * vq)
-        return EvalResult(total, INF)
+        return EvalResult(N * _tate_valuation(q) + product_at(fd.factors(q), z), INF)
     if z.is_exact_zero:
         raise PoleCollisionError("alpha is evaluated on G_m: z must be nonzero")
-    value = z ** s0
-    for j in support:
-        cj = c.cusp_at(j)
-        num = z - q ** j
-        if num.is_exact_zero and cj < 0:
-            raise PoleCollisionError(f"z collides with the pole q^{j}")
-        base = num / z if j >= 1 else num / q ** j
-        value = value * base ** cj
-    return EvalResult(value, INF)
+    try:
+        value = product_at(fd.factors(q), z)
+    except PoleCollisionError:
+        j = next(j for j, k in fd.zeros if k < 0 and q ** j == z)
+        raise PoleCollisionError(f"z collides with the pole q^{j}") from None
+    return EvalResult(value * q ** N, INF)
 
 
 @dataclass(frozen=True)
@@ -382,22 +375,16 @@ class FactoredFunction:
         return self.x_exponent + sum(k for _, k in self.zeros)
 
     def value(self, q: PadicNumber, w: PadicNumber) -> PadicNumber:
-        return self._value_at(self._grid_points(q), w)
+        return product_at(self.factors(q), w)
 
-    def _grid_points(self, q: PadicNumber) -> Tuple[Tuple[int, PadicNumber, int], ...]:
-        """(j, q^j, k_j) per zero, computed once for repeated evaluation."""
-        return tuple((j, q ** j, k) for j, k in self.zeros)
-
-    def _value_at(self, points, w: PadicNumber) -> PadicNumber:
-        out = w ** self.x_exponent
-        for j, qj, k in points:
-            base = w - qj
-            if base.is_exact_zero:
-                if k < 0:
-                    raise PoleCollisionError(f"evaluation at the pole q^{j}")
-                return PadicNumber.zero(w.p)
-            out = out * base ** k
-        return out
+    def factors(self, q: PadicNumber) -> Tuple[Tuple[PadicNumber, int], ...]:
+        """f as factors (a, k) of prod (x - a)^k for ``product_at``: (0, m)
+        when m != 0, then (q^j, k_j), all at q's prec; computed once for
+        repeated evaluation."""
+        head = ()
+        if self.x_exponent:
+            head = ((PadicNumber.zero(q.p, q.prec), self.x_exponent),)
+        return head + tuple((q ** j, k) for j, k in self.zeros)
 
 
 def current_from_slopes(fd: FactoredFunction, q: PadicNumber) -> Current:
@@ -413,71 +400,55 @@ def current_from_slopes(fd: FactoredFunction, q: PadicNumber) -> Current:
     return Current.windowed(cusp, left_spine=left)
 
 
+def _factored(c: Current, js) -> FactoredFunction:
+    """x^m prod_{j in js} (x - q^j)^(c(e_j)) with m = c(e'_0) - sum_{j>=1} c(e_j)."""
+    zeros = tuple((j, c.cusp_at(j)) for j in js)
+    m = c.spine_at(0) - sum(k for j, k in zeros if j >= 1)
+    return FactoredFunction(x_exponent=m, zeros=zeros)
+
+
 def factored_alpha(c: Current) -> FactoredFunction:
     """Factored form of alpha(c) for a window-supported integer current:
     x-exponent c(e'_0) - sum_{j>=1} c(e_j), zero multiplicities the cusp values."""
     if not c.is_window_supported:
         raise ValueError("factored form needs a window-supported current")
-    zeros = tuple((j, c.cusp_at(j)) for j in c.support())
-    m = c.spine_at(0) - sum(k for j, k in zeros if j >= 1)
-    return FactoredFunction(x_exponent=m, zeros=zeros)
-
-
-def _delta_term(c: Current, q: PadicNumber, z: PadicNumber, j: int) -> PadicNumber:
-    cj = c.cusp_at(j)
-    kernel = (z - q ** j).inverse()
-    if j >= 1:
-        kernel = kernel - z.inverse()
-    return kernel * cj
+    return _factored(c, c.support())
 
 
 def delta_eval(c: Current, q: PadicNumber, z: PadicNumber,
                J: Optional[int] = None) -> EvalResult:
     """Coefficient of dx in delta(c) at z, with a certified tail valuation.
 
-    Window currents evaluate exactly; periodic currents are truncated to
-    |j| <= J.  Evaluation at a cusp q^j with c(e_j) != 0 returns the
-    ord = -1 marker instead of a value.
+    Window currents evaluate exactly; periodic currents with cusps are
+    truncated to |j| <= J.  The value is m/z + sum_j c(e_j)/(z - q^j) over
+    the factors of alpha (of the truncation, with its own m).  Evaluation
+    at a cusp q^j with c(e_j) != 0 returns the ord = -1 marker instead of a
+    value.
     """
+    if J is not None and J < 0:
+        raise ValueError("J must be nonnegative")
     t = _grid_index(z, q)
     if t is not None and c.cusp_at(t) != 0:
         return EvalResult(None, INF, pole_ord=-1)
     if z.is_exact_zero:
         raise PoleCollisionError("delta has its dx/x kernel at z = 0")
-    s0 = c.spine_at(0)
-    value = z.inverse() * s0
-    if c.is_window_supported or not any(v for _, v in c.cusp):
-        for j in (c.support() if c.is_window_supported else ()):
-            value = value + _delta_term(c, q, z, j)
-        return EvalResult(value, INF)
-    if J is None:
-        raise ValueError("periodic currents with cusps need a truncation window J")
-    vq, vz = _tate_valuation(q), valuation(z)
-    if not ((J + 1) * vq > vz and -(J + 1) * vq < vz):
-        raise TailCertificateError(
-            "window too small: grid points of index beyond J are not "
-            "separated from z")
-    for j in range(c.period):
-        cj = c.cusp_at(j)
-        if cj and vp_fraction(Fraction(cj), q.p) < 0:
+    js, err = c.support(), INF
+    if not c.is_window_supported and js:
+        if J is None:
+            raise ValueError("periodic currents with cusps need a truncation window J")
+        vq, vz = _tate_valuation(q), valuation(z)
+        if not ((J + 1) * vq > vz and -(J + 1) * vq < vz):
+            raise TailCertificateError(
+                "window too small: grid points of index beyond J are not "
+                "separated from z")
+        if any(cj and vp_fraction(Fraction(cj), q.p) < 0 for _, cj in c.cusp):
             raise ValueError("tail certificates need p-integral cusp values")
-    for j in range(-J, J + 1):
-        if c.cusp_at(j) != 0:
-            value = value + _delta_term(c, q, z, j)
-    err = min((J + 1) * vq - 2 * vz, (J + 1) * vq)
+        js, err = range(-J, J + 1), min((J + 1) * vq - 2 * vz, (J + 1) * vq)
+    fd = _factored(c, js)  # drops each j with c(e_j) = 0, as the support does
+    value = z.inverse() * fd.x_exponent
+    for j, k in fd.zeros:
+        value = value + (z - q ** j).inverse() * k
     return EvalResult(value, err)
-
-
-@dataclass(frozen=True)
-class DifferentialEval:
-    """delta(c)/dx as an evaluator with certified truncation errors."""
-
-    current: Current
-    q: PadicNumber
-    window: Optional[int] = None
-
-    def at(self, z: PadicNumber) -> EvalResult:
-        return delta_eval(self.current, self.q, z, self.window)
 
 
 def moebius(n: int) -> int:
@@ -600,20 +571,15 @@ def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
     rank-1 theta construction.
     """
     rel_err = _theta_tail(fd, q, l, z, z0, M)
-    points = fd._grid_points(q)
+    factors = fd.factors(q)
     value = PadicNumber.one(q.p)
     step = q ** l
     g = q ** (-l * M)  # the grid point q^(lk), stepped by q^l
     for k in range(-M, M + 1):
         if k > -M:
             g = g * step
-        num = fd._value_at(points, g * z)
-        den = fd._value_at(points, g * z0)
-        if den.is_exact_zero:
-            raise PoleCollisionError("z0 translate hits a zero of f")
-        if num.is_exact_zero:
-            raise PoleCollisionError("z translate hits a zero of f")
-        value = value * num / den
+        # the grid checks of _theta_tail keep every translate off the zeros of f
+        value = value * product_at(factors, g * z) / product_at(factors, g * z0)
     # the tail bound is multiplicative; report it additively
     return EvalResult(value, rel_err + value.exact_valuation)
 
@@ -636,9 +602,9 @@ def theta_automorphy_ratio(fd: FactoredFunction, q: PadicNumber, l: int,
     rel = min(_theta_tail(fd, q, l, z, z0, M),
               _theta_tail(fd, q, l, q ** l * z, z0, M))
     # the grid checks above keep both end translates of z off the zeros of f
-    points = fd._grid_points(q)
-    num = fd._value_at(points, q ** (l * (M + 1)) * z)
-    den = fd._value_at(points, q ** (-l * M) * z)
+    factors = fd.factors(q)
+    num = product_at(factors, q ** (l * (M + 1)) * z)
+    den = product_at(factors, q ** (-l * M) * z)
     value = PadicNumber.one(q.p, min(DEFAULT_PREC, z0.prec)) * num / den
     return EvalResult(value, rel + value.exact_valuation)
 
@@ -673,14 +639,9 @@ def alpha_germ(c: Current, q: PadicNumber, z: PadicNumber,
                degree: int = 8) -> BoundedSeries:
     """Normalized germ alpha(c)(z+T)/alpha(c)(z) = (1+T/z)^m *
     prod_j (1 + T/(z-q^j))^(k_j), as a BoundedSeries in T."""
-    fd = factored_alpha(c)
     p = q.p
     out = BoundedSeries.build(p, [1], None)
-    factors = []
-    if fd.x_exponent:
-        factors.append((PadicNumber.zero(p), fd.x_exponent))
-    factors.extend((q ** j, k) for j, k in fd.zeros)
-    for center, k in factors:
+    for center, k in factored_alpha(c).factors(q):
         dz = z - center
         if dz.is_exact_zero:
             raise PoleCollisionError("germ base point hits a zero/pole of alpha")

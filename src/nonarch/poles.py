@@ -14,10 +14,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .berkovich import BallPoint, seminorm
+# seminorm is re-exported (public name of this module), not called here
+from .berkovich import BallPoint, product_at, seminorm  # noqa: F401
 from .errors import NoAdmissibleOrderError, PoleCollisionError, PrecisionExhaustedError
-from .padic import (PadicNumber, integer_lift_mod, require_prime, valuation,
-                    vp_fraction, vp_int)
+from .padic import (PadicNumber, integer_lift_mod, require_prime, vp_fraction,
+                    vp_int)
 
 
 @dataclass(frozen=True)
@@ -336,25 +337,19 @@ def finite_product_eval(poles: Sequence[PadicNumber], exponents: Sequence[int],
                         x: PadicNumber, z: Union[PadicNumber, BallPoint]):
     """Evaluate prod ((X - i)/(x - i))^(a_i), normalized to 1 at X = x.
 
-    At a type-1 point the value is an exact field element; at a ball point
-    the log-seminorm is returned via multiplicativity.
+    This is ``product_at`` at z over the same product at x.  At a type-1
+    point the value is an exact field element; at a ball point it is the
+    log-seminorm, less the exact valuation of the product at x.  An x on a
+    zero or pole of the product raises PoleCollisionError.
     """
     if len(poles) != len(exponents):
         raise ValueError("pole and exponent counts differ")
-    if isinstance(z, BallPoint):
-        total = Fraction(0)
-        for i, a in zip(poles, exponents):
-            norm = valuation(x - i)
-            fac = seminorm([-i, PadicNumber.one(i.p)], z)
-            total += a * (fac - norm)
-        return total
-    value = PadicNumber.one(x.p)
-    for i, a in zip(poles, exponents):
-        num = z - i
-        if num.is_exact_zero and a < 0:
-            raise PoleCollisionError(f"evaluation point hits the pole {i!r}")
-        value = value * (num / (x - i)) ** a if a >= 0 else value * ((x - i) / num) ** (-a)
-    return value
+    factors = tuple(zip(poles, exponents))
+    at_z = product_at(factors, z)
+    norm = product_at(factors, x)
+    if norm.is_exact_zero:
+        raise PoleCollisionError("x hits a zero of the product")
+    return at_z - norm.exact_valuation if isinstance(z, BallPoint) else at_z / norm
 
 
 def moebius_orbit(matrix, t: PadicNumber, kmin: int, kmax: int) -> List[PadicNumber]:

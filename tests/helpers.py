@@ -4,8 +4,12 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from nonarch import (Current, FactoredFunction, PadicNumber, Refinement,
-                     SkeletonGraph, SkeletonTower, TailBound, current_from_slopes)
+from nonarch import (INF, BallPoint, Current, FactoredFunction, PadicNumber,
+                     Refinement, SkeletonGraph, SkeletonTower, TailBound,
+                     current_from_slopes, seminorm, valuation)
+from nonarch.currents import EvalResult, _grid_index, _tate_valuation
+from nonarch.padic import vp_fraction
+from nonarch.errors import PoleCollisionError, TailCertificateError
 
 
 def rref_nullspace(rows):
@@ -100,6 +104,114 @@ def power_coeffs_oracle(v, a, w0, d):
             acc = acc + v[k] * w[n - k] * ((a + 1) * k - n)
         w.append(acc * (inv0 / n))
     return w
+
+
+# -- the split-loop evaluators that ``berkovich.product_at`` replaced -----
+# Each evaluates the same factored product as the package, one hand-written
+# loop per kind of point; kept as oracles for values, precs and exceptions.
+
+
+def alpha_eval_oracle(c, q, z, J=None):
+    """alpha(c) at z with separate j >= 1 and j <= 0 factors; ball points
+    by one ``seminorm`` per linear factor."""
+    if c.modulus is not None:
+        raise ValueError("alpha needs an integer current, not Z/nZ")
+    support = c.support()
+    if c.period is not None and support:
+        raise ValueError("alpha of a periodic current with cusps is only "
+                         "defined up to regularization; use a window current")
+    if J is not None and any(abs(j) > J for j in support):
+        raise ValueError(f"window J={J} does not cover the support {support}")
+    s0 = c.spine_at(0)
+    if not all(isinstance(c.cusp_at(j), int) for j in support) or \
+            not isinstance(s0, int):
+        raise ValueError("alpha needs integer current values")
+    if isinstance(z, BallPoint):
+        vq = _tate_valuation(q)
+        one = PadicNumber.one(q.p)
+        sem_x = seminorm([PadicNumber.zero(q.p), one], z)
+        total = s0 * sem_x
+        for j in support:
+            cj = c.cusp_at(j)
+            sem_f = seminorm([-(q ** j), one], z)
+            total += cj * (sem_f - sem_x) if j >= 1 else cj * (sem_f - j * vq)
+        return EvalResult(total, INF)
+    if z.is_exact_zero:
+        raise PoleCollisionError("alpha is evaluated on G_m: z must be nonzero")
+    value = z ** s0
+    for j in support:
+        cj = c.cusp_at(j)
+        num = z - q ** j
+        if num.is_exact_zero and cj < 0:
+            raise PoleCollisionError(f"z collides with the pole q^{j}")
+        base = num / z if j >= 1 else num / q ** j
+        value = value * base ** cj
+    return EvalResult(value, INF)
+
+
+def delta_eval_oracle(c, q, z, J=None):
+    """delta(c)/dx at z term by term: c(e_j) (1/(z - q^j) - [j >= 1]/z)."""
+    def term(j):
+        kernel = (z - q ** j).inverse()
+        if j >= 1:
+            kernel = kernel - z.inverse()
+        return kernel * c.cusp_at(j)
+
+    t = _grid_index(z, q)
+    if t is not None and c.cusp_at(t) != 0:
+        return EvalResult(None, INF, pole_ord=-1)
+    if z.is_exact_zero:
+        raise PoleCollisionError("delta has its dx/x kernel at z = 0")
+    value = z.inverse() * c.spine_at(0)
+    if c.is_window_supported or not c.support():
+        for j in (c.support() if c.is_window_supported else ()):
+            value = value + term(j)
+        return EvalResult(value, INF)
+    if J is None:
+        raise ValueError("periodic currents with cusps need a truncation window J")
+    vq, vz = _tate_valuation(q), valuation(z)
+    if not ((J + 1) * vq > vz and -(J + 1) * vq < vz):
+        raise TailCertificateError("window too small")
+    for j in range(c.period):
+        cj = c.cusp_at(j)
+        if cj and vp_fraction(Fraction(cj), q.p) < 0:
+            raise ValueError("tail certificates need p-integral cusp values")
+    for j in range(-J, J + 1):
+        if c.cusp_at(j) != 0:
+            value = value + term(j)
+    return EvalResult(value, min((J + 1) * vq - 2 * vz, (J + 1) * vq))
+
+
+def factored_value_oracle(fd, q, w):
+    """f(w) = w^m prod (w - q^j)^(k_j); a zero is returned at prec 64."""
+    out = w ** fd.x_exponent
+    for j, k in fd.zeros:
+        base = w - q ** j
+        if base.is_exact_zero:
+            if k < 0:
+                raise PoleCollisionError(f"evaluation at the pole q^{j}")
+            return PadicNumber.zero(w.p)
+        out = out * base ** k
+    return out
+
+
+def finite_product_oracle(poles, exponents, x, z):
+    """prod ((X - i)/(x - i))^(a_i) factor by factor, from a prec-64 one; at
+    a ball point sum a_i (log-seminorm of X - i - prec-capped v(x - i))."""
+    if len(poles) != len(exponents):
+        raise ValueError("pole and exponent counts differ")
+    if isinstance(z, BallPoint):
+        total = Fraction(0)
+        for i, a in zip(poles, exponents):
+            total += a * (seminorm([-i, PadicNumber.one(i.p)], z) - valuation(x - i))
+        return total
+    value = PadicNumber.one(x.p)
+    for i, a in zip(poles, exponents):
+        num = z - i
+        if num.is_exact_zero and a < 0:
+            raise PoleCollisionError(f"evaluation point hits the pole {i!r}")
+        value = value * (num / (x - i)) ** a if a >= 0 else value * ((x - i) / num) ** (-a)
+    return value
 
 
 def seeded_window_current(rng, lo=-3, hi=5):

@@ -559,3 +559,60 @@ def test_skeleton_tower_input_checks_exit_2(tmp_path, capsys, extra, reason):
     assert main(["skeleton-tower", "--file", str(f)] + extra) == 2
     assert json.loads(capsys.readouterr().out)["error"] == {
         "kind": "ValueError", "reason": reason}
+
+
+@pytest.mark.parametrize("factors", ["[1]", "[[1.5, 1], [2, -1]]", "[[1, 1, 0]]",
+                                     "[[true, 1], [2, -1]]", '[["1", 1]]', "{}",
+                                     "[[1, 1], 2]"])
+def test_theta_factors_that_are_not_integer_pairs_exit_2(capsys, factors):
+    argv = ["theta", "--p", "3", "--q", "p", "--factors", factors, "--z", "5",
+            "--z0", "2"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError",
+        "reason": f"--factors must be a JSON list of [j, k] integer pairs, not {factors}"}
+
+
+@pytest.mark.parametrize("ring", ["Z/0Z", "Z/-3Z", "Q", "Z/3", "Z/03Z", "Z/ 3Z", ""])
+def test_current_ring_outside_z_zp_and_z_mod_n_exits_2(tmp_path, capsys, ring):
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps({"ring": ring, "period": 1, "window": [0, 0],
+                             "cusp": {"0": 0}, "spine": {"0": 1}}))
+    assert main(["current", "--file", str(f), "--p", "3", "--delta-at", "5"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError",
+        "reason": f'"ring" must be "Z", "Zp" or "Z/nZ" with n a positive integer, '
+                  f'not {ring!r}'}
+
+
+@pytest.mark.parametrize("ring, modulus", [("Z", None), ("Zp", None), ("Z/1Z", 1),
+                                           ("Z/12Z", 12)])
+def test_current_rings_that_are_accepted(ring, modulus):
+    from nonarch import Current
+    cur = Current.from_json({"ring": ring, "period": 1, "window": [0, 0],
+                             "cusp": {"0": 0}, "spine": {"0": 1}})
+    assert cur.modulus == modulus
+
+
+@pytest.mark.parametrize("current, flag", [
+    ({"ring": "Z", "period": 2, "window": [0, 1], "cusp": {"0": 1, "1": -1},
+      "spine": {"0": 0, "1": -1}}, "--delta-at"),
+    ({"ring": "Z", "window": [0, 0], "cusp": {}, "spine": {"-1": 1, "0": 1}},
+     "--alpha-at"),
+])
+def test_current_with_a_negative_J_exits_2(tmp_path, capsys, current, flag):
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps(current))
+    assert main(["current", "--file", str(f), "--p", "3", "--J", "-3", flag, "5"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": "J must be nonnegative"}
+
+
+def test_current_delta_at_a_zero_cusp_under_a_covering_J(tmp_path):
+    from nonarch import Current
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps(Current.periodic(3, {0: 0, 1: 1, 2: -1}).to_json()))
+    code, payload = run(["current", "--file", str(f), "--p", "3", "--q", "p",
+                         "--delta-at", "1", "--J", "0"])
+    assert code == 0
+    assert payload["result"]["delta"]["digits"] == "O(p^1)"

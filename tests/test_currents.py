@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonarch import (BallPoint, Current, DifferentialEval, FactoredFunction,
+from nonarch import (BallPoint, Current, FactoredFunction,
                      INF, PadicNumber, TateCurve, alpha_eval, alpha_germ,
                      current_from_slopes, current_x, delta_at_one, delta_eval,
                      dlog_ord, factored_alpha, ladder_ord, moebius,
@@ -216,10 +216,9 @@ def test_delta_pole_marker():
     assert res.is_pole and res.pole_ord == -1
 
 
-def test_differential_eval_wrapper():
+def test_delta_of_x_current_is_one_over_z():
     q = Q(3, 3)
-    ev = DifferentialEval(current_x(), q)
-    assert (ev.at(Q(3, 2)).value - Fraction(1, 2)).is_exact_zero
+    assert (delta_eval(current_x(), q, Q(3, 2)).value - Fraction(1, 2)).is_exact_zero
 
 
 def test_delta_periodic_truncation_certificate():
