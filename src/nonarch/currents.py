@@ -347,8 +347,9 @@ def alpha_eval(c: Current, q: PadicNumber, z: Union[PadicNumber, BallPoint],
             not all(isinstance(k, int) for _, k in fd.zeros):
         raise ValueError("alpha needs integer current values")
     N = -sum(j * k for j, k in fd.zeros if j <= 0)
+    vq = _tate_valuation(q)
     if isinstance(z, BallPoint):
-        return EvalResult(N * _tate_valuation(q) + product_at(fd.factors(q), z), INF)
+        return EvalResult(N * vq + product_at(fd.factors(q), z), INF)
     if z.is_exact_zero:
         raise PoleCollisionError("alpha is evaluated on G_m: z must be nonzero")
     try:
@@ -522,9 +523,16 @@ def poly_current_eval(P: Sequence[Value], q: PadicNumber, J: int) -> EvalResult:
     return EvalResult(res.value, err)
 
 
+def _require_theta_degree(fd: FactoredFunction) -> None:
+    if fd.x_exponent != 0 or fd.total_degree != 0:
+        raise ValueError("theta products need x_exponent = 0 and total degree 0")
+
+
 def theta_automorphy_constant(fd: FactoredFunction, q: PadicNumber) -> PadicNumber:
     """The constant value of f_{Gamma'}(q^l z) / f_{Gamma'}(z):
-    prod_j (-q^j)^(k_j) for a degree-zero factorization."""
+    prod_j (-q^j)^(k_j) for the degree-zero factorization (x_exponent = 0,
+    total degree 0) a theta product needs; any other f raises ValueError."""
+    _require_theta_degree(fd)
     out = PadicNumber.one(q.p)
     for j, k in fd.zeros:
         out = out * (-(q ** j)) ** k
@@ -538,8 +546,7 @@ def _theta_tail(fd: FactoredFunction, q: PadicNumber, l: int,
     1 + O(p^rel), with rel = +inf when f is constant."""
     if l < 1 or M < 0:
         raise ValueError("l must be positive, M nonnegative")
-    if fd.x_exponent != 0 or fd.total_degree != 0:
-        raise ValueError("theta products need x_exponent = 0 and total degree 0")
+    _require_theta_degree(fd)
     if z.is_exact_zero or z0.is_exact_zero:
         raise PoleCollisionError("z and z0 must lie in G_m")
     vq = _tate_valuation(q)
@@ -569,17 +576,34 @@ def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
     Requires a degree-zero factorization with no zero/pole at 0 or infinity
     (x_exponent = 0 and total degree 0): that is the convergent core of the
     rank-1 theta construction.
+
+    The product telescopes.  With f(w) = prod_j (w - q^j)^(k_j), each factor
+    q^(lk) w - q^j is q^j (q^(lk-j) w - 1) and the q^(j k_j) cancel between
+    z and z0, so f(q^(lk) z)/f(q^(lk) z0) = prod_j R(lk - j)^(k_j) with
+    R(m) = (q^m z - 1)/(q^m z0 - 1).  The product is therefore
+    prod_m R(m)^(e_m), where e_m = sum k_j over the pairs (j, k) with
+    lk - j = m and |k| <= M, and only the m with e_m != 0 are evaluated.
+    At l = 1 the total degree 0 makes every interior e_m vanish, so a
+    request costs O(#zeros * span of j) factors instead of O(M).  The grid
+    checks of ``_theta_tail`` keep every q^m z and q^m z0 off 1.  The value
+    starts from a one at the least of DEFAULT_PREC and the precs of q, z
+    and z0, the prec the untelescoped product carries.
     """
     rel_err = _theta_tail(fd, q, l, z, z0, M)
-    factors = fd.factors(q)
-    value = PadicNumber.one(q.p)
-    step = q ** l
-    g = q ** (-l * M)  # the grid point q^(lk), stepped by q^l
-    for k in range(-M, M + 1):
-        if k > -M:
-            g = g * step
-        # the grid checks of _theta_tail keep every translate off the zeros of f
-        value = value * product_at(factors, g * z) / product_at(factors, g * z0)
+    e: Dict[int, int] = {}
+    for j, kj in fd.zeros:
+        for m in range(-l * M - j, l * M - j + 1, l):
+            e[m] = e.get(m, 0) + kj
+    value = one = PadicNumber.one(q.p, min(DEFAULT_PREC, q.prec, z.prec, z0.prec))
+    g, at, powers = PadicNumber.one(q.p, q.prec), 0, {}  # g = q^at
+    for m in sorted(m for m, em in e.items() if em):
+        if m - at not in powers:
+            powers[m - at] = q ** (m - at)
+        g, at = g * powers[m - at], m
+        num, den = g * z - one, g * z0 - one
+        if e[m] < 0:
+            num, den = den, num
+        value = value * (num / den) ** abs(e[m])
     # the tail bound is multiplicative; report it additively
     return EvalResult(value, rel_err + value.exact_valuation)
 
@@ -596,8 +620,8 @@ def theta_automorphy_ratio(fd: FactoredFunction, q: PadicNumber, l: int,
     two products would carry, which includes z0's and DEFAULT_PREC.
 
     A caller that has just built ``theta_product(fd, q, l, z, z0, M)``
-    repeats z's checks and the grid points here; that small cost keeps this
-    function safe to call on its own.
+    repeats z's checks here; that small cost keeps this function safe to
+    call on its own.
     """
     rel = min(_theta_tail(fd, q, l, z, z0, M),
               _theta_tail(fd, q, l, q ** l * z, z0, M))

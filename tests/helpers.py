@@ -7,7 +7,9 @@ from math import lcm
 from nonarch import (INF, BallPoint, Current, FactoredFunction, PadicNumber,
                      Refinement, SkeletonGraph, SkeletonTower, TailBound,
                      current_from_slopes, seminorm, valuation)
-from nonarch.currents import EvalResult, _grid_index, _tate_valuation
+from nonarch.berkovich import product_at
+from nonarch.currents import (EvalResult, _grid_index, _tate_valuation,
+                              _theta_tail)
 from nonarch.padic import vp_fraction
 from nonarch.errors import PoleCollisionError, TailCertificateError
 
@@ -212,6 +214,23 @@ def finite_product_oracle(poles, exponents, x, z):
             raise PoleCollisionError(f"evaluation point hits the pole {i!r}")
         value = value * (num / (x - i)) ** a if a >= 0 else value * ((x - i) / num) ** (-a)
     return value
+
+
+def theta_product_oracle(fd, q, l, z, z0, M):
+    """The truncated theta product untelescoped: every f(q^(lk) z) and
+    f(q^(lk) z0) with |k| <= M evaluated from f's factors, each quotient
+    multiplied into a prec-64 one; the same checks and tail bound as
+    ``theta_product``."""
+    rel_err = _theta_tail(fd, q, l, z, z0, M)
+    factors = fd.factors(q)
+    value = PadicNumber.one(q.p)
+    step = q ** l
+    g = q ** (-l * M)  # the grid point q^(lk), stepped by q^l
+    for k in range(-M, M + 1):
+        if k > -M:
+            g = g * step
+        value = value * product_at(factors, g * z) / product_at(factors, g * z0)
+    return EvalResult(value, rel_err + value.exact_valuation)
 
 
 def seeded_window_current(rng, lo=-3, hi=5):

@@ -367,13 +367,14 @@ def _windowed_current_file(tmp_path):
 
 @pytest.mark.parametrize("q", ["1", "2", "1/3"])
 @pytest.mark.parametrize("command", ["theta", "poly-eval", "current", "ladder-ord",
-                                     "moebius-check"])
+                                     "moebius-check", "current-alpha"])
 def test_q_that_is_not_a_tate_parameter_exits_2(tmp_path, capsys, command, q):
     f = _windowed_current_file(tmp_path)
     argv = {
         "theta": THETA + ["--z", "5", "--z0", "2"],
         "poly-eval": ["poly-eval", "--p", "3", "--coeffs", "1,2"],
         "current": ["current", "--file", str(f), "--p", "3", "--delta-at", "5"],
+        "current-alpha": ["current", "--file", str(f), "--p", "3", "--alpha-at", "5"],
         "ladder-ord": ["ladder-ord", "--file", str(f), "--p", "3", "--z", "5"],
         "moebius-check": ["moebius-check", "--p", "3", "--n", "1", "--J", "3"],
     }[command]

@@ -14,7 +14,8 @@ from nonarch import (BallPoint, Current, FactoredFunction,
 from nonarch.currents import EvalResult
 from nonarch.errors import PoleCollisionError, TailCertificateError
 
-from helpers import seed_current_with_ord, seeded_window_current
+from helpers import (seed_current_with_ord, seeded_window_current,
+                     theta_product_oracle)
 
 
 def Q(p, r, prec=64):
@@ -316,10 +317,14 @@ def test_theta_automorphy_direct_comparison():
 
 def test_theta_requires_degree_zero():
     q = Q(3, 3)
-    with pytest.raises(ValueError):
-        theta_product(FactoredFunction(1, ()), q, 1, Q(3, 5), Q(3, 2), 4)
-    with pytest.raises(ValueError):
-        theta_product(FactoredFunction(0, ((1, 2),)), q, 1, Q(3, 5), Q(3, 2), 4)
+    msg = r"^theta products need x_exponent = 0 and total degree 0$"
+    # x (x - q)^-1 has total degree 0 but a zero at 0
+    for fd in (FactoredFunction(1, ()), FactoredFunction(0, ((1, 2),)),
+               FactoredFunction(1, ((1, -1),))):
+        with pytest.raises(ValueError, match=msg):
+            theta_product(fd, q, 1, Q(3, 5), Q(3, 2), 4)
+        with pytest.raises(ValueError, match=msg):
+            theta_automorphy_constant(fd, q)
 
 
 def test_theta_pole_collision():
@@ -360,27 +365,39 @@ def _outcome(fn, *args):
 @st.composite
 def _theta_requests(draw):
     p = draw(st.sampled_from([2, 3, 5]))
-    prec = draw(st.sampled_from([10, 64, 100]))
+    precs = st.integers(5, 80)
     unit = st.fractions(min_value=-20, max_value=20, max_denominator=7).filter(
         lambda u: u != 0 and u.numerator % p and u.denominator % p)
 
     def point(ramified):
         a = draw(unit) * Fraction(p) ** draw(st.integers(-3, 4))
         b = draw(unit) * Fraction(p) ** draw(st.integers(-3, 4)) if ramified else 0
-        return PadicNumber(p, a, b, prec)
+        return PadicNumber(p, a, b, draw(precs))
 
-    q = PadicNumber(p, draw(unit) * Fraction(p) ** draw(st.integers(1, 2)), 0, prec)
-    # a grid point z = q^t may meet a zero/pole of a translate of f
-    z = q ** draw(st.integers(-3, 3)) if draw(st.integers(0, 3)) == 0 \
-        else point(draw(st.booleans()))
-    z0 = point(draw(st.booleans()))
+    # q = p^e u in Q_p, or the ramified q = pi u
+    if draw(st.booleans()):
+        q = PadicNumber(p, 0, draw(unit), draw(precs))
+    else:
+        e = draw(st.integers(1, 2))
+        q = PadicNumber(p, draw(unit) * Fraction(p) ** e, 0, draw(precs))
     zeros = []
     for _ in range(draw(st.integers(0, 2))):
         ja, jb = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
         k = draw(st.integers(1, 2))
         zeros += [(ja, k), (jb, -k)]
     fd = FactoredFunction(0, tuple(zeros))
-    return fd, q, draw(st.integers(1, 3)), z, z0, draw(st.integers(0, 12))
+    l = draw(st.integers(1, 3))
+    # z on a grid point q^t, which may meet a zero/pole of a translate of f,
+    # or on a Gamma'-translate q^(j + ls) of a zero/pole
+    where = draw(st.integers(0, 3))
+    if where == 0:
+        z = q ** draw(st.integers(-3, 3))
+    elif where == 1 and zeros:
+        z = q ** (draw(st.sampled_from(zeros))[0] + l * draw(st.integers(-2, 2)))
+    else:
+        z = point(draw(st.booleans()))
+    z0 = point(draw(st.booleans()))
+    return fd, q, l, z, z0, draw(st.integers(0, 20))
 
 
 @settings(max_examples=150, deadline=None)
@@ -389,6 +406,19 @@ def test_telescoped_automorphy_ratio_matches_two_products(args):
     # value, prec, error valuation, or exception type and message
     assert _outcome(theta_automorphy_ratio, *args) == \
         _outcome(_ratio_from_two_products, *args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_theta_requests())
+def test_telescoped_product_matches_the_untelescoped_loop(args):
+    # value, prec, error valuation, or exception type and message
+    assert _outcome(theta_product, *args) == _outcome(theta_product_oracle, *args)
+
+
+def test_telescoped_product_matches_the_loop_at_large_M():
+    # at l = 1 only R(-2002) and R(1999) survive of the loop's 4 * 4001 factors
+    args = (FactoredFunction(0, ((1, 1), (2, -1))), Q(3, 3), 1, Q(3, 5), Q(3, 2), 2000)
+    assert _outcome(theta_product, *args) == _outcome(theta_product_oracle, *args)
 
 
 def test_automorphy_ratio_reports_a_failing_shifted_bound():

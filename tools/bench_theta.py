@@ -1,7 +1,11 @@
 """Times one ``nonarch theta`` request per shape and counts its scalars.
 
-For each shape (M in 8, 32, 128, 256; l in 1, 3; p = 3, q = p, one
-zero/pole pair f = (x - q)/(x - q^2), z = 5, z0 = 2) it times
+Every shape has p = 3, q = p, z = 5, z0 = 2 and M in 8, 32, 128, 256.  The
+one-pair f = (x - q)/(x - q^2) runs at l = 1, where the telescoped product
+keeps two factors, and at l = 3, where its zero and pole lie in different
+classes mod l and nothing cancels.  The two-pair
+f = (x - 1)(x - q)/((x - q^3)(x - q^2)) runs at l = 3: its first pair
+shares a class and cancels, its second does not.  For each shape it times
 ``cli.dispatch`` on the theta argv (best of ``REPEAT`` runs,
 ``time.perf_counter``), then runs the request once more with every
 ``PadicNumber.__init__`` call counted (every ``PadicNumber`` is built
@@ -32,11 +36,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_theta.json")
 REPEAT = 3
 
-SHAPES = [(M, l) for M in (8, 32, 128, 256) for l in (1, 3)]
+ONE_PAIR = "[[1, 1], [2, -1]]"
+TWO_PAIRS = "[[0, 1], [3, -1], [1, 1], [2, -1]]"
+SHAPES = [(factors, M, l) for M in (8, 32, 128, 256)
+          for factors, l in ((ONE_PAIR, 1), (ONE_PAIR, 3), (TWO_PAIRS, 3))]
 
 
-def theta_argv(M, l):
-    return ["theta", "--p", "3", "--q", "p", "--factors", "[[1, 1], [2, -1]]",
+def theta_argv(factors, M, l):
+    return ["theta", "--p", "3", "--q", "p", "--factors", factors,
             "--l", str(l), "--z", "5", "--z0", "2", "--M", str(M)]
 
 
@@ -79,13 +86,13 @@ def main(argv=None):
     from nonarch import cli, padic
 
     rows = []
-    for M, l in SHAPES:
-        argv_ = theta_argv(M, l)
+    for factors, M, l in SHAPES:
+        argv_ = theta_argv(factors, M, l)
         t_req, (code, payload) = best_of(lambda: cli.dispatch(argv_), REPEAT)
         with ScalarCount(padic) as count:
             cli.dispatch(argv_)
         rows.append({
-            "M": M, "l": l, "exit_code": code,
+            "factors": factors, "M": M, "l": l, "exit_code": code,
             "request_ms": round(t_req * 1e3, 3),
             "padic_numbers_built": count.built,
             "operand_bits_max": count.bits_max,
@@ -99,16 +106,16 @@ def main(argv=None):
     data[args.label] = {
         "env": {"python": platform.python_version(), "machine": platform.machine(),
                 "cpus": os.cpu_count(), "repeat": REPEAT, "clock": "perf_counter"},
-        "argv": theta_argv("<M>", "<l>"),
+        "argv": theta_argv("<factors>", "<M>", "<l>"),
         "rows": rows,
     }
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for r in rows:
-        print(f"M={r['M']:>3} l={r['l']} request {r['request_ms']:9.3f} ms  "
-              f"built {r['padic_numbers_built']:>7}  bits {r['operand_bits_max']:>7}  "
-              f"{r['report_sha256'][:12]}")
+        print(f"{r['factors']:<34} M={r['M']:>3} l={r['l']} "
+              f"request {r['request_ms']:9.3f} ms  built {r['padic_numbers_built']:>7}  "
+              f"bits {r['operand_bits_max']:>7}  {r['report_sha256'][:12]}")
 
 
 if __name__ == "__main__":
