@@ -1,27 +1,31 @@
-"""Currents on the Tate tree: validation, the function/current dictionary,
-the Moebius-Lambert identity delta(c_n)(1) = q^n, polynomial probes, theta
-products, and the ladder computation of vanishing orders.
+"""Currents on the Tate tree: the defining relation, the function/current
+dictionary, the Moebius-Lambert identity delta(c_n)(1) = q^n, polynomial
+probes, theta products, and the ladder computation of vanishing orders.
 
 Run with:  python3 demos/02_tate_currents.py
 """
 
 from fractions import Fraction
 
-from nonarch import (FactoredFunction, PadicNumber, alpha_eval,
+from nonarch import (Current, FactoredFunction, PadicNumber, alpha_eval,
                      alpha_germ, current_from_slopes, current_x, delta_at_one,
                      delta_eval, dlog_ord, factored_alpha, ladder_ord,
                      moebius_current, padic_digit_string, poly_current_eval,
-                     theta_automorphy_constant, theta_product,
-                     validate_current)
+                     theta_automorphy_constant, theta_product)
 
 p = 3
 q = PadicNumber.from_rational(p, p)
 
 # --- the simplest current ------------------------------------------------
 # c_0 has cusp values 0 and spine values 1; it realizes the coordinate
-# function: alpha(c_0) = x and delta(c_0) = dx/x.
+# function: alpha(c_0) = x and delta(c_0) = dx/x.  Every Current checks the
+# defining relation c(e'_{j+1}) = c(e'_j) + c(e_{j+1}) when it is built, so
+# one that breaks it cannot exist.
 c0 = current_x()
-print("c_0 valid:", validate_current(c0).ok)
+try:
+    Current.periodic(2, {0: 1, 1: 1})
+except ValueError as exc:
+    print("periodic current with cusp values 1, 1:", exc)
 z = PadicNumber.from_rational(p, 5)
 print("alpha(c_0)(5) =", alpha_eval(c0, q, z).value.rat)
 print("delta(c_0)(1) =", delta_eval(c0, q, PadicNumber.one(p)).value.rat)

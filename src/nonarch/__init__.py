@@ -25,7 +25,7 @@ from .currents import (Current, EvalResult, FactoredFunction, LadderResult,
                        current_x, delta_at_one, delta_eval, factored_alpha,
                        ladder_ord, moebius, moebius_current, poly_current_eval,
                        theta_automorphy_constant, theta_automorphy_ratio,
-                       theta_product, validate_current)
+                       theta_product)
 from .skeleton import (CompletedSubdivision, Edge, EdgeEnd, GraphPoint,
                        Refinement, SkeletonGraph, SkeletonTower, SubdivisionSet,
                        canonical_point, compose, compose_check, retract,

@@ -83,7 +83,9 @@ def _cmd_as_genus(args) -> dict:
 
 def _load_pole_family(args) -> poles.PoleFamily:
     data = _load_object(args.poles)
-    p = int(data["p"])
+    p = data["p"]
+    if type(p) is not int:
+        raise ValueError(f'{args.poles}: "p" must be a JSON integer, not {p!r}')
     prec = args.prec
     x = _parse_pole(data.get("x") if args.x is None else args.x, p, prec)
     if not isinstance(data["poles"], list):

@@ -86,6 +86,37 @@ class Current:
     period: Optional[int] = None
     modulus: Optional[int] = None
 
+    def __post_init__(self):
+        """The one check of a current, so that no invalid one exists: the
+        rules on window, period and keys (README design notes), the zero
+        period sum, and c(e'_j) = c(e'_{j-1}) + c(e_j) on the window or
+        period, modulo n over Z/nZ.  With the zero sum, j = 1..period-1
+        cover a whole period."""
+        (jmin, jmax), period, n = self.window, self.period, self.modulus
+        if period is not None:
+            if period < 1:
+                raise ValueError("period must be positive")
+            if self.window != (0, period - 1):
+                raise ValueError(
+                    f"a periodic current needs the window [0, {period - 1}]")
+        elif jmin > jmax:
+            raise ValueError("the window needs jmin <= jmax")
+        first = jmin - 1 if period is None else 0
+        cusp, spine = dict(self.cusp), dict(self.spine)
+        if not all(jmin <= j <= jmax for j in cusp):
+            raise ValueError(f"cusp keys must lie in {jmin}..{jmax}")
+        if len(spine) != jmax + 1 - first or not all(first <= j <= jmax for j in spine):
+            raise ValueError(f"spine keys must be exactly {first}..{jmax}")
+
+        def eq(a, b):
+            return a == b if n is None else (a - b) % n == 0
+
+        if period is not None and not eq(sum(cusp.values()), 0):
+            raise ValueError("cusp values do not sum to 0 over a period")
+        if not all(eq(spine[j], spine[j - 1] + cusp.get(j, 0))
+                   for j in range(first + 1, jmax + 1)):
+            raise ValueError("defining relation fails")
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -110,12 +141,7 @@ class Current:
     @classmethod
     def periodic(cls, period: int, cusp: Dict[int, Value], spine0: Value = 0,
                  ring: Optional[str] = None, modulus: Optional[int] = None) -> "Current":
-        if period < 1:
-            raise ValueError("period must be positive")
         cusp_full = {j: cusp.get(j, 0) for j in range(period)}
-        total = sum(cusp_full.values())
-        if (total != 0) if modulus is None else (total % modulus != 0):
-            raise ValueError("periodic current needs cusp values summing to 0")
         spine = {0: spine0}
         run = spine0
         for j in range(1, period):
@@ -254,46 +280,18 @@ class Current:
 
         cusp = {int(j): dec(v) for j, v in data["cusp"].items()}
         spine = {int(j): dec(v) for j, v in data["spine"].items()}
-        cur = cls(ring=ring_tag, window=tuple(window),
-                  cusp=tuple(sorted(cusp.items())),
-                  spine=tuple(sorted(spine.items())),
-                  period=period, modulus=modulus)
-        report = validate_current(cur)
-        if not report.ok:
-            raise ValueError(f"invalid current: {report.message}")
-        return cur
+        try:
+            return cls(ring=ring_tag, window=tuple(window),
+                       cusp=tuple(sorted(cusp.items())),
+                       spine=tuple(sorted(spine.items())),
+                       period=period, modulus=modulus)
+        except ValueError as exc:
+            raise ValueError(f"invalid current: {exc}") from None
 
 
 def current_x() -> Current:
     """c_0: all cusp values 0, all spine values 1; alpha(c_0) = x."""
     return Current.periodic(1, {0: 0}, spine0=1)
-
-
-@dataclass(frozen=True)
-class CurrentReport:
-    ok: bool
-    index: Optional[int] = None
-    message: str = ""
-
-
-def validate_current(c: Current) -> CurrentReport:
-    """Check c(e'_{j+1}) = c(e'_j) + c(e_{j+1}) on the window or period,
-    and the zero period-sum for periodic currents."""
-    eq = (lambda a, b: (a - b) % c.modulus == 0) if c.modulus is not None \
-        else (lambda a, b: a == b)
-    if c.period is not None:
-        total = sum(c.cusp_at(j) for j in range(c.period))
-        if not eq(total, 0):
-            return CurrentReport(False, None, "cusp values do not sum to 0 over a period")
-        for j in range(c.period):
-            if not eq(c.spine_at(j + 1), c.spine_at(j) + c.cusp_at(j + 1)):
-                return CurrentReport(False, j + 1, "defining relation fails")
-        return CurrentReport(True)
-    jmin, jmax = c.window
-    for j in range(jmin - 1, jmax):
-        if not eq(c.spine_at(j + 1), c.spine_at(j) + c.cusp_at(j + 1)):
-            return CurrentReport(False, j + 1, "defining relation fails")
-    return CurrentReport(True)
 
 
 @dataclass(frozen=True)
@@ -484,22 +482,11 @@ def moebius_current(n: int, J: int) -> Current:
 
 
 def delta_at_one(n: int, q: PadicNumber, J: int) -> EvalResult:
-    """sum_{j<=J} mu(j) q^(jn) / (1 - q^(jn)), which equals q^n up to a tail
-    of valuation >= n(J+1)v(q)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if J < 0:
-        raise ValueError("J must be nonnegative")
-    vq = _tate_valuation(q)
-    acc = PadicNumber.zero(q.p)
-    one = PadicNumber.one(q.p)
-    for j in range(1, J + 1):
-        mu = moebius(j)
-        if mu == 0:
-            continue
-        t = q ** (j * n)
-        acc = acc + (t / (one - t)) * mu
-    return EvalResult(acc, Fraction(n) * (J + 1) * vq)
+    """delta(c_n)(1) for the Moebius current c_n = ``moebius_current(n, J)``,
+    that is sum_{j<=J} mu(j) q^(jn) / (1 - q^(jn)); it equals q^n up to a
+    tail of valuation >= n(J+1)v(q)."""
+    res = delta_eval(moebius_current(n, J), q, PadicNumber.one(q.p))
+    return EvalResult(res.value, Fraction(n) * (J + 1) * _tate_valuation(q))
 
 
 def poly_current_eval(P: Sequence[Value], q: PadicNumber, J: int) -> EvalResult:
@@ -529,14 +516,11 @@ def _require_theta_degree(fd: FactoredFunction) -> None:
 
 
 def theta_automorphy_constant(fd: FactoredFunction, q: PadicNumber) -> PadicNumber:
-    """The constant value of f_{Gamma'}(q^l z) / f_{Gamma'}(z):
+    """The constant value of f_{Gamma'}(q^l z) / f_{Gamma'}(z): f(0) =
     prod_j (-q^j)^(k_j) for the degree-zero factorization (x_exponent = 0,
     total degree 0) a theta product needs; any other f raises ValueError."""
     _require_theta_degree(fd)
-    out = PadicNumber.one(q.p)
-    for j, k in fd.zeros:
-        out = out * (-(q ** j)) ** k
-    return out
+    return fd.value(q, PadicNumber.zero(q.p))
 
 
 def _theta_tail(fd: FactoredFunction, q: PadicNumber, l: int,

@@ -6,7 +6,7 @@ from math import lcm
 
 from nonarch import (INF, BallPoint, Current, FactoredFunction, PadicNumber,
                      Refinement, SkeletonGraph, SkeletonTower, TailBound,
-                     current_from_slopes, seminorm, valuation)
+                     current_from_slopes, moebius, seminorm, valuation)
 from nonarch.berkovich import product_at
 from nonarch.currents import (EvalResult, _grid_index, _tate_valuation,
                               _theta_tail)
@@ -231,6 +231,34 @@ def theta_product_oracle(fd, q, l, z, z0, M):
             g = g * step
         value = value * product_at(factors, g * z) / product_at(factors, g * z0)
     return EvalResult(value, rel_err + value.exact_valuation)
+
+
+def delta_at_one_oracle(n, q, J):
+    """The Lambert sum sum_{j<=J} mu(j) q^(jn) / (1 - q^(jn)) term by term,
+    from a DEFAULT_PREC zero, with the tail bound n(J+1)v(q); the same
+    checks, in the same order, as ``delta_at_one``."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if J < 0:
+        raise ValueError("J must be nonnegative")
+    vq = _tate_valuation(q)
+    acc = PadicNumber.zero(q.p)
+    one = PadicNumber.one(q.p)
+    for j in range(1, J + 1):
+        mu = moebius(j)
+        if mu == 0:
+            continue
+        t = q ** (j * n)
+        acc = acc + (t / (one - t)) * mu
+    return EvalResult(acc, Fraction(n) * (J + 1) * vq)
+
+
+def theta_automorphy_constant_oracle(fd, q):
+    """prod_j (-q^j)^(k_j) factor by factor, from a DEFAULT_PREC one."""
+    out = PadicNumber.one(q.p)
+    for j, k in fd.zeros:
+        out = out * (-(q ** j)) ** k
+    return out
 
 
 def seeded_window_current(rng, lo=-3, hi=5):

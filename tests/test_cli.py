@@ -617,3 +617,44 @@ def test_current_delta_at_a_zero_cusp_under_a_covering_J(tmp_path):
                          "--delta-at", "1", "--J", "0"])
     assert code == 0
     assert payload["result"]["delta"]["digits"] == "O(p^1)"
+
+
+@pytest.mark.parametrize("current, reason", [
+    ({"ring": "Z", "period": 0, "window": [0, -1], "cusp": {}, "spine": {"0": 1}},
+     "period must be positive"),
+    ({"ring": "Z", "period": -2, "window": [0, 1], "cusp": {"0": 1, "1": -1},
+      "spine": {"0": 0, "1": -1}}, "period must be positive"),
+    ({"ring": "Z", "period": 2, "window": [1, 2], "cusp": {"0": 1, "1": -1},
+      "spine": {"0": 0, "1": -1}}, "a periodic current needs the window [0, 1]"),
+    ({"ring": "Z", "period": 2, "window": [0, 1], "cusp": {"0": 1, "2": -1},
+      "spine": {"0": 0, "1": -1}}, "cusp keys must lie in 0..1"),
+    ({"ring": "Z", "period": 2, "window": [0, 1], "cusp": {"0": 1, "1": -1},
+      "spine": {"0": 0}}, "spine keys must be exactly 0..1"),
+    ({"ring": "Z", "period": None, "window": [0, 0], "cusp": {"0": 0, "5": 1},
+      "spine": {"-1": 0, "0": 0}}, "cusp keys must lie in 0..0"),
+    ({"ring": "Z", "period": None, "window": [3, 1], "cusp": {},
+      "spine": {"2": 0, "3": 0}}, "the window needs jmin <= jmax"),
+    ({"ring": "Z", "period": None, "window": [1, 2], "cusp": {"1": 1},
+      "spine": {"0": 0, "1": 1}}, "spine keys must be exactly 0..2"),
+    ({"ring": "Z", "period": None, "window": [1, 2], "cusp": {"1": 1},
+      "spine": {"0": 0, "1": 1, "2": 1, "3": 1}}, "spine keys must be exactly 0..2"),
+])
+@pytest.mark.parametrize("flags", [[], ["--delta-at", "5", "--J", "2"], ["--alpha-at", "5"]])
+def test_current_file_breaking_the_file_rules_exits_2(tmp_path, capsys, current, reason,
+                                                       flags):
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps(current))
+    assert main(["current", "--file", str(f), "--p", "3"] + flags) == 2
+    assert main(["ladder-ord", "--p", "3", "--q", "p", "--z", "5", "--file", str(f)]) == 2
+    for line in capsys.readouterr().out.splitlines():
+        assert json.loads(line)["error"] == {"kind": "ValueError",
+                                             "reason": f"invalid current: {reason}"}
+
+
+@pytest.mark.parametrize("command", ["order-set", "find-order"])
+@pytest.mark.parametrize("p", [3.9, 5.0, True, "5", None])
+def test_pole_file_p_that_is_not_a_json_integer_exits_2(tmp_path, capsys, command, p):
+    f = pole_file(tmp_path, {"p": p, "x": "0", "poles": ["1", "2", "4"]})
+    assert main([command, "--poles", f, "--nmax", "4"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": f'{f}: "p" must be a JSON integer, not {p!r}'}

@@ -1,5 +1,9 @@
+import json
 import random
+import tempfile
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +14,13 @@ from nonarch import (BallPoint, Current, FactoredFunction,
                      dlog_ord, factored_alpha, ladder_ord, moebius,
                      moebius_current, poly_current_eval,
                      theta_automorphy_constant, theta_automorphy_ratio,
-                     theta_product, validate_current)
+                     theta_product)
+from nonarch.cli import dispatch
 from nonarch.currents import EvalResult
 from nonarch.errors import PoleCollisionError, TailCertificateError
 
-from helpers import (seed_current_with_ord, seeded_window_current,
+from helpers import (delta_at_one_oracle, seed_current_with_ord,
+                     seeded_window_current, theta_automorphy_constant_oracle,
                      theta_product_oracle)
 
 
@@ -26,31 +32,130 @@ def Q(p, r, prec=64):
 
 
 def test_validate_x_current():
-    rep = validate_current(current_x())
-    assert rep.ok
+    c = current_x()
+    assert replace(c) == c  # the fields rebuild it through the check
 
 
 def test_validate_moebius_grid():
     for n in (1, 2, 3):
         for J in (0, 1, 4, 9):
-            assert validate_current(moebius_current(n, J)).ok
+            c = moebius_current(n, J)
+            assert replace(c) == c
 
 
-def test_validate_reports_first_violation():
+def test_constructor_rejects_a_broken_relation():
     good = Current.windowed({1: 2, 3: -1}, left_spine=1)
-    bad = Current(ring=good.ring, window=good.window, cusp=good.cusp,
-                  spine=tuple((j, v + (1 if j == 1 else 0)) for j, v in good.spine),
-                  period=None, modulus=None)
-    rep = validate_current(bad)
-    assert not rep.ok
-    assert rep.index == 1
+    with pytest.raises(ValueError, match="^defining relation fails$"):
+        replace(good, spine=tuple((j, v + (j == 1)) for j, v in good.spine))
 
 
 def test_validate_periodic_sum():
     c = Current.periodic(3, {0: 1, 1: -1, 2: 0}, spine0=2)
-    assert validate_current(c).ok
-    with pytest.raises(ValueError):
+    assert replace(c) == c
+    with pytest.raises(ValueError, match="^cusp values do not sum to 0 over a period$"):
         Current.periodic(3, {0: 1, 1: 1, 2: 1})
+    for period in (0, -2):
+        with pytest.raises(ValueError, match="^period must be positive$"):
+            Current.periodic(period, {})
+
+
+W = Current.windowed({1: 1, 3: -1}, left_spine=2)  # window [1, 3], spine 0..3
+P = Current.periodic(2, {0: 1, 1: -1})             # window [0, 1], spine 0..1
+
+
+@pytest.mark.parametrize("base, change, message", [
+    (W, {"window": (3, 1)}, "the window needs jmin <= jmax"),
+    (W, {"window": (1, 2)}, "cusp keys must lie in 1..2"),
+    (W, {"cusp": W.cusp + ((5, 0),)}, "cusp keys must lie in 1..3"),
+    (W, {"spine": W.spine[1:]}, "spine keys must be exactly 0..3"),
+    (W, {"spine": W.spine + ((4, 2),)}, "spine keys must be exactly 0..3"),
+    (W, {"spine": W.spine[1:] + ((4, 2),)}, "spine keys must be exactly 0..3"),
+    (P, {"period": 0}, "period must be positive"),
+    (P, {"period": -2}, "period must be positive"),
+    (P, {"window": (1, 2)}, "a periodic current needs the window [0, 1]"),
+    (P, {"cusp": P.cusp + ((2, 0),)}, "cusp keys must lie in 0..1"),
+    (P, {"spine": ((0, 0), (1, -1), (-1, 0))}, "spine keys must be exactly 0..1"),
+    (P, {"cusp": ((0, 1), (1, 1))}, "cusp values do not sum to 0 over a period"),
+    (P, {"spine": ((0, 0), (1, 0))}, "defining relation fails"),
+])
+def test_constructor_enforces_the_current_rules(base, change, message):
+    with pytest.raises(ValueError) as exc:
+        replace(base, **change)
+    assert str(exc.value) == message
+
+
+def test_relation_and_sum_hold_modulo_n_over_z_mod_n():
+    # 3 = 0 and 2 + 1 = 0 in Z/3Z
+    c = Current("Z/nZ", (1, 1), ((1, 3),), ((0, 1), (1, 1)), modulus=3)
+    assert c.spine_at(5) == 1
+    assert Current.periodic(2, {0: 2, 1: 1}, modulus=3).period == 2
+    with pytest.raises(ValueError, match="^defining relation fails$"):
+        replace(c, modulus=None)
+    with pytest.raises(ValueError, match="^cusp values do not sum to 0 over a period$"):
+        Current.periodic(2, {0: 2, 1: 1}, modulus=4)
+
+
+@st.composite
+def _edited_current_files(draw):
+    """to_json of a valid current over Z, Z_p or Z/nZ, with one edit: a
+    period of -1 or 0, a shifted or reversed window, an added or dropped
+    key, or one changed value."""
+    if draw(st.booleans()):
+        cusp = draw(st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=4))
+        c = Current.windowed(cusp, left_spine=draw(st.integers(-3, 3)))
+    else:
+        period = draw(st.integers(1, 3))
+        vals = draw(st.lists(st.integers(-3, 3), min_size=period - 1,
+                             max_size=period - 1))
+        c = Current.periodic(period, dict(enumerate(vals + [-sum(vals)])),
+                             spine0=draw(st.integers(-3, 3)))
+    c = replace(c.scale(draw(st.sampled_from((1, Fraction(1, 2))))),
+                modulus=draw(st.sampled_from((None, None, 2, 3))))
+    data = c.to_json()
+    edit = draw(st.sampled_from(("period", "shift", "reverse", "add", "drop", "value")))
+    jmin, jmax = data["window"]
+    if edit == "period":
+        data["period"] = draw(st.sampled_from((-1, 0)))
+    elif edit == "shift":
+        step = draw(st.sampled_from((-1, 1)))
+        data["window"] = [jmin + step, jmax + step]
+    elif edit == "reverse":
+        data["window"] = [jmax, jmin] if jmin < jmax else [jmin + 1, jmin]
+    else:
+        part = data[draw(st.sampled_from(("cusp", "spine")))]
+        if edit == "add":
+            part[str(draw(st.integers(-6, 6)))] = draw(st.integers(-3, 3))
+        elif part:
+            key = draw(st.sampled_from(sorted(part)))
+            if edit == "drop":
+                del part[key]
+            else:
+                v, step = part[key], draw(st.sampled_from((-1, 1)))
+                part[key] = v + step if isinstance(v, int) else str(Fraction(v) + step)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_current_files())
+def test_edited_current_files_round_trip_or_raise(data):
+    try:
+        c = Current.from_json(data)
+    except ValueError as exc:
+        assert str(exc).startswith("invalid current: ")
+    else:
+        assert Current.from_json(c.to_json()) == c
+        # the relation, read through the accessors, holds past the window too
+        lo, hi = c.window if c.period is None else (-c.period, 2 * c.period)
+        for j in range(lo - 3, hi + 2):
+            d = c.spine_at(j + 1) - c.spine_at(j) - c.cusp_at(j + 1)
+            assert d == 0 if c.modulus is None else d % c.modulus == 0
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "current.json"
+        f.write_text(json.dumps(data))
+        assert dispatch(["current", "--file", str(f)])[0] in (0, 2)
+        for flag in ("--alpha-at", "--delta-at"):
+            argv = ["current", "--file", str(f), "--p", "3", "--J", "2", flag, "5"]
+            assert dispatch(argv)[0] in (0, 2, 4)
 
 
 def test_moebius_values():
@@ -258,12 +363,25 @@ def test_delta_at_one_empty_window():
     assert res.error_valuation == 2 * q.exact_valuation
 
 
-def test_delta_at_one_matches_current_route():
-    q = Q(5, 5)
-    for n in (1, 2, 3):
-        via_sum = delta_at_one(n, q, 6)
-        via_current = delta_eval(moebius_current(n, 6), q, PadicNumber.one(5))
-        assert (via_sum.value - via_current.value).is_exact_zero
+@st.composite
+def _lambert_requests(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    unit = st.fractions(min_value=-20, max_value=20, max_denominator=7).filter(
+        lambda u: u != 0 and u.numerator % p and u.denominator % p)
+    prec = draw(st.sampled_from([5, 10, 64, 100]))
+    # mostly Tate parameters; a unit, a non-integral or a zero q raises
+    e = draw(st.sampled_from([1, 1, 2, 3, 0, -1]))
+    q = PadicNumber.from_rational(p, draw(unit) * Fraction(p) ** e, prec)
+    if draw(st.integers(0, 19)) == 0:
+        q = PadicNumber.zero(p, prec)
+    return draw(st.integers(0, 3)), q, draw(st.integers(-1, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lambert_requests())
+def test_delta_at_one_matches_the_lambert_sum(args):
+    # value, prec, error valuation, or exception type and message
+    assert _outcome(delta_at_one, *args) == _outcome(delta_at_one_oracle, *args)
 
 
 def test_poly_current_eval_monomials():
@@ -413,6 +531,15 @@ def test_telescoped_automorphy_ratio_matches_two_products(args):
 def test_telescoped_product_matches_the_untelescoped_loop(args):
     # value, prec, error valuation, or exception type and message
     assert _outcome(theta_product, *args) == _outcome(theta_product_oracle, *args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_theta_requests())
+def test_automorphy_constant_is_f_at_zero(args):
+    fd, q = args[:2]
+    got = theta_automorphy_constant(fd, q)
+    want = theta_automorphy_constant_oracle(fd, q)
+    assert (got.rat, got.pi_part, got.prec) == (want.rat, want.pi_part, want.prec)
 
 
 def test_telescoped_product_matches_the_loop_at_large_M():
