@@ -18,9 +18,10 @@ q = PadicNumber.from_rational(p, p)
 
 # --- the simplest current ------------------------------------------------
 # c_0 has cusp values 0 and spine values 1; it realizes the coordinate
-# function: alpha(c_0) = x and delta(c_0) = dx/x.  Every Current checks the
-# defining relation c(e'_{j+1}) = c(e'_j) + c(e_{j+1}) when it is built, so
-# one that breaks it cannot exist.
+# function: alpha(c_0) = x and delta(c_0) = dx/x.  A Current stores its cusp
+# values and one spine value; the defining relation
+# c(e'_{j+1}) = c(e'_j) + c(e_{j+1}) derives the others, so it always holds.
+# Its constructor checks the rest, such as a zero cusp sum over a period.
 c0 = current_x()
 try:
     Current.periodic(2, {0: 1, 1: 1})

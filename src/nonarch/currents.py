@@ -27,7 +27,7 @@ of the discarded tail.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -41,9 +41,6 @@ from .series import BoundedSeries, TailBound, _power_coeffs
 from .torsor import RamifiedGerm, splitting_logradius_numeric
 
 Value = Union[int, Fraction]
-
-RING_Z = "Z"
-RING_ZP = "Zp"
 
 
 def _tate_valuation(q: PadicNumber):
@@ -71,28 +68,36 @@ class TateCurve:
         return self.q ** j
 
 
-def _ring_of(values) -> str:
-    return RING_Z if all(isinstance(v, int) for v in values) else RING_ZP
+def _congruent(a: Value, b: Value, n: Optional[int]) -> bool:
+    """a = b, modulo n when n is not None."""
+    return a == b if n is None else (a - b) % n == 0
 
 
 @dataclass(frozen=True)
 class Current:
-    """ring in {"Z", "Zp", "Z/nZ"}; period None means window-supported."""
+    """A current stored as the data its definition leaves free: the window
+    [jmin, jmax] (the window [0, period - 1] when periodic), the cusp values
+    on it, one spine value ``base`` and the modulus n over Z/nZ (None over Z
+    or Z_p).  ``base`` is c(e'_{jmin-1}) for a window current and c(e'_0)
+    for a periodic one; the defining relation fixes every other spine
+    value, so ``spine`` and ``ring`` are derived."""
 
-    ring: str
     window: Tuple[int, int]
     cusp: Tuple[Tuple[int, Value], ...]
-    spine: Tuple[Tuple[int, Value], ...]
+    base: Value = 0
     period: Optional[int] = None
     modulus: Optional[int] = None
+    _cusp: Dict[int, Value] = field(init=False, repr=False, compare=False)
+    _spine: Dict[int, Value] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """The one check of a current, so that no invalid one exists: the
-        rules on window, period and keys (README design notes), the zero
-        period sum, and c(e'_j) = c(e'_{j-1}) + c(e_j) on the window or
-        period, modulo n over Z/nZ.  With the zero sum, j = 1..period-1
-        cover a whole period."""
-        (jmin, jmax), period, n = self.window, self.period, self.modulus
+        rules on window, period and cusp keys (README design notes), the
+        zero period sum, modulo n over Z/nZ, and integer values over Z/nZ.
+        It then builds the cusp and spine tables the accessors read, the
+        spine from ``base`` by c(e'_j) = c(e'_{j-1}) + c(e_j); with the zero
+        sum, j = 1..period-1 cover a whole period."""
+        (jmin, jmax), period = self.window, self.period
         if period is not None:
             if period < 1:
                 raise ValueError("period must be positive")
@@ -101,57 +106,35 @@ class Current:
                     f"a periodic current needs the window [0, {period - 1}]")
         elif jmin > jmax:
             raise ValueError("the window needs jmin <= jmax")
-        first = jmin - 1 if period is None else 0
-        cusp, spine = dict(self.cusp), dict(self.spine)
+        cusp = dict(self.cusp)
         if not all(jmin <= j <= jmax for j in cusp):
             raise ValueError(f"cusp keys must lie in {jmin}..{jmax}")
-        if len(spine) != jmax + 1 - first or not all(first <= j <= jmax for j in spine):
-            raise ValueError(f"spine keys must be exactly {first}..{jmax}")
-
-        def eq(a, b):
-            return a == b if n is None else (a - b) % n == 0
-
-        if period is not None and not eq(sum(cusp.values()), 0):
+        if period is not None and not _congruent(sum(cusp.values()), 0, self.modulus):
             raise ValueError("cusp values do not sum to 0 over a period")
-        if not all(eq(spine[j], spine[j - 1] + cusp.get(j, 0))
-                   for j in range(first + 1, jmax + 1)):
-            raise ValueError("defining relation fails")
+        if self.modulus is not None and \
+                not all(isinstance(v, int) for v in (self.base, *cusp.values())):
+            raise ValueError(f"a current over {self.ring} needs integer values")
+        first = jmin - 1 if period is None else 0
+        spine = {first: self.base}
+        for j in range(first + 1, jmax + 1):
+            spine[j] = spine[j - 1] + cusp.get(j, 0)
+        object.__setattr__(self, "_cusp", cusp)
+        object.__setattr__(self, "_spine", spine)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def windowed(cls, cusp: Dict[int, Value], left_spine: Value = 0,
-                 ring: Optional[str] = None, modulus: Optional[int] = None) -> "Current":
+                 modulus: Optional[int] = None) -> "Current":
         cusp = {j: v for j, v in cusp.items() if v != 0}
-        if cusp:
-            jmin, jmax = min(cusp), max(cusp)
-        else:
-            jmin = jmax = 0
-        spine = {jmin - 1: left_spine}
-        run = left_spine
-        for j in range(jmin, jmax + 1):
-            run = run + cusp.get(j, 0)
-            spine[j] = run
-        ring = ring or _ring_of(list(cusp.values()) + [left_spine])
-        return cls(ring=ring, window=(jmin, jmax),
-                   cusp=tuple(sorted(cusp.items())),
-                   spine=tuple(sorted(spine.items())),
-                   period=None, modulus=modulus)
+        window = (min(cusp), max(cusp)) if cusp else (0, 0)
+        return cls(window, tuple(sorted(cusp.items())), left_spine, modulus=modulus)
 
     @classmethod
     def periodic(cls, period: int, cusp: Dict[int, Value], spine0: Value = 0,
-                 ring: Optional[str] = None, modulus: Optional[int] = None) -> "Current":
-        cusp_full = {j: cusp.get(j, 0) for j in range(period)}
-        spine = {0: spine0}
-        run = spine0
-        for j in range(1, period):
-            run = run + cusp_full[j]
-            spine[j] = run
-        ring = ring or _ring_of(list(cusp_full.values()) + [spine0])
-        return cls(ring=ring, window=(0, period - 1),
-                   cusp=tuple(sorted(cusp_full.items())),
-                   spine=tuple(sorted(spine.items())),
-                   period=period, modulus=modulus)
+                 modulus: Optional[int] = None) -> "Current":
+        return cls((0, period - 1), tuple((j, cusp.get(j, 0)) for j in range(period)),
+                   spine0, period, modulus)
 
     @classmethod
     def zero(cls) -> "Current":
@@ -160,12 +143,19 @@ class Current:
     # -- access ----------------------------------------------------------
 
     @property
-    def cusp_dict(self) -> Dict[int, Value]:
-        return dict(self.cusp)
+    def spine(self) -> Tuple[Tuple[int, Value], ...]:
+        """The spine values on the window, keys jmin - 1..jmax (0..period - 1
+        when periodic)."""
+        return tuple(self._spine.items())
 
     @property
-    def spine_dict(self) -> Dict[int, Value]:
-        return dict(self.spine)
+    def ring(self) -> str:
+        """"Z/nZ" for the modulus n (its values are ints); otherwise "Z"
+        when every value is an int and "Zp" when one is not."""
+        if self.modulus is not None:
+            return f"Z/{self.modulus}Z"
+        ints = isinstance(self.base, int) and all(isinstance(v, int) for _, v in self.cusp)
+        return "Z" if ints else "Zp"
 
     @property
     def is_window_supported(self) -> bool:
@@ -173,29 +163,17 @@ class Current:
 
     def cusp_at(self, j: int) -> Value:
         if self.period is not None:
-            return self.cusp_dict.get(j % self.period, 0)
-        return self.cusp_dict.get(j, 0)
+            j %= self.period
+        return self._cusp.get(j, 0)
 
     def spine_at(self, j: int) -> Value:
-        sp = self.spine_dict
         if self.period is not None:
-            return sp[j % self.period]
+            return self._spine[j % self.period]
         jmin, jmax = self.window
-        if j < jmin - 1:
-            return sp[jmin - 1]
-        if j > jmax:
-            return sp[jmax]
-        return sp[j]
+        return self._spine[min(max(j, jmin - 1), jmax)]
 
     def support(self) -> Tuple[int, ...]:
         return tuple(j for j, v in self.cusp if v != 0)
-
-    @property
-    def left_base(self) -> Value:
-        """Constant spine value left of the window (window currents only)."""
-        if self.period is not None:
-            raise ValueError("periodic currents have no left base")
-        return self.spine_dict[self.window[0] - 1]
 
     # -- module structure -------------------------------------------------
 
@@ -205,47 +183,37 @@ class Current:
             scl = lambda v: (v * c) % self.modulus
         else:
             scl = lambda v: v * c
-        cusp = {j: scl(v) for j, v in self.cusp}
-        spine = {j: scl(v) for j, v in self.spine}
-        ring = self.ring
-        if self.modulus is None:
-            ring = _ring_of(list(cusp.values()) + list(spine.values()))
-        return Current(ring=ring, window=self.window,
-                       cusp=tuple(sorted(cusp.items())),
-                       spine=tuple(sorted(spine.items())),
-                       period=self.period, modulus=self.modulus)
+        return replace(self, cusp=tuple((j, scl(v)) for j, v in self.cusp),
+                       base=scl(self.base))
 
     def __add__(self, other: "Current") -> "Current":
+        """The sum; a window current's base is its spine value everywhere
+        left of its window, so the bases of two window currents add."""
         if self.modulus != other.modulus:
             raise ValueError("mixed moduli")
         if self.period is None and other.period is None:
-            cusp = self.cusp_dict
+            cusp = dict(self._cusp)
             for j, v in other.cusp:
                 cusp[j] = cusp.get(j, 0) + v
-            return Current.windowed(cusp, left_spine=self.left_base + other.left_base,
-                                    modulus=self.modulus)
+            return Current.windowed(cusp, self.base + other.base, self.modulus)
         if self.period is not None and other.period == self.period:
             cusp = {j: self.cusp_at(j) + other.cusp_at(j) for j in range(self.period)}
-            return Current.periodic(self.period, cusp,
-                                    spine0=self.spine_at(0) + other.spine_at(0),
-                                    modulus=self.modulus)
+            return Current.periodic(self.period, cusp, self.base + other.base,
+                                    self.modulus)
         # a cusp-free periodic current is flat and shifts every spine value
         flat, win = (self, other) if self.period is not None else (other, self)
         if flat.period is not None and win.period is None and \
                 not any(v for _, v in flat.cusp):
-            return Current.windowed(win.cusp_dict,
-                                    left_spine=win.left_base + flat.spine_at(0),
-                                    modulus=win.modulus)
+            return Current.windowed(dict(win.cusp), win.base + flat.base, win.modulus)
         raise ValueError("unsupported current addition")
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        def enc(v):
-            return v if isinstance(v, int) else str(v)
-        ring = self.ring if self.modulus is None else f"Z/{self.modulus}Z"
+        def enc(v):  # "a/1" for an integral Fraction keeps it a Fraction, and "Zp"
+            return v if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
         return {
-            "ring": ring,
+            "ring": self.ring,
             "period": self.period,
             "window": list(self.window),
             "cusp": {str(j): enc(v) for j, v in self.cusp},
@@ -254,6 +222,10 @@ class Current:
 
     @classmethod
     def from_json(cls, data: dict) -> "Current":
+        """The current a file describes.  Beyond the constructor's rules the
+        file's spine must have exactly the keys of ``spine``, agree with the
+        spine derived from its first value (modulo n over Z/nZ), and a "Z"
+        or "Z/nZ" file must hold integers only."""
         ring, window, period = data["ring"], data["window"], data.get("period")
         if not isinstance(ring, str):
             raise ValueError(f'"ring" must be a JSON string, not {ring!r}')
@@ -266,10 +238,10 @@ class Current:
             if not isinstance(data[part], dict):
                 raise ValueError(f'"{part}" must be a JSON object, not {data[part]!r}')
         n = re.fullmatch(r"Z/([1-9][0-9]*)Z", ring)
-        if not n and ring not in (RING_Z, RING_ZP):
+        if not n and ring not in ("Z", "Zp"):
             raise ValueError('"ring" must be "Z", "Zp" or "Z/nZ" with n a positive '
                              f'integer, not {ring!r}')
-        ring_tag, modulus = ("Z/nZ", int(n[1])) if n else (ring, None)
+        modulus = int(n[1]) if n else None
 
         def dec(v):
             if isinstance(v, int):
@@ -280,13 +252,20 @@ class Current:
 
         cusp = {int(j): dec(v) for j, v in data["cusp"].items()}
         spine = {int(j): dec(v) for j, v in data["spine"].items()}
+        first = window[0] - 1 if period is None else 0
         try:
-            return cls(ring=ring_tag, window=tuple(window),
-                       cusp=tuple(sorted(cusp.items())),
-                       spine=tuple(sorted(spine.items())),
-                       period=period, modulus=modulus)
+            c = cls(tuple(window), tuple(sorted(cusp.items())), spine.get(first, 0),
+                    period, modulus)
+            if sorted(spine) != list(c._spine):
+                raise ValueError(f"spine keys must be exactly {first}..{window[1]}")
+            if not all(_congruent(spine[j], v, modulus) for j, v in c.spine):
+                raise ValueError("defining relation fails")
+            if ring != "Zp" and not all(isinstance(v, int) for v in
+                                        [*cusp.values(), *spine.values()]):
+                raise ValueError(f"a current over {ring} needs integer values")
         except ValueError as exc:
             raise ValueError(f"invalid current: {exc}") from None
+        return c
 
 
 def current_x() -> Current:
@@ -307,6 +286,14 @@ class EvalResult:
     @property
     def is_pole(self) -> bool:
         return self.pole_ord is not None
+
+
+def _integer_ring(c: Current, what: str) -> str:
+    """c.ring, after refusing a Z/nZ current: its values are residues, and a
+    value of alpha or delta would depend on the representatives."""
+    if c.modulus is not None:
+        raise ValueError(f"{what} needs an integer current, not Z/nZ")
+    return c.ring
 
 
 def _grid_index(z: PadicNumber, q: PadicNumber) -> Optional[int]:
@@ -332,18 +319,16 @@ def alpha_eval(c: Current, q: PadicNumber, z: Union[PadicNumber, BallPoint],
     """
     if J is not None and J < 0:
         raise ValueError("J must be nonnegative")
-    if c.modulus is not None:
-        raise ValueError("alpha needs an integer current, not Z/nZ")
+    ring = _integer_ring(c, "alpha")
     support = c.support()
     if c.period is not None and support:
         raise ValueError("alpha of a periodic current with cusps is only "
                          "defined up to regularization; use a window current")
     if J is not None and any(abs(j) > J for j in support):
         raise ValueError(f"window J={J} does not cover the support {support}")
-    fd = _factored(c, support)
-    if not isinstance(fd.x_exponent, int) or \
-            not all(isinstance(k, int) for _, k in fd.zeros):
+    if ring != "Z":
         raise ValueError("alpha needs integer current values")
+    fd = _factored(c, support)
     N = -sum(j * k for j, k in fd.zeros if j <= 0)
     vq = _tate_valuation(q)
     if isinstance(z, BallPoint):
@@ -409,6 +394,7 @@ def _factored(c: Current, js) -> FactoredFunction:
 def factored_alpha(c: Current) -> FactoredFunction:
     """Factored form of alpha(c) for a window-supported integer current:
     x-exponent c(e'_0) - sum_{j>=1} c(e_j), zero multiplicities the cusp values."""
+    _integer_ring(c, "alpha")
     if not c.is_window_supported:
         raise ValueError("factored form needs a window-supported current")
     return _factored(c, c.support())
@@ -426,6 +412,7 @@ def delta_eval(c: Current, q: PadicNumber, z: PadicNumber,
     """
     if J is not None and J < 0:
         raise ValueError("J must be nonnegative")
+    _integer_ring(c, "delta")
     t = _grid_index(z, q)
     if t is not None and c.cusp_at(t) != 0:
         return EvalResult(None, INF, pole_ord=-1)
@@ -669,6 +656,7 @@ def ladder_ord(c: Current, q: PadicNumber, z: PadicNumber, nmax: int) -> LadderR
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2 to observe a difference")
+    _integer_ring(c, "the ladder")
     p = q.p
     t = _grid_index(z, q)
     if t is not None and c.cusp_at(t) != 0:

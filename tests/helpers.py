@@ -261,6 +261,42 @@ def theta_automorphy_constant_oracle(fd, q):
     return out
 
 
+def spine_oracle(c):
+    """The spine of c as ``Current.windowed`` and ``Current.periodic`` built
+    and stored it before the spine was derived: a running sum of the cusp
+    values from the left spine value (window) or from c(e'_0) (period)."""
+    cusp = dict(c.cusp)
+    if c.period is None:
+        jmin, jmax = c.window
+        spine = {jmin - 1: c.base}
+        run = c.base
+        for j in range(jmin, jmax + 1):
+            run = run + cusp.get(j, 0)
+            spine[j] = run
+    else:
+        cusp_full = {j: cusp.get(j, 0) for j in range(c.period)}
+        spine = {0: c.base}
+        run = c.base
+        for j in range(1, c.period):
+            run = run + cusp_full[j]
+            spine[j] = run
+    return spine
+
+
+def spine_at_oracle(c, j):
+    """c(e'_j) walked from the base key by the defining relation
+    c(e'_i) = c(e'_{i-1}) + c(e_i), one cusp value at a time."""
+    cusp = dict(c.cusp)
+
+    def at(i):
+        return cusp.get(i if c.period is None else i % c.period, 0)
+
+    first = c.window[0] - 1 if c.period is None else 0
+    if j >= first:
+        return c.base + sum(at(i) for i in range(first + 1, j + 1))
+    return c.base - sum(at(i) for i in range(j + 1, first + 1))
+
+
 def seeded_window_current(rng, lo=-3, hi=5):
     cusp = {}
     for j in range(lo, hi + 1):

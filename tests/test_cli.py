@@ -595,6 +595,43 @@ def test_current_rings_that_are_accepted(ring, modulus):
     assert cur.modulus == modulus
 
 
+@pytest.mark.parametrize("ring", ["Z", "Z/3Z"])
+def test_current_file_with_a_non_integer_under_an_integer_ring_exits_2(tmp_path, capsys,
+                                                                      ring):
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps({"ring": ring, "period": None, "window": [1, 1],
+                             "cusp": {"1": "1/2"}, "spine": {"0": 0, "1": "1/2"}}))
+    assert main(["current", "--file", str(f), "--p", "3", "--delta-at", "5"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError",
+        "reason": f"invalid current: a current over {ring} needs integer values"}
+
+
+@pytest.mark.parametrize("cusp, spine", [(1, 1), ("1/2", "1/2"), ("2/1", "2/1")])
+def test_zp_current_file_holds_integers_and_rationals(tmp_path, cusp, spine):
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps({"ring": "Zp", "period": None, "window": [1, 1],
+                             "cusp": {"1": cusp}, "spine": {"0": 0, "1": spine}}))
+    code, payload = run(["current", "--file", str(f), "--p", "3", "--delta-at", "5"])
+    assert code == 0 and payload["result"]["valid"] is True
+
+
+@pytest.mark.parametrize("cusp", [3, 0])
+@pytest.mark.parametrize("argv, what", [
+    (["current", "--p", "5", "--delta-at", "2"], "delta"),
+    (["current", "--p", "5", "--alpha-at", "2"], "alpha"),
+    (["ladder-ord", "--p", "5", "--q", "p", "--z", "2"], "the ladder"),
+])
+def test_z_mod_n_current_is_not_evaluated_exits_2(tmp_path, capsys, cusp, argv, what):
+    # cusp value 3 and 0 are one current over Z/3Z
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps({"ring": "Z/3Z", "period": None, "window": [1, 1],
+                             "cusp": {"1": cusp}, "spine": {"0": 0, "1": cusp}}))
+    assert main(argv + ["--file", str(f)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": f"{what} needs an integer current, not Z/nZ"}
+
+
 @pytest.mark.parametrize("current, flag", [
     ({"ring": "Z", "period": 2, "window": [0, 1], "cusp": {"0": 1, "1": -1},
       "spine": {"0": 0, "1": -1}}, "--delta-at"),

@@ -20,8 +20,8 @@ from nonarch.currents import EvalResult
 from nonarch.errors import PoleCollisionError, TailCertificateError
 
 from helpers import (delta_at_one_oracle, seed_current_with_ord,
-                     seeded_window_current, theta_automorphy_constant_oracle,
-                     theta_product_oracle)
+                     seeded_window_current, spine_at_oracle, spine_oracle,
+                     theta_automorphy_constant_oracle, theta_product_oracle)
 
 
 def Q(p, r, prec=64):
@@ -43,10 +43,11 @@ def test_validate_moebius_grid():
             assert replace(c) == c
 
 
-def test_constructor_rejects_a_broken_relation():
-    good = Current.windowed({1: 2, 3: -1}, left_spine=1)
-    with pytest.raises(ValueError, match="^defining relation fails$"):
-        replace(good, spine=tuple((j, v + (j == 1)) for j, v in good.spine))
+def test_from_json_rejects_a_broken_relation():
+    data = Current.windowed({1: 2, 3: -1}, left_spine=1).to_json()
+    data["spine"]["1"] += 1
+    with pytest.raises(ValueError, match="^invalid current: defining relation fails$"):
+        Current.from_json(data)
 
 
 def test_validate_periodic_sum():
@@ -79,27 +80,40 @@ P = Current.periodic(2, {0: 1, 1: -1})             # window [0, 1], spine 0..1
     (P, {"spine": ((0, 0), (1, 0))}, "defining relation fails"),
 ])
 def test_constructor_enforces_the_current_rules(base, change, message):
+    """Each row breaks one rule in a file, which from_json refuses; the
+    constructor takes no spine, so it refuses the rows without one."""
+    data = base.to_json()
+    for key, value in change.items():
+        if key in ("cusp", "spine"):
+            value = {str(j): v for j, v in value}
+        data[key] = list(value) if key == "window" else value
     with pytest.raises(ValueError) as exc:
-        replace(base, **change)
-    assert str(exc.value) == message
+        Current.from_json(data)
+    assert str(exc.value) == f"invalid current: {message}"
+    if "spine" not in change:
+        with pytest.raises(ValueError) as exc:
+            replace(base, **change)
+        assert str(exc.value) == message
 
 
 def test_relation_and_sum_hold_modulo_n_over_z_mod_n():
     # 3 = 0 and 2 + 1 = 0 in Z/3Z
-    c = Current("Z/nZ", (1, 1), ((1, 3),), ((0, 1), (1, 1)), modulus=3)
-    assert c.spine_at(5) == 1
+    data = {"ring": "Z/3Z", "period": None, "window": [1, 1], "cusp": {"1": 3},
+            "spine": {"0": 1, "1": 1}}
+    c = Current.from_json(data)
+    assert c.spine_at(5) == 4 and c.modulus == 3  # 1 + 3, that is 1 in Z/3Z
     assert Current.periodic(2, {0: 2, 1: 1}, modulus=3).period == 2
-    with pytest.raises(ValueError, match="^defining relation fails$"):
-        replace(c, modulus=None)
+    with pytest.raises(ValueError, match="^invalid current: defining relation fails$"):
+        Current.from_json(dict(data, ring="Z"))
     with pytest.raises(ValueError, match="^cusp values do not sum to 0 over a period$"):
         Current.periodic(2, {0: 2, 1: 1}, modulus=4)
 
 
 @st.composite
 def _edited_current_files(draw):
-    """to_json of a valid current over Z, Z_p or Z/nZ, with one edit: a
-    period of -1 or 0, a shifted or reversed window, an added or dropped
-    key, or one changed value."""
+    """to_json of a valid current over Z or Z_p, sometimes retagged Z/nZ,
+    with one edit: a period of -1 or 0, a shifted or reversed window, an
+    added or dropped key, or one changed value."""
     if draw(st.booleans()):
         cusp = draw(st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=4))
         c = Current.windowed(cusp, left_spine=draw(st.integers(-3, 3)))
@@ -109,9 +123,10 @@ def _edited_current_files(draw):
                              max_size=period - 1))
         c = Current.periodic(period, dict(enumerate(vals + [-sum(vals)])),
                              spine0=draw(st.integers(-3, 3)))
-    c = replace(c.scale(draw(st.sampled_from((1, Fraction(1, 2))))),
-                modulus=draw(st.sampled_from((None, None, 2, 3))))
-    data = c.to_json()
+    data = c.scale(draw(st.sampled_from((1, Fraction(1, 2))))).to_json()
+    modulus = draw(st.sampled_from((None, None, 2, 3)))
+    if modulus:
+        data["ring"] = f"Z/{modulus}Z"
     edit = draw(st.sampled_from(("period", "shift", "reverse", "add", "drop", "value")))
     jmin, jmax = data["window"]
     if edit == "period":
@@ -156,6 +171,73 @@ def test_edited_current_files_round_trip_or_raise(data):
         for flag in ("--alpha-at", "--delta-at"):
             argv = ["current", "--file", str(f), "--p", "3", "--J", "2", flag, "5"]
             assert dispatch(argv)[0] in (0, 2, 4)
+
+
+@st.composite
+def _built_currents(draw):
+    """Currents from windowed, periodic, scale and +, over Z, Z_p or Z/nZ;
+    a Z/nZ current holds integers."""
+    modulus = draw(st.sampled_from((None, None, 2, 3)))
+    values = st.integers(-3, 3)
+    if modulus is None:
+        values = st.one_of(values, st.fractions(-3, 3, max_denominator=3))
+    period = draw(st.sampled_from((None, None, 1, 2, 3)))
+
+    def one():
+        if period is None:
+            cusp = draw(st.dictionaries(st.integers(-3, 3), values, max_size=4))
+            return Current.windowed(cusp, draw(values), modulus)
+        vals = draw(st.lists(values, min_size=period - 1, max_size=period - 1))
+        return Current.periodic(period, dict(enumerate(vals + [-sum(vals)])),
+                                draw(values), modulus)
+
+    c = one()
+    if draw(st.booleans()):
+        c = c + one()
+    if period is None and draw(st.booleans()):
+        c = c + Current.periodic(1, {}, draw(values), modulus)  # flat
+    if draw(st.booleans()):
+        c = c.scale(draw(values))
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_built_currents())
+def test_built_currents_round_trip_with_a_ring_that_matches_their_values(c):
+    data = c.to_json()
+    back = Current.from_json(data)
+    assert back == c and back.ring == c.ring == data["ring"]
+    # to_json writes an int as a JSON integer and anything else as a string
+    values = [*data["cusp"].values(), *data["spine"].values()]
+    assert (c.ring == "Zp") == any(isinstance(v, str) for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_built_currents())
+def test_derived_spine_matches_the_oracle(c):
+    assert dict(c.spine) == spine_oracle(c)
+    lo, hi = c.window
+    for j in range(lo - 4, hi + 5):
+        d = c.spine_at(j) - spine_at_oracle(c, j)
+        assert d == 0 if c.modulus is None else d % c.modulus == 0
+
+
+@pytest.mark.parametrize("cusp", [3, 0])
+def test_z_mod_n_currents_are_not_evaluated(cusp):
+    # cusp value 3 and 0 are one current over Z/3Z, and alpha or delta of
+    # the two would differ
+    c = Current.from_json({"ring": "Z/3Z", "period": None, "window": [1, 1],
+                           "cusp": {"1": cusp}, "spine": {"0": 0, "1": cusp}})
+    q = Q(5, 5)
+    for z in (Q(5, 2), q):
+        for what, call in (("alpha", lambda: alpha_eval(c, q, z)),
+                           ("alpha", lambda: factored_alpha(c)),
+                           ("alpha", lambda: alpha_germ(c, q, z)),
+                           ("delta", lambda: delta_eval(c, q, z)),
+                           ("the ladder", lambda: ladder_ord(c, q, z, 7))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"{what} needs an integer current, not Z/nZ"
 
 
 def test_moebius_values():
