@@ -2,9 +2,9 @@
 
 All outputs are exact: rationals as "a/b" strings, p-adic values as digit
 strings with an explicit error valuation.  Exit codes: 0 success, 2 usage,
-3 precision exhaustion, 4 mathematical failure report.  The --seed flag
-fully determines every randomized sample, so identical invocations produce
-byte-identical reports apart from the wall_time_ms field.
+3 precision exhaustion, 4 mathematical failure report.  Nothing is
+randomized: identical invocations produce byte-identical reports apart from
+the wall_time_ms field, and --seed only appears among the inputs.
 """
 
 from __future__ import annotations
@@ -12,25 +12,21 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 import time
 from fractions import Fraction
 
 from . import currents, poles, skeleton, torsor
 from .errors import NonarchError, PrecisionExhaustedError, UndecidableSlopeError
-from .padic import (DEFAULT_PREC, INF, PadicNumber, exact_text, padic_digit_string,
-                    parse_fraction)
+from .padic import (DEFAULT_PREC, INF, PadicNumber, exact_text, json_shape,
+                    padic_digit_string, parse_fraction)
 
 USAGE_ERROR, PRECISION_ERROR, MATH_FAILURE = 2, 3, 4
 
 
 def _load_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: the top level must be a JSON object")
-    return data
+        return json_shape(json.load(fh), "object", f"{path}: the top level")
 
 
 def _parse_scalar(s: str, p: int, prec: int) -> PadicNumber:
@@ -48,7 +44,7 @@ def _parse_scalar(s: str, p: int, prec: int) -> PadicNumber:
 
 def _parse_pole(entry, p: int, prec: int) -> PadicNumber:
     if isinstance(entry, dict):
-        return PadicNumber(p, parse_fraction(entry["rat"]),
+        return PadicNumber(p, parse_fraction(entry.get("rat")),
                            parse_fraction(entry.get("pi", 0)), prec)
     return _parse_scalar(str(entry), p, prec)
 
@@ -83,14 +79,11 @@ def _cmd_as_genus(args) -> dict:
 
 def _load_pole_family(args) -> poles.PoleFamily:
     data = _load_object(args.poles)
-    p = data["p"]
-    if type(p) is not int:
-        raise ValueError(f'{args.poles}: "p" must be a JSON integer, not {p!r}')
+    p = json_shape(data.get("p"), "integer", f'{args.poles}: "p"')
     prec = args.prec
     x = _parse_pole(data.get("x") if args.x is None else args.x, p, prec)
-    if not isinstance(data["poles"], list):
-        raise ValueError(f"{args.poles}: \"poles\" must be a JSON list")
-    members = tuple(_parse_pole(e, p, prec) for e in data["poles"])
+    members = tuple(_parse_pole(e, p, prec) for e in
+                    json_shape(data.get("poles"), "list", f'{args.poles}: "poles"'))
     return poles.PoleFamily(members, x)
 
 
@@ -170,14 +163,10 @@ def _cmd_poly_eval(args) -> dict:
 
 
 def _parse_factored(args) -> currents.FactoredFunction:
-    zeros = json.loads(args.factors)
-    if not (isinstance(zeros, list) and all(
-            isinstance(f, list) and len(f) == 2 and all(type(n) is int for n in f)
-            for f in zeros)):
-        raise ValueError("--factors must be a JSON list of [j, k] integer pairs, "
-                         f"not {args.factors}")
-    return currents.FactoredFunction(x_exponent=args.x_exponent,
-                                     zeros=tuple(map(tuple, zeros)))
+    zeros = tuple(tuple(json_shape(n, "integer", "a --factors pair entry")
+                        for n in json_shape(f, "list", "a --factors pair", 2))
+                  for f in json_shape(json.loads(args.factors), "list", "--factors"))
+    return currents.FactoredFunction(x_exponent=args.x_exponent, zeros=zeros)
 
 
 def _cmd_theta(args) -> dict:
@@ -211,39 +200,31 @@ def _cmd_ladder_ord(args) -> dict:
 
 def _load_tower(path: str) -> skeleton.SkeletonTower:
     data = _load_object(path)
-
-    def field(obj, key, kind, where=""):
-        value = obj[key]
-        if not isinstance(value, kind):
-            name = "list" if kind is list else "object"
-            raise ValueError(f'{path}: {where}"{key}" must be a JSON {name}, '
-                             f'not {value!r}')
-        return value
-
     graphs = [skeleton.SkeletonGraph.from_json(g)
-              for g in field(data, "graphs", list)]
+              for g in json_shape(data.get("graphs"), "list", f'{path}: "graphs"')]
 
     def graph(r, key):
-        i = r[key]
-        if type(i) is not int or not 0 <= i < len(graphs):
+        i = json_shape(r.get(key), "integer", f'{path}: refinement "{key}"')
+        if not 0 <= i < len(graphs):
             raise ValueError(f'{path}: refinement "{key}" must be a graph index '
                              f'in 0..{len(graphs) - 1}, not {i!r}')
         return graphs[i]
 
+    def steps(e, p):
+        what = f'{path}: refinement "edge_paths"'
+        return [(skeleton.json_name(eid), sign) for eid, sign in
+                (json_shape(s, "list", f"{what} step", 2)
+                 for s in json_shape(p, "list", f"{what} entry {e!r}"))]
+
     refs = []
-    for r in field(data, "refinements", list):
-        if not isinstance(r, dict):
-            raise ValueError(f"{path}: a refinement must be a JSON object, not {r!r}")
+    for r in json_shape(data.get("refinements"), "list", f'{path}: "refinements"'):
+        r = json_shape(r, "object", f"{path}: a refinement")
         coarse, fine = graph(r, "coarse"), graph(r, "fine")
-        vmap = field(r, "vertex_map", dict, "refinement ")
-        paths = field(r, "edge_paths", dict, "refinement ")
-        if not all(isinstance(p, list) and all(isinstance(step, list) for step in p)
-                   for p in paths.values()):
-            raise ValueError(f'{path}: refinement "edge_paths" must map each edge '
-                             f'to a JSON list of [edge, sign] steps')
+        vmap, paths = (json_shape(r.get(key), "object", f'{path}: refinement "{key}"')
+                       for key in ("vertex_map", "edge_paths"))
         refs.append(skeleton.Refinement.build(
-            coarse, fine, dict(vmap),
-            {e: [tuple(step) for step in p] for e, p in paths.items()}))
+            coarse, fine, {v: skeleton.json_name(w) for v, w in vmap.items()},
+            {e: steps(e, p) for e, p in paths.items()}))
     return skeleton.SkeletonTower(tuple(graphs), tuple(refs))
 
 
@@ -260,13 +241,11 @@ def _cmd_skeleton_tower(args) -> dict:
     if args.check == "compose":
         if tower.depth < 2:
             raise ValueError("compose check needs at least two refinements")
-        rng = random.Random(args.seed)
         reports = []
         for i in range(tower.depth - 1):
             r12 = tower.refinements[i + 1]  # fine = graphs[i+2] -> graphs[i+1]
             r23 = tower.refinements[i]      # fine = graphs[i+1] -> graphs[i]
-            rep = skeleton.compose_check(r12, r23, samples=args.samples,
-                                         seed=rng.randrange(2 ** 30))
+            rep = skeleton.compose_check(r12, r23, samples=args.samples)
             reports.append({"levels": [i + 2, i + 1, i], "ok": rep.ok,
                             "message": rep.message})
         return {"check": "compose", "ok": all(r["ok"] for r in reports),
@@ -285,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact non-archimedean computation kernels")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized sampling")
+                        help="unused: nothing is randomized")
     common.add_argument("--prec", type=int, default=DEFAULT_PREC,
                         help="absolute p-adic precision cap")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=(

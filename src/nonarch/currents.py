@@ -36,7 +36,8 @@ from .errors import (NonStabilizedError, PoleCollisionError,
                      PrecisionExhaustedError, TailCertificateError)
 # binom_fractional is re-exported (public name of this module), not called here
 from .padic import (DEFAULT_PREC, INF, PadicNumber, binom_fractional,  # noqa: F401
-                    parse_fraction, valuation, vp_fraction)
+                    json_shape, parse_fraction, require_window, valuation,
+                    vp_fraction)
 from .series import BoundedSeries, TailBound, _power_coeffs
 from .torsor import RamifiedGerm, splitting_logradius_numeric
 
@@ -178,8 +179,10 @@ class Current:
     # -- module structure -------------------------------------------------
 
     def scale(self, c: Value) -> "Current":
+        """c times the current; over Z/nZ a rational c acts as its residue."""
         if self.modulus is not None:
-            c = int(c) % self.modulus
+            c = Fraction(c)
+            c = c.numerator * pow(c.denominator, -1, self.modulus) % self.modulus
             scl = lambda v: (v * c) % self.modulus
         else:
             scl = lambda v: v * c
@@ -225,33 +228,27 @@ class Current:
         """The current a file describes.  Beyond the constructor's rules the
         file's spine must have exactly the keys of ``spine``, agree with the
         spine derived from its first value (modulo n over Z/nZ), and a "Z"
-        or "Z/nZ" file must hold integers only."""
-        ring, window, period = data["ring"], data["window"], data.get("period")
-        if not isinstance(ring, str):
-            raise ValueError(f'"ring" must be a JSON string, not {ring!r}')
-        if not (isinstance(window, list) and len(window) == 2
-                and all(type(j) is int for j in window)):
-            raise ValueError(f'"window" must be a JSON list of two integers, not {window!r}')
-        if not (period is None or type(period) is int):
-            raise ValueError(f'"period" must be an integer or null, not {period!r}')
-        for part in ("cusp", "spine"):
-            if not isinstance(data[part], dict):
-                raise ValueError(f'"{part}" must be a JSON object, not {data[part]!r}')
+        or "Z/nZ" file must hold integers only.  A window wider than
+        ``require_window`` allows is refused before the spine is built."""
+        ring = json_shape(data.get("ring"), "string", '"ring"')
+        window = [json_shape(j, "integer", 'a "window" entry')
+                  for j in json_shape(data.get("window"), "list", '"window"', 2)]
+        period = json_shape(data.get("period"), "integer or null", '"period"')
+        cusp, spine = (json_shape(data.get(part), "object", f'"{part}"')
+                       for part in ("cusp", "spine"))
         n = re.fullmatch(r"Z/([1-9][0-9]*)Z", ring)
         if not n and ring not in ("Z", "Zp"):
             raise ValueError('"ring" must be "Z", "Zp" or "Z/nZ" with n a positive '
                              f'integer, not {ring!r}')
         modulus = int(n[1]) if n else None
+        require_window(window[1] - window[0])
 
         def dec(v):
-            if isinstance(v, int):
-                return v
-            if not isinstance(v, str):
-                raise ValueError(f"not an integer or a rational string: {v!r}")
+            v = str(json_shape(v, "integer or string", "a current value"))
             return int(v) if "/" not in v else parse_fraction(v)
 
-        cusp = {int(j): dec(v) for j, v in data["cusp"].items()}
-        spine = {int(j): dec(v) for j, v in data["spine"].items()}
+        cusp = {int(j): dec(v) for j, v in cusp.items()}
+        spine = {int(j): dec(v) for j, v in spine.items()}
         first = window[0] - 1 if period is None else 0
         try:
             c = cls(tuple(window), tuple(sorted(cusp.items())), spine.get(first, 0),
@@ -441,8 +438,7 @@ def moebius(n: int) -> int:
     """Moebius function by trial factorization (window-sized inputs)."""
     if n < 1:
         raise ValueError("moebius needs a positive integer")
-    if n > 10 ** 6:
-        raise ValueError("input beyond the supported window size")
+    require_window(n)
     out = 1
     d = 2
     while d * d <= n:

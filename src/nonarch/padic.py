@@ -49,6 +49,12 @@ def require_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
+def require_window(n: int) -> None:
+    """Refuse a size above 10^6 before the work or memory it asks for."""
+    if n > 10 ** 6:
+        raise ValueError("input beyond the supported window size")
+
+
 def vp_int(n: int, p: int):
     """p-adic valuation of an integer; INF for 0.  Raises ValueError for
     p < 2, where no valuation exists.
@@ -382,12 +388,26 @@ def binom_fractional(m, k: int, p: int, prec: int = DEFAULT_PREC) -> PadicNumber
 
 
 def parse_fraction(s) -> Fraction:
-    """A rational from input text or a JSON number; a zero denominator or a
-    value of another type is a ValueError."""
+    """A rational from input text or a JSON number; a zero denominator, an
+    infinite float or a value of another type is a ValueError."""
     try:
         return Fraction(s)
-    except (ZeroDivisionError, TypeError):
+    except (ZeroDivisionError, TypeError, OverflowError):
         raise ValueError(f"not a rational number: {s!r}") from None
+
+
+_KINDS = {"object": dict, "list": list, "integer": int, "string": str, "null": type(None)}
+
+
+def json_shape(value, kind: str, what: str, size=None):
+    """``value`` if it has the JSON type ``kind`` (a key of _KINDS, or
+    two joined by " or ") and ``size`` entries if a size is given, else a
+    ValueError naming ``what``.  A bool is not an integer."""
+    if any(type(value) is _KINDS[k] for k in kind.split(" or ")) and \
+            (size is None or len(value) == size):
+        return value
+    entries = "" if size is None else f" of {size} entries"
+    raise ValueError(f"{what} must be a JSON {kind}{entries}, not {value!r}")
 
 
 def exact_text(x) -> str:

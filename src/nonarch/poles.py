@@ -17,8 +17,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 # seminorm is re-exported (public name of this module), not called here
 from .berkovich import BallPoint, product_at, seminorm  # noqa: F401
 from .errors import NoAdmissibleOrderError, PoleCollisionError, PrecisionExhaustedError
-from .padic import (PadicNumber, integer_lift_mod, require_prime, vp_fraction,
-                    vp_int)
+from .padic import (PadicNumber, integer_lift_mod, require_prime, require_window,
+                    vp_fraction, vp_int)
 
 
 @dataclass(frozen=True)
@@ -238,6 +238,7 @@ def order_set(fam: PoleFamily, nmax: int) -> OrderSetResult:
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
+    require_window(nmax)
     C = fam.C
     # blocks 0..nmax give ranks[0..nmax + 1], all that n <= nmax reads; once
     # the rank is full no later block can raise it
@@ -290,6 +291,7 @@ def _find_witness(fam: PoleFamily, p: Optional[int],
     if nmax is not None and nmax < 0:
         raise ValueError("nmax must be nonnegative")
     window = (len(fam.poles) - 1) if nmax is None else nmax
+    require_window(window)
     scale, blocks = _coefficient_blocks(fam, window)
     echelon = _Echelon(scale)
     achieved = []

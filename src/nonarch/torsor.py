@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import IndeterminateGermError, PrecisionExhaustedError
-from .padic import DEFAULT_PREC, NEG_INF, PadicNumber, require_prime, vp_int
+from .padic import (DEFAULT_PREC, NEG_INF, PadicNumber, require_prime, require_window,
+                    vp_int)
 from .series import BoundedSeries, _tail_from_points, _unit_points
 
 
@@ -50,6 +51,7 @@ class RamifiedGerm:
     @classmethod
     def model(cls, p: int, n_index: int, prec: int = DEFAULT_PREC) -> "RamifiedGerm":
         """The model germ 1 + X^N."""
+        require_window(n_index)
         coeffs = [1] + [0] * (n_index - 1) + [1]
         return cls(BoundedSeries.build(p, coeffs, None, prec))
 

@@ -379,3 +379,14 @@ def random_tower(seed, depth):
         refs.append(Refinement.build(coarse, fine, vmap, paths))
         graphs.append(fine)
     return SkeletonTower(tuple(graphs), tuple(refs))
+
+
+def tower_json(tower):
+    """The tower file of ``tower``: refinement i embeds graphs[i] into
+    graphs[i + 1]."""
+    return {"graphs": [g.to_json() for g in tower.graphs],
+            "refinements": [{"coarse": i, "fine": i + 1,
+                             "vertex_map": dict(r.vertex_map),
+                             "edge_paths": {e: [list(s) for s in p]
+                                            for e, p in r.edge_paths}}
+                            for i, r in enumerate(tower.refinements)]}

@@ -278,7 +278,7 @@ def test_input_file_that_is_not_an_object_exits_2(tmp_path, capsys, argv, top):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {
         "kind": "ValueError",
-        "reason": f"{f}: the top level must be a JSON object"}
+        "reason": f"{f}: the top level must be a JSON object, not {top!r}"}
 
 
 @pytest.mark.parametrize("command", ["order-set", "find-order"])
@@ -289,7 +289,7 @@ def test_poles_that_are_not_a_list_exit_2(tmp_path, capsys, command, poles):
     assert main([command, "--poles", str(f), "--nmax", "2"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {"kind": "ValueError",
-                                "reason": f'{f}: "poles" must be a JSON list'}
+                                "reason": f'{f}: "poles" must be a JSON list, not {poles!r}'}
 
 
 @pytest.mark.parametrize("value", ["1/0", "-3/0", 1.5, None])
@@ -331,7 +331,7 @@ def test_graph_index_that_is_not_an_integer_in_a_tower_file_exits_2(tmp_path, ca
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {
         "kind": "ValueError",
-        "reason": f"{f}: refinement \"coarse\" must be a graph index in 0..2, not 'x'"}
+        "reason": f"{f}: refinement \"coarse\" must be a JSON integer, not 'x'"}
 
 
 def test_theta_request_builds_one_product(monkeypatch):
@@ -412,9 +412,15 @@ def test_alpha_of_a_cusp_free_periodic_current_at_zero(tmp_path, capsys, ring, s
     ("refinements/0/edge_paths", [],
      '{f}: refinement "edge_paths" must be a JSON object, not []'),
     ("refinements/0/edge_paths/e", 3,
-     '{f}: refinement "edge_paths" must map each edge to a JSON list of [edge, sign] steps'),
+     '{f}: refinement "edge_paths" entry \'e\' must be a JSON list, not 3'),
     ("refinements/0/edge_paths/e/0", 3,
-     '{f}: refinement "edge_paths" must map each edge to a JSON list of [edge, sign] steps'),
+     '{f}: refinement "edge_paths" step must be a JSON list of 2 entries, not 3'),
+    ("refinements/0/edge_paths/e/0", ["e1"],
+     "{f}: refinement \"edge_paths\" step must be a JSON list of 2 entries, not ['e1']"),
+    ("refinements/0/edge_paths/e/0/0", 7, "a vertex or edge name must be a JSON string, not 7"),
+    ("refinements/0/vertex_map/a", ["a"],
+     "a vertex or edge name must be a JSON string, not ['a']"),
+    ("refinements/0/fine", True, '{f}: refinement "fine" must be a JSON integer, not True'),
 ])
 def test_wrong_json_type_in_a_tower_file_exits_2(tmp_path, capsys, where, value, reason):
     f = tower_file(tmp_path)
@@ -434,11 +440,14 @@ def test_wrong_json_type_in_a_tower_file_exits_2(tmp_path, capsys, where, value,
     ("edges", [3], "an edge must be a JSON list of 4 entries, not 3"),
     ("edges", [["f1", "a", "m"]],
      "an edge must be a JSON list of 4 entries, not ['f1', 'a', 'm']"),
-    ("edges", [[["f1"], "a", "m", 1]], "a vertex or edge name must be a JSON scalar, not ['f1']"),
+    ("edges", [[["f1"], "a", "m", 1]], "a vertex or edge name must be a JSON string, not ['f1']"),
     ("cusps", [3], "a cusp must be a JSON list of 2 entries, not 3"),
     ("cusps", [["h", {"a": 1}]],
-     "a vertex or edge name must be a JSON scalar, not {'a': 1}"),
-    ("vertices", [["a"], "b"], "a vertex or edge name must be a JSON scalar, not ['a']"),
+     "a vertex or edge name must be a JSON string, not {'a': 1}"),
+    ("vertices", [["a"], "b"], "a vertex or edge name must be a JSON string, not ['a']"),
+    ("vertices", ["a", "m", "b", 1], "a vertex or edge name must be a JSON string, not 1"),
+    ("edges", [["f1", "a", 2.5, 1]], "a vertex or edge name must be a JSON string, not 2.5"),
+    ("cusps", [[True, "a"]], "a vertex or edge name must be a JSON string, not True"),
 ])
 def test_malformed_entry_in_a_tower_graph_exits_2(tmp_path, capsys, key, value, reason):
     f = tower_file(tmp_path)
@@ -569,9 +578,14 @@ def test_theta_factors_that_are_not_integer_pairs_exit_2(capsys, factors):
     argv = ["theta", "--p", "3", "--q", "p", "--factors", factors, "--z", "5",
             "--z0", "2"]
     assert main(argv) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == {
-        "kind": "ValueError",
-        "reason": f"--factors must be a JSON list of [j, k] integer pairs, not {factors}"}
+    assert json.loads(capsys.readouterr().out)["error"] == {"kind": "ValueError", "reason": {
+        "[1]": "a --factors pair must be a JSON list of 2 entries, not 1",
+        "[[1.5, 1], [2, -1]]": "a --factors pair entry must be a JSON integer, not 1.5",
+        "[[1, 1, 0]]": "a --factors pair must be a JSON list of 2 entries, not [1, 1, 0]",
+        "[[true, 1], [2, -1]]": "a --factors pair entry must be a JSON integer, not True",
+        '[["1", 1]]': "a --factors pair entry must be a JSON integer, not '1'",
+        "{}": "--factors must be a JSON list, not {}",
+        "[[1, 1], 2]": "a --factors pair must be a JSON list of 2 entries, not 2"}[factors]}
 
 
 @pytest.mark.parametrize("ring", ["Z/0Z", "Z/-3Z", "Q", "Z/3", "Z/03Z", "Z/ 3Z", ""])
@@ -695,3 +709,65 @@ def test_pole_file_p_that_is_not_a_json_integer_exits_2(tmp_path, capsys, comman
     assert main([command, "--poles", f, "--nmax", "4"]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == {
         "kind": "ValueError", "reason": f'{f}: "p" must be a JSON integer, not {p!r}'}
+
+
+@pytest.mark.parametrize("argv", [
+    ["splitting-radius", "--p", "3", "--n", "2", "--numeric", "--N"],
+    ["order-set", "--poles", "{f}", "--nmax"],
+    ["find-order", "--poles", "{f}", "--nmax"],
+])
+@pytest.mark.parametrize("size", [10 ** 6 + 1, 10 ** 28])
+def test_size_beyond_the_supported_window_exits_2(tmp_path, capsys, argv, size):
+    # each allocated its size before any other check (an OverflowError at 10^28)
+    f = pole_file(tmp_path, {"p": 5, "x": "0", "poles": ["1", "2", "3"]})
+    assert main([a.format(f=f) for a in argv] + [str(size)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": "input beyond the supported window size"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["current", "--file"],
+    ["ladder-ord", "--p", "3", "--q", "p", "--z", "5", "--file"],
+])
+@pytest.mark.parametrize("jmax", [10 ** 6 + 1, 10 ** 30])
+def test_current_window_beyond_the_supported_size_exits_2(tmp_path, capsys, argv, jmax):
+    # the spine of [0, 10^30] was built before any other check
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps({"ring": "Z", "period": None, "window": [0, jmax],
+                             "cusp": {}, "spine": {}}))
+    assert main(argv + [str(f)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": "input beyond the supported window size"}
+
+
+def test_splitting_radius_without_numeric_takes_any_N():
+    code, payload = run(["splitting-radius", "--p", "3", "--N", str(10 ** 28), "--n", "2"])
+    assert code == 0
+    assert payload["result"]["logradius"] == str(Fraction(5, 2 * 10 ** 28))
+
+
+@pytest.mark.parametrize("kind, key, reason", [
+    ("current", "ring", '"ring" must be a JSON string, not None'),
+    ("current", "window", '"window" must be a JSON list of 2 entries, not None'),
+    ("current", "cusp", '"cusp" must be a JSON object, not None'),
+    ("poles", "p", '{f}: "p" must be a JSON integer, not None'),
+    ("poles", "poles", '{f}: "poles" must be a JSON list, not None'),
+    ("tower", "graphs", '{f}: "graphs" must be a JSON list, not None'),
+    ("tower", "refinements", '{f}: "refinements" must be a JSON list, not None'),
+])
+def test_missing_key_exits_2_with_the_shape_text(tmp_path, capsys, kind, key, reason):
+    # a missing key was a KeyError naming only the key
+    if kind == "tower":
+        f, argv = tower_file(tmp_path), ["skeleton-tower", "--check", "compose"]
+    else:
+        f, argv = tmp_path / "input.json", {"current": ["current"],
+                                            "poles": ["order-set"]}[kind]
+        f.write_text(json.dumps(
+            nonarch.Current.windowed({1: 1}).to_json() if kind == "current"
+            else {"p": 5, "x": "0", "poles": ["1", "2"]}))
+    data = json.loads(f.read_text())
+    del data[key]
+    f.write_text(json.dumps(data))
+    assert main(argv + ["--poles" if kind == "poles" else "--file", str(f)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": reason.format(f=f)}

@@ -109,6 +109,19 @@ def test_relation_and_sum_hold_modulo_n_over_z_mod_n():
         Current.periodic(2, {0: 2, 1: 1}, modulus=4)
 
 
+@pytest.mark.parametrize("scalar, residue", [(Fraction(1, 2), 2), (Fraction(5, 2), 1),
+                                             (Fraction(-1, 4), 2), (2, 2), (-1, 2)])
+def test_scale_over_z_mod_n_multiplies_by_the_residue_of_a_rational(scalar, residue):
+    # 1/2 is 2 in Z/3Z; scale truncated it to int(1/2) = 0
+    c = Current.windowed({1: 1, 2: 2}, left_spine=1, modulus=3).scale(scalar)
+    assert c == Current.windowed({1: residue, 2: 2 * residue % 3}, residue, 3)
+
+
+def test_scale_over_z_mod_n_refuses_a_rational_without_a_residue():
+    with pytest.raises(ValueError, match="not invertible"):
+        Current.windowed({1: 1}, modulus=4).scale(Fraction(1, 2))
+
+
 @st.composite
 def _edited_current_files(draw):
     """to_json of a valid current over Z or Z_p, sometimes retagged Z/nZ,

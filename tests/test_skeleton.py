@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from nonarch import (EdgeEnd, GraphPoint, Refinement,
                      SkeletonGraph, SkeletonTower, SubdivisionSet,
                      canonical_point, compose, compose_check, retract,
                      sample_points, subdivision_union, tower_separation)
+from nonarch import skeleton
 from nonarch.errors import NotSeparatedError
 
 from helpers import random_tower
@@ -220,6 +223,71 @@ def test_compose_matches_stepwise_on_oriented_paths():
         ce = r13.coarse.edge_map[ceid]
         total = sum(r13.fine.edge_map[f].length for f, _ in path)
         assert total == ce.length
+
+
+def test_compose_check_catches_a_reversed_loop_that_vertices_and_midpoints_miss():
+    loop = SkeletonGraph.build(["a"], [("e", "a", "a", 2)])
+    fine = SkeletonGraph.build(["a"], [("f", "a", "a", 2)])
+    r23 = Refinement.build(loop, loop, {"a": "a"}, {"e": [("e", 1)]})
+    r12 = Refinement.build(loop, fine, {"a": "a"}, {"e": [("f", 1)]})
+    reversed_r13 = Refinement.build(loop, fine, {"a": "a"}, {"e": [("f", -1)]})
+    for pt in (GraphPoint.at_vertex("a"), GraphPoint.on_edge("f", 1)):
+        assert retract(retract(pt, r12), r23) == retract(pt, reversed_r13)
+    assert compose_check(r12, r23).ok
+    with patch.object(skeleton, "compose", lambda r12, r23: reversed_r13):
+        rep = compose_check(r12, r23)
+    assert not rep.ok
+    assert rep.message == "('e', 1, Fraction(0, 1)) != ('e', -1, Fraction(0, 1)) on edge f"
+
+
+def subdivide(coarse, rng, fresh):
+    """A seeded refinement of ``coarse``: each edge cut into 1-3 pieces of
+    random orientation, then up to two edges hung at random vertices."""
+    vertices, edges, paths = set(coarse.vertices), [], {}
+    for e in coarse.edges:
+        cuts = sorted(rng.sample(range(1, 8), rng.randint(0, 2)))
+        offsets = [0] + [e.length * Fraction(c, 8) for c in cuts] + [e.length]
+        stops = [e.u] + [next(fresh) for _ in cuts] + [e.v]
+        vertices.update(stops)
+        paths[e.id] = []
+        for k in range(len(stops) - 1):
+            sign = rng.choice((1, -1))
+            u, v = stops[k:k + 2][::sign]
+            edges.append((next(fresh), u, v, offsets[k + 1] - offsets[k]))
+            paths[e.id].append((edges[-1][0], sign))
+    for _ in range(rng.randint(0, 2)):
+        w = next(fresh)
+        edges.append((next(fresh), rng.choice(sorted(vertices)), w, Fraction(1)))
+        vertices.add(w)
+    fine = SkeletonGraph.build(vertices, edges)
+    return Refinement.build(coarse, fine, {w: w for w in coarse.vertices}, paths)
+
+
+def sampled_compose_check(r12, r23, r13):
+    """r23(r12(x)) = r13(x) at every fine vertex and at 1/4, 1/2 and 3/4 of
+    every fine edge."""
+    pts = [GraphPoint.at_vertex(w) for w in r12.fine.vertices] + [
+        GraphPoint.on_edge(e.id, e.length * Fraction(k, 4))
+        for e in r12.fine.edges for k in (1, 2, 3)]
+    return all(retract(retract(x, r12), r23) == retract(x, r13) for x in pts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), reverse=st.booleans())
+def test_compose_check_agrees_with_a_dense_sampled_check(seed, reverse):
+    # a loop and a path, subdivided twice with both orientations; the
+    # composite is optionally replaced by one that runs the loop backwards
+    rng, fresh = random.Random(seed), (f"n{i}" for i in itertools.count())
+    g0 = SkeletonGraph.build(["a", "b"], [("c", "a", "a", 2), ("d", "a", "b", 3)])
+    r23 = subdivide(g0, rng, fresh)
+    r12 = subdivide(r23.fine, rng, fresh)
+    r13 = compose(r12, r23)
+    if reverse:
+        r13 = Refinement.build(g0, r12.fine, r13.vmap, {
+            **r13.paths, "c": [(f, -s) for f, s in reversed(r13.paths["c"])]})
+    with patch.object(skeleton, "compose", lambda r12, r23: r13):
+        exact = compose_check(r12, r23, samples=1).ok
+    assert exact == sampled_compose_check(r12, r23, r13) == (not reverse)
 
 
 # ------------------------------------------------------------ separation
