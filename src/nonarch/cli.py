@@ -24,9 +24,20 @@ from .padic import (DEFAULT_PREC, INF, PadicNumber, exact_text, json_shape,
 USAGE_ERROR, PRECISION_ERROR, MATH_FAILURE = 2, 3, 4
 
 
+def _parse_json(load, source, what: str):
+    """``load(source)`` with ``json.load`` or ``json.loads``.  JSON nested
+    deeper than the parser's recursion limit is refused as a ValueError
+    naming ``what``, the input."""
+    try:
+        return load(source)
+    except RecursionError:
+        raise ValueError(f"{what}: JSON nested too deeply") from None
+
+
 def _load_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json_shape(json.load(fh), "object", f"{path}: the top level")
+        return json_shape(_parse_json(json.load, fh, path), "object",
+                          f"{path}: the top level")
 
 
 def _parse_scalar(s: str, p: int, prec: int) -> PadicNumber:
@@ -163,9 +174,11 @@ def _cmd_poly_eval(args) -> dict:
 
 
 def _parse_factored(args) -> currents.FactoredFunction:
+    pairs = json_shape(_parse_json(json.loads, args.factors, "--factors"),
+                       "list", "--factors")
     zeros = tuple(tuple(json_shape(n, "integer", "a --factors pair entry")
                         for n in json_shape(f, "list", "a --factors pair", 2))
-                  for f in json_shape(json.loads(args.factors), "list", "--factors"))
+                  for f in pairs)
     return currents.FactoredFunction(x_exponent=args.x_exponent, zeros=zeros)
 
 

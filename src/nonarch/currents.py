@@ -506,33 +506,104 @@ def theta_automorphy_constant(fd: FactoredFunction, q: PadicNumber) -> PadicNumb
     return fd.value(q, PadicNumber.zero(q.p))
 
 
-def _theta_tail(fd: FactoredFunction, q: PadicNumber, l: int,
-                z: PadicNumber, z0: PadicNumber, M: int):
-    """Check a theta request and return the relative tail bound of its
-    product: the truncated product differs from the full one by a factor
-    1 + O(p^rel), with rel = +inf when f is constant."""
+def _theta_tail_bound(fd: FactoredFunction, l: int, M: int, vq, vz, vz0):
+    """Relative tail bound of the theta product at a point of valuation vz:
+    the truncated product differs from the full one by a factor
+    1 + O(p^rel), with rel = +inf when f is constant.  A bound <= 0
+    certifies nothing and raises TailCertificateError."""
+    if not fd.zeros:
+        return INF
+    jmin, jmax = fd.zeros[0][0], fd.zeros[-1][0]  # the zeros are sorted
+    beta_pos = (l * (M + 1) - jmax) * vq + min(vz, vz0)
+    beta_neg = (l * (M + 1) + jmin) * vq - max(vz, vz0)
+    rel_err = min(beta_pos, beta_neg)
+    if rel_err <= 0:
+        raise TailCertificateError(
+            f"truncation M={M} cannot certify the tail (bound {rel_err})")
+    return rel_err
+
+
+@dataclass(frozen=True)
+class _ThetaRequest:
+    """A checked theta request: its arguments as passed, v(q), v(z), v(z0)
+    and the relative tail bound ``rel`` of its product at z."""
+
+    args: tuple  # (fd, q, l, z, z0, M)
+    vq: Fraction
+    vz: Fraction
+    vz0: Fraction
+    rel: Union[Fraction, float]
+
+
+_last_request: Optional[_ThetaRequest] = None
+
+
+def _theta_request(fd: FactoredFunction, q: PadicNumber, l: int,
+                   z: PadicNumber, z0: PadicNumber, M: int) -> _ThetaRequest:
+    """Check a theta request and return its record, which ``theta_product``
+    and ``theta_automorphy_ratio`` both read.
+
+    The checks run in a fixed order, each with its own error: l and M, the
+    degree of f, z and z0 in G_m, q a Tate parameter, z and z0 off every
+    zero/pole q^(j + ls) of a Gamma'-translate of f, and a positive tail
+    bound at z.  A point w can be such a q^(j + ls) only when
+    t = v(w)/v(q) is an integer with t = j mod l, so the power q^t and the
+    exact comparison run only then.
+
+    The last record is kept, and a call with the very same argument objects
+    returns it, so the automorphy ratio that ``cli`` builds right after the
+    product repeats none of its checks.  The arguments are immutable, so the
+    same objects are the same request; the record holds them, so their ids
+    cannot be reused while it is kept.
+    """
+    global _last_request
+    args = (fd, q, l, z, z0, M)
+    last = _last_request
+    if last is not None and all(a is b for a, b in zip(last.args, args)):
+        return last
     if l < 1 or M < 0:
         raise ValueError("l must be positive, M nonnegative")
     _require_theta_degree(fd)
     if z.is_exact_zero or z0.is_exact_zero:
         raise PoleCollisionError("z and z0 must lie in G_m")
     vq = _tate_valuation(q)
-    for w, name in ((z, "z"), (z0, "z0")):
-        t = _grid_index(w, q)
-        if t is not None and any((t - j) % l == 0 for j, _ in fd.zeros):
+    vz, vz0 = z.exact_valuation, z0.exact_valuation
+    for w, vw, name in ((z, vz, "z"), (z0, vz0, "z0")):
+        t = vw / vq
+        if t.denominator == 1 and \
+                any((t.numerator - j) % l == 0 for j, _ in fd.zeros) and \
+                (w - q ** t.numerator).is_exact_zero:
             raise PoleCollisionError(
                 f"{name} meets a zero/pole of a Gamma'-translate of f")
-    if not fd.zeros:
-        return INF
-    vz, vz0 = z.exact_valuation, z0.exact_valuation
-    jvals = [Fraction(j) * vq for j, _ in fd.zeros]
-    beta_pos = Fraction(l) * (M + 1) * vq + min(vz, vz0) - max(jvals)
-    beta_neg = Fraction(l) * (M + 1) * vq + min(jvals) - max(vz, vz0)
-    rel_err = min(beta_pos, beta_neg)
-    if rel_err <= 0:
-        raise TailCertificateError(
-            f"truncation M={M} cannot certify the tail (bound {rel_err})")
-    return rel_err
+    rel = _theta_tail_bound(fd, l, M, vq, vz, vz0)
+    _last_request = _ThetaRequest(args, vq, vz, vz0, rel)
+    return _last_request
+
+
+def _theta_exponents(zeros: Sequence[Tuple[int, int]], l: int,
+                     M: int) -> list:
+    """The pairs (m, e_m) with e_m != 0, in increasing m, where e_m = sum k
+    over the (j, k) in ``zeros`` with m = lk' - j for some |k'| <= M.
+
+    Each j adds k to every m = -lM - j, -lM - j + l, ..., lM - j, all in
+    the residue class -j mod l.  So each class holds a step function with
+    a rise of k at -lM - j and a fall of k one step past lM - j; sweeping
+    each class's sorted steps costs O(#zeros log #zeros) plus one entry per
+    nonzero e_m, where a dict of every m would hold (2M + 1) * #zeros.
+    """
+    steps: Dict[int, list] = {}  # residue class -> its (m, rise) steps
+    for j, k in zeros:
+        steps.setdefault(-j % l, []).extend(((-l * M - j, k), (l * M - j + l, -k)))
+    out = []
+    for ends in steps.values():
+        ends.sort()
+        e = 0
+        for (a, rise), (b, _) in zip(ends, ends[1:]):
+            e += rise
+            if e:
+                out.extend((m, e) for m in range(a, b, l))
+    out.sort()  # merges the classes' sorted runs
+    return out
 
 
 def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
@@ -552,25 +623,21 @@ def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
     lk - j = m and |k| <= M, and only the m with e_m != 0 are evaluated.
     At l = 1 the total degree 0 makes every interior e_m vanish, so a
     request costs O(#zeros * span of j) factors instead of O(M).  The grid
-    checks of ``_theta_tail`` keep every q^m z and q^m z0 off 1.  The value
-    starts from a one at the least of DEFAULT_PREC and the precs of q, z
-    and z0, the prec the untelescoped product carries.
+    checks of ``_theta_request`` keep every q^m z and q^m z0 off 1.  The
+    value starts from a one at the least of DEFAULT_PREC and the precs of q,
+    z and z0, the prec the untelescoped product carries.
     """
-    rel_err = _theta_tail(fd, q, l, z, z0, M)
-    e: Dict[int, int] = {}
-    for j, kj in fd.zeros:
-        for m in range(-l * M - j, l * M - j + 1, l):
-            e[m] = e.get(m, 0) + kj
+    rel_err = _theta_request(fd, q, l, z, z0, M).rel
     value = one = PadicNumber.one(q.p, min(DEFAULT_PREC, q.prec, z.prec, z0.prec))
     g, at, powers = PadicNumber.one(q.p, q.prec), 0, {}  # g = q^at
-    for m in sorted(m for m, em in e.items() if em):
+    for m, em in _theta_exponents(fd.zeros, l, M):
         if m - at not in powers:
             powers[m - at] = q ** (m - at)
         g, at = g * powers[m - at], m
         num, den = g * z - one, g * z0 - one
-        if e[m] < 0:
+        if em < 0:
             num, den = den, num
-        value = value * (num / den) ** abs(e[m])
+        value = value * (num / den) ** abs(em)
     # the tail bound is multiplicative; report it additively
     return EvalResult(value, rel_err + value.exact_valuation)
 
@@ -583,16 +650,16 @@ def theta_automorphy_ratio(fd: FactoredFunction, q: PadicNumber, l: int,
     factor at z but the two end ones, leaving f(q^(l(M+1)) z) / f(q^(-lM) z)
     exactly.  Its relative error is the worse of the two products' tail
     bounds, so both requests are checked as ``theta_product`` would check
-    them, z's first.  The value carries the precision the quotient of the
-    two products would carry, which includes z0's and DEFAULT_PREC.
-
-    A caller that has just built ``theta_product(fd, q, l, z, z0, M)``
-    repeats z's checks here; that small cost keeps this function safe to
-    call on its own.
+    them, z's first.  The check at q^l z follows from z's: v(q^l z) =
+    v(z) + l v(q), and q^l z is a grid point exactly when z is, with index
+    t + l, which meets the same translates of the zeros; so only its tail
+    bound is new.  The value carries the precision the quotient of the two
+    products would carry, which includes z0's and DEFAULT_PREC.
     """
-    rel = min(_theta_tail(fd, q, l, z, z0, M),
-              _theta_tail(fd, q, l, q ** l * z, z0, M))
-    # the grid checks above keep both end translates of z off the zeros of f
+    req = _theta_request(fd, q, l, z, z0, M)
+    rel = min(req.rel, _theta_tail_bound(fd, l, M, req.vq, req.vz + l * req.vq,
+                                         req.vz0))
+    # the grid checks keep both end translates of z off the zeros of f
     factors = fd.factors(q)
     num = product_at(factors, q ** (l * (M + 1)) * z)
     den = product_at(factors, q ** (-l * M) * z)

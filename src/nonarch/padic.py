@@ -28,19 +28,41 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# The first 13 primes.  As Miller-Rabin bases they prove every n below
+# _MR_PROOF_BOUND that passes them prime (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROOF_BOUND = 3317044064679887385961981
+
+
 @functools.lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by the strong (Miller-Rabin) test to the bases
+    ``_MR_BASES``.  A base that witnesses compositeness proves it at any
+    size; passing every base proves primality only below
+    ``_MR_PROOF_BOUND``, so a larger n that passes raises ValueError
+    rather than claim it.  Memoized per n: ``PadicNumber`` asks on every
+    construction."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _MR_PROOF_BOUND:
+        raise ValueError(f"p = {n} passes a probable-prime test but is too "
+                         "large to be proved prime")
     return True
 
 

@@ -8,9 +8,8 @@ from nonarch import (INF, BallPoint, Current, FactoredFunction, PadicNumber,
                      Refinement, SkeletonGraph, SkeletonTower, TailBound,
                      current_from_slopes, moebius, seminorm, valuation)
 from nonarch.berkovich import product_at
-from nonarch.currents import (EvalResult, _grid_index, _tate_valuation,
-                              _theta_tail)
-from nonarch.padic import vp_fraction
+from nonarch.currents import EvalResult, _tate_valuation
+from nonarch.padic import DEFAULT_PREC, vp_fraction
 from nonarch.errors import PoleCollisionError, TailCertificateError
 
 
@@ -216,6 +215,58 @@ def finite_product_oracle(poles, exponents, x, z):
     return value
 
 
+def _grid_index(z, q):
+    """j with z = q^j exactly, if any."""
+    vz, vq = z.exact_valuation, _tate_valuation(q)
+    if vz == INF:
+        return None
+    t = Fraction(vz) / Fraction(vq)
+    if t.denominator != 1:
+        return None
+    t = int(t)
+    return t if (z - q ** t).is_exact_zero else None
+
+
+def _theta_tail(fd, q, l, z, z0, M):
+    """Check a theta request from scratch and return the relative tail
+    bound of its product: the checks, in order and with the texts, that
+    ``theta_product`` makes, each grid index found by a power of q and an
+    exact comparison."""
+    if l < 1 or M < 0:
+        raise ValueError("l must be positive, M nonnegative")
+    if fd.x_exponent != 0 or fd.total_degree != 0:
+        raise ValueError("theta products need x_exponent = 0 and total degree 0")
+    if z.is_exact_zero or z0.is_exact_zero:
+        raise PoleCollisionError("z and z0 must lie in G_m")
+    vq = _tate_valuation(q)
+    for w, name in ((z, "z"), (z0, "z0")):
+        t = _grid_index(w, q)
+        if t is not None and any((t - j) % l == 0 for j, _ in fd.zeros):
+            raise PoleCollisionError(
+                f"{name} meets a zero/pole of a Gamma'-translate of f")
+    if not fd.zeros:
+        return INF
+    vz, vz0 = z.exact_valuation, z0.exact_valuation
+    jvals = [Fraction(j) * vq for j, _ in fd.zeros]
+    beta_pos = Fraction(l) * (M + 1) * vq + min(vz, vz0) - max(jvals)
+    beta_neg = Fraction(l) * (M + 1) * vq + min(jvals) - max(vz, vz0)
+    rel_err = min(beta_pos, beta_neg)
+    if rel_err <= 0:
+        raise TailCertificateError(
+            f"truncation M={M} cannot certify the tail (bound {rel_err})")
+    return rel_err
+
+
+def theta_exponents_oracle(zeros, l, M):
+    """The nonzero e_m of the theta product, in increasing m, from a dict
+    holding every m = lk - j with |k| <= M of every zero (j, k_j)."""
+    e = {}
+    for j, kj in zeros:
+        for m in range(-l * M - j, l * M - j + 1, l):
+            e[m] = e.get(m, 0) + kj
+    return sorted((m, em) for m, em in e.items() if em)
+
+
 def theta_product_oracle(fd, q, l, z, z0, M):
     """The truncated theta product untelescoped: every f(q^(lk) z) and
     f(q^(lk) z0) with |k| <= M evaluated from f's factors, each quotient
@@ -231,6 +282,19 @@ def theta_product_oracle(fd, q, l, z, z0, M):
             g = g * step
         value = value * product_at(factors, g * z) / product_at(factors, g * z0)
     return EvalResult(value, rel_err + value.exact_valuation)
+
+
+def theta_automorphy_ratio_oracle(fd, q, l, z, z0, M):
+    """theta(q^l z) / theta(z) as the quotient f(q^(l(M+1)) z) / f(q^(-lM) z)
+    of the two end factors, with both requests checked from scratch by
+    ``_theta_tail``, z's first and then q^l z's."""
+    rel = min(_theta_tail(fd, q, l, z, z0, M),
+              _theta_tail(fd, q, l, q ** l * z, z0, M))
+    factors = fd.factors(q)
+    num = product_at(factors, q ** (l * (M + 1)) * z)
+    den = product_at(factors, q ** (-l * M) * z)
+    value = PadicNumber.one(q.p, min(DEFAULT_PREC, z0.prec)) * num / den
+    return EvalResult(value, rel + value.exact_valuation)
 
 
 def delta_at_one_oracle(n, q, J):

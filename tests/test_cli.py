@@ -335,14 +335,26 @@ def test_graph_index_that_is_not_an_integer_in_a_tower_file_exits_2(tmp_path, ca
 
 
 def test_theta_request_builds_one_product(monkeypatch):
-    calls = []
+    calls, checks = [], []
     product = nonarch.currents.theta_product
+    record = nonarch.currents._ThetaRequest
     monkeypatch.setattr(nonarch.currents, "theta_product",
                         lambda *a: calls.append(a) or product(*a))
+    monkeypatch.setattr(nonarch.currents, "_ThetaRequest",
+                        lambda *a: checks.append(a) or record(*a))
     code, payload = run(THETA + ["--q", "p", "--z", "5", "--z0", "2"])
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == 1 and len(checks) == 1
     ratio = payload["result"]["automorphy_ratio"]
     assert (ratio["digits"], ratio["error_valuation"]) == ("p^-1 + O(p^2)", "2")
+
+
+def test_theta_request_whose_bound_fails_only_at_q_l_z_exits_4():
+    # the product at z certifies (bound 1); the ratio's bound at q z is 0
+    code, payload = run(["theta", "--p", "3", "--q", "p", "--factors", "[[0, 1], [1, -1]]",
+                         "--l", "1", "--z", "15", "--z0", "2", "--M", "1"])
+    assert code == 4
+    assert payload["error"] == {"kind": "TailCertificateError",
+                                "reason": "truncation M=1 cannot certify the tail (bound 0)"}
 
 @pytest.mark.parametrize("length", ["1/0", None])
 @pytest.mark.parametrize("check", ["compose", "separation"])
@@ -586,6 +598,22 @@ def test_theta_factors_that_are_not_integer_pairs_exit_2(capsys, factors):
         '[["1", 1]]': "a --factors pair entry must be a JSON integer, not '1'",
         "{}": "--factors must be a JSON list, not {}",
         "[[1, 1], 2]": "a --factors pair must be a JSON list of 2 entries, not 2"}[factors]}
+
+
+def test_theta_factors_nested_past_the_recursion_limit_exit_2(capsys):
+    argv = ["theta", "--p", "3", "--q", "p", "--factors", "[" * 100000, "--z", "5",
+            "--z0", "2"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": "--factors: JSON nested too deeply"}
+
+
+def test_input_file_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    f = tmp_path / "current.json"
+    f.write_text('{"cusp": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["current", "--file", str(f), "--p", "3", "--delta-at", "5"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": f"{f}: JSON nested too deeply"}
 
 
 @pytest.mark.parametrize("ring", ["Z/0Z", "Z/-3Z", "Q", "Z/3", "Z/03Z", "Z/ 3Z", ""])

@@ -16,12 +16,14 @@ from nonarch import (BallPoint, Current, FactoredFunction,
                      theta_automorphy_constant, theta_automorphy_ratio,
                      theta_product)
 from nonarch.cli import dispatch
-from nonarch.currents import EvalResult
+from nonarch.currents import EvalResult, _theta_exponents
 from nonarch.errors import PoleCollisionError, TailCertificateError
 
 from helpers import (delta_at_one_oracle, seed_current_with_ord,
                      seeded_window_current, spine_at_oracle, spine_oracle,
-                     theta_automorphy_constant_oracle, theta_product_oracle)
+                     theta_automorphy_constant_oracle,
+                     theta_automorphy_ratio_oracle, theta_exponents_oracle,
+                     theta_product_oracle)
 
 
 def Q(p, r, prec=64):
@@ -648,11 +650,51 @@ def test_automorphy_ratio_reports_a_failing_shifted_bound():
     q = Q(3, 3)
     fd = FactoredFunction(0, ((0, 1), (1, -1)))
     z, z0 = Q(3, 15), Q(3, 2)
-    assert theta_product(fd, q, 1, z, z0, 1).error_valuation is not INF
-    for fn in (theta_automorphy_ratio, _ratio_from_two_products):
+    for fn in (theta_automorphy_ratio, _ratio_from_two_products,
+               theta_automorphy_ratio_oracle):
+        # the product at z succeeds, and its checked request is the last one
+        assert theta_product(fd, q, 1, z, z0, 1).error_valuation is not INF
         with pytest.raises(TailCertificateError,
                            match=r"^truncation M=1 cannot certify the tail \(bound 0\)$"):
             fn(fd, q, 1, z, z0, 1)
+
+
+def _as_cli_builds_it(product, ratio, args):
+    """A theta request as ``cli`` builds it: the product, then the
+    automorphy ratio from the same argument objects if the product
+    succeeded; the outcome of each."""
+    first = _outcome(product, *args)
+    return (first,) if first[0] == "raised" else (first, _outcome(ratio, *args))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_theta_requests())
+def test_one_checked_request_matches_three_checks(args):
+    # the product and the ratio read one checked request; the oracles check
+    # z for the product, then z and q^l z again for the ratio
+    assert _as_cli_builds_it(theta_product, theta_automorphy_ratio, args) == \
+        _as_cli_builds_it(theta_product_oracle, theta_automorphy_ratio_oracle, args)
+
+
+@pytest.mark.parametrize("i, other", [
+    (0, FactoredFunction(0, ((1, 2),))), (1, Q(3, 5)), (2, 0), (3, Q(3, 27)),
+    (4, Q(3, 9)), (5, 0)])
+def test_a_request_differing_in_one_argument_is_checked_afresh(i, other):
+    # each variant fails a check that the base request passes
+    base = (FactoredFunction(0, ((1, 1), (2, -1))), Q(3, 3), 1, Q(3, 5), Q(3, 2), 8)
+    args = base[:i] + (other,) + base[i + 1:]
+    for fn, oracle in ((theta_product, theta_product_oracle),
+                       (theta_automorphy_ratio, theta_automorphy_ratio_oracle)):
+        theta_product(*base)
+        got = _outcome(fn, *args)
+        assert got == _outcome(oracle, *args) and got[0] == "raised"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 50),
+       st.lists(st.tuples(st.integers(-8, 8), st.integers(-3, 3)), max_size=5))
+def test_theta_exponents_match_the_dict_of_every_m(l, M, zeros):
+    assert _theta_exponents(zeros, l, M) == theta_exponents_oracle(zeros, l, M)
 
 
 # ------------------------------------------------------------ ladder

@@ -15,7 +15,8 @@ from nonarch import (BoundedSeries, INF, NEG_INF, PadicNumber, RamifiedGerm, Tai
                      splitting_logradius_numeric, valuation, vp_factorial)
 from nonarch.currents import _binomial_factor
 from nonarch.errors import PrecisionExhaustedError, UndecidableSlopeError
-from nonarch.padic import exact_text, padic_digit_string, parse_extended, vp_int
+from nonarch.padic import (exact_text, is_prime, padic_digit_string, parse_extended,
+                           vp_int)
 from nonarch.series import _power_coeffs, _root_tail
 
 from helpers import power_coeffs_oracle, root_tail_oracle
@@ -204,6 +205,31 @@ def test_non_prime_p_is_rejected(p):
             PadicNumber(p, Fraction(1))
         with pytest.raises(ValueError):
             PadicNumber.from_rational(p, 1)
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2 ** 61 - 1, True), (10 ** 16 + 61, True),  # trial division took 6 s on the second
+    (561, False),  # a Carmichael number
+    (3215031751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+])
+def test_is_prime_decides_large_p_at_once(n, prime):
+    assert is_prime(n) is prime
+    if not prime:
+        with pytest.raises(ValueError, match=f"^p = {n} is not prime$"):
+            PadicNumber(n, 1)
+
+
+def test_is_prime_matches_trial_division_below_ten_thousand():
+    assert [n for n in range(-3, 10 ** 4) if is_prime(n)] == \
+        [n for n in range(2, 10 ** 4) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+
+
+def test_probable_prime_beyond_the_proved_range_is_refused():
+    # 2^89 - 1 is prime, but above 3.3 * 10^24 the 13 bases prove nothing
+    n = 2 ** 89 - 1
+    with pytest.raises(ValueError, match=f"^p = {n} passes a probable-prime test "
+                                         "but is too large to be proved prime$"):
+        PadicNumber(n, 1)
 
 
 def test_precision_below_one_is_rejected():

@@ -5,7 +5,10 @@ one-pair f = (x - q)/(x - q^2) runs at l = 1, where the telescoped product
 keeps two factors, and at l = 3, where its zero and pole lie in different
 classes mod l and nothing cancels.  The two-pair
 f = (x - 1)(x - q)/((x - q^3)(x - q^2)) runs at l = 3: its first pair
-shares a class and cancels, its second does not.  For each shape it times
+shares a class and cancels, its second does not.  One more shape runs the
+one pair at l = 1 and M = 100 000, where the product still keeps two
+factors, so what grows with M is the bookkeeping of the exponents e_m and
+the size of the q^(+-M) operands.  For each shape it times
 ``cli.dispatch`` on the theta argv (best of ``REPEAT`` runs,
 ``time.perf_counter``), then runs the request once more with every
 ``PadicNumber.__init__`` call counted (every ``PadicNumber`` is built
@@ -40,6 +43,7 @@ ONE_PAIR = "[[1, 1], [2, -1]]"
 TWO_PAIRS = "[[0, 1], [3, -1], [1, 1], [2, -1]]"
 SHAPES = [(factors, M, l) for M in (8, 32, 128, 256)
           for factors, l in ((ONE_PAIR, 1), (ONE_PAIR, 3), (TWO_PAIRS, 3))]
+SHAPES.append((ONE_PAIR, 100000, 1))
 
 
 def theta_argv(factors, M, l):
@@ -113,7 +117,7 @@ def main(argv=None):
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for r in rows:
-        print(f"{r['factors']:<34} M={r['M']:>3} l={r['l']} "
+        print(f"{r['factors']:<34} M={r['M']:>6} l={r['l']} "
               f"request {r['request_ms']:9.3f} ms  built {r['padic_numbers_built']:>7}  "
               f"bits {r['operand_bits_max']:>7}  {r['report_sha256'][:12]}")
 
