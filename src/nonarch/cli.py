@@ -10,6 +10,7 @@ the wall_time_ms field, and --seed only appears among the inputs.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import sys
@@ -18,26 +19,58 @@ from fractions import Fraction
 
 from . import currents, poles, skeleton, torsor
 from .errors import NonarchError, PrecisionExhaustedError, UndecidableSlopeError
-from .padic import (DEFAULT_PREC, INF, PadicNumber, exact_text, json_shape,
-                    padic_digit_string, parse_fraction)
+from .padic import (DEFAULT_PREC, INF, MAX_DIGITS, PadicNumber, exact_text,
+                    json_shape, padic_digit_string, parse_fraction, require_prime)
 
 USAGE_ERROR, PRECISION_ERROR, MATH_FAILURE = 2, 3, 4
 
 
+class _JSONDecimal(decimal.Decimal):
+    """A JSON number with a fraction part or an exponent, kept as the
+    decimal it spells.  Its repr is its text, so an error message shows the
+    number as written."""
+
+    __slots__ = ()
+    __repr__ = decimal.Decimal.__str__
+
+
 def _parse_json(load, source, what: str):
-    """``load(source)`` with ``json.load`` or ``json.loads``.  JSON nested
-    deeper than the parser's recursion limit is refused as a ValueError
-    naming ``what``, the input."""
+    """``load(source)`` with ``json.load`` or ``json.loads``, reading each
+    number with a fraction part or an exponent as a ``_JSONDecimal``.  JSON
+    nested deeper than the parser's recursion limit, or a number whose
+    exponent not even a Decimal holds, is refused as a ValueError naming
+    ``what``, the input."""
     try:
-        return load(source)
+        return load(source, parse_float=_JSONDecimal)
     except RecursionError:
         raise ValueError(f"{what}: JSON nested too deeply") from None
+    except decimal.InvalidOperation:
+        raise ValueError(f"{what}: a JSON number's exponent is out of range") from None
 
 
 def _load_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json_shape(_parse_json(json.load, fh, path), "object",
                           f"{path}: the top level")
+
+
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+
+
+def _padic(p: int, rat, prec: int, pi_part=Fraction(0)) -> PadicNumber:
+    """``PadicNumber(p, rat, pi_part, prec)`` for a value read from argv or
+    a file.  A valid p with a ``prec`` at which its exact unit could pass
+    MAX_DIGITS decimal digits, which no report could print, is refused
+    first: p^(2 prec) >= 10^MAX_DIGITS, as a ramified unit interleaves
+    2 prec digits.  With b = p.bit_length(), p^(2 prec) >= 2^(2 prec (b-1)):
+    a huge prec is refused on that alone, and the exact power is taken
+    only when it has fewer than twice the bits of 10^MAX_DIGITS."""
+    require_prime(p)
+    if 2 * prec * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or \
+            prec > 0 and p ** (2 * prec) >= _DIGIT_LIMIT:
+        raise ValueError(f"--prec {prec} is too large for p = {p}: p^(2*prec) "
+                         f"must stay below 10^{MAX_DIGITS}")
+    return PadicNumber(p, rat, pi_part, prec)
 
 
 def _parse_scalar(s: str, p: int, prec: int) -> PadicNumber:
@@ -47,16 +80,16 @@ def _parse_scalar(s: str, p: int, prec: int) -> PadicNumber:
     if t.startswith("-"):
         sign, t = -1, t[1:]
     if t == "p":
-        return PadicNumber.from_rational(p, sign * p, prec)
+        return _padic(p, sign * p, prec)
     if t.startswith("p^"):
-        return PadicNumber.from_rational(p, sign * Fraction(p) ** int(t[2:]), prec)
-    return PadicNumber.from_rational(p, sign * parse_fraction(t), prec)
+        return _padic(p, sign * Fraction(p) ** int(t[2:]), prec)
+    return _padic(p, sign * parse_fraction(t), prec)
 
 
 def _parse_pole(entry, p: int, prec: int) -> PadicNumber:
     if isinstance(entry, dict):
-        return PadicNumber(p, parse_fraction(entry.get("rat")),
-                           parse_fraction(entry.get("pi", 0)), prec)
+        return _padic(p, parse_fraction(entry.get("rat")), prec,
+                      parse_fraction(entry.get("pi", 0)))
     return _parse_scalar(str(entry), p, prec)
 
 
@@ -395,8 +428,8 @@ def dispatch(argv=None):
 
 def main(argv=None) -> int:
     code, payload = dispatch(argv)
-    json.dump(payload, sys.stdout, sort_keys=True, default=str)
-    sys.stdout.write("\n")
+    # one write; json.dumps runs the C encoder, json.dump the Python one
+    sys.stdout.write(json.dumps(payload, sort_keys=True, default=str) + "\n")
     return code
 
 

@@ -244,7 +244,9 @@ class Current:
         require_window(window[1] - window[0])
 
         def dec(v):
-            v = str(json_shape(v, "integer or string", "a current value"))
+            v = json_shape(v, "integer or string", "a current value")
+            if type(v) is int:
+                return v
             return int(v) if "/" not in v else parse_fraction(v)
 
         cusp = {int(j): dec(v) for j, v in cusp.items()}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 INF = float("inf")
@@ -175,20 +176,20 @@ class PadicNumber:
 
     @classmethod
     def from_rational(cls, p: int, value, prec: int = DEFAULT_PREC) -> "PadicNumber":
-        return cls(p, Fraction(value), Fraction(0), prec)
+        return cls(p, value, _ZERO, prec)
 
     @classmethod
     def zero(cls, p: int, prec: int = DEFAULT_PREC) -> "PadicNumber":
-        return cls(p, Fraction(0), Fraction(0), prec)
+        return cls(p, _ZERO, _ZERO, prec)
 
     @classmethod
     def one(cls, p: int, prec: int = DEFAULT_PREC) -> "PadicNumber":
-        return cls(p, Fraction(1), Fraction(0), prec)
+        return cls(p, _ONE, _ZERO, prec)
 
     @classmethod
     def uniformizer(cls, p: int, prec: int = DEFAULT_PREC) -> "PadicNumber":
         """pi with pi^2 = p."""
-        return cls(p, Fraction(0), Fraction(1), prec)
+        return cls(p, _ZERO, _ONE, prec)
 
     # -- structure ----------------------------------------------------
 
@@ -409,24 +410,37 @@ def binom_fractional(m, k: int, p: int, prec: int = DEFAULT_PREC) -> PadicNumber
     return PadicNumber(p, num / math.factorial(k), Fraction(0), prec)
 
 
+# Python's default limit on the digits of an int <-> str conversion
+MAX_DIGITS = 4300
+
+
 def parse_fraction(s) -> Fraction:
-    """A rational from input text or a JSON number; a zero denominator, an
-    infinite float or a value of another type is a ValueError."""
+    """A rational from input text or a JSON number, read exactly: a
+    ``Decimal`` (how the command line reads a JSON number with a fraction
+    part or an exponent) is the decimal it spells.  A zero denominator, an
+    infinite float, a Decimal exponent beyond +-MAX_DIGITS (whose power of
+    ten no report could print) or a value of another type is a
+    ValueError."""
     try:
+        if isinstance(s, Decimal) and abs(s.as_tuple().exponent) > MAX_DIGITS:
+            raise ValueError(f"decimal exponent beyond +-{MAX_DIGITS}: {s!r}")
         return Fraction(s)
     except (ZeroDivisionError, TypeError, OverflowError):
         raise ValueError(f"not a rational number: {s!r}") from None
 
 
 _KINDS = {"object": dict, "list": list, "integer": int, "string": str, "null": type(None)}
+# the types of every kind json_shape accepts, resolved once
+_TYPES = {**{a: frozenset({t}) for a, t in _KINDS.items()},
+          **{f"{a} or {b}": frozenset({t, u}) for a, t in _KINDS.items()
+             for b, u in _KINDS.items() if a != b}}
 
 
 def json_shape(value, kind: str, what: str, size=None):
     """``value`` if it has the JSON type ``kind`` (a key of _KINDS, or
     two joined by " or ") and ``size`` entries if a size is given, else a
     ValueError naming ``what``.  A bool is not an integer."""
-    if any(type(value) is _KINDS[k] for k in kind.split(" or ")) and \
-            (size is None or len(value) == size):
+    if type(value) in _TYPES[kind] and (size is None or len(value) == size):
         return value
     entries = "" if size is None else f" of {size} entries"
     raise ValueError(f"{what} must be a JSON {kind}{entries}, not {value!r}")

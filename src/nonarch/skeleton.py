@@ -19,6 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import NotSeparatedError
 from .padic import json_shape, parse_fraction
 
+_ZERO = Fraction(0)
+
 
 def json_name(value) -> str:
     """A vertex or edge name read from a file: a JSON string."""
@@ -33,7 +35,8 @@ class Edge:
     length: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "length", Fraction(self.length))
+        if type(self.length) is not Fraction:
+            object.__setattr__(self, "length", Fraction(self.length))
         if self.length <= 0:
             raise ValueError(f"edge {self.id}: length must be positive")
 
@@ -84,7 +87,7 @@ class SkeletonGraph:
               edges: Sequence[Tuple[str, str, str, Fraction]],
               cusps: Sequence[Tuple[str, str]] = ()) -> "SkeletonGraph":
         return cls(frozenset(vertices),
-                   tuple(Edge(i, u, v, Fraction(L)) for i, u, v, L in edges),
+                   tuple(Edge(i, u, v, L) for i, u, v, L in edges),
                    tuple(cusps))
 
     @property
@@ -125,7 +128,7 @@ class GraphPoint:
     def __post_init__(self):
         if (self.vertex is None) == (self.edge is None):
             raise ValueError("a point is either a vertex or an edge point")
-        if self.edge is not None:
+        if self.edge is not None and type(self.offset) is not Fraction:
             object.__setattr__(self, "offset", Fraction(self.offset))
 
     @classmethod
@@ -222,7 +225,7 @@ class Refinement:
             if not path:
                 raise ValueError(f"empty path for coarse edge {ceid}")
             cur = vmap[ce.u]
-            run = Fraction(0)
+            run = _ZERO
             for idx, (feid, sign) in enumerate(path):
                 if sign not in (1, -1):
                     raise ValueError("path orientations must be +-1")

@@ -454,3 +454,18 @@ def tower_json(tower):
                              "edge_paths": {e: [list(s) for s in p]
                                             for e, p in r.edge_paths}}
                             for i, r in enumerate(tower.refinements)]}
+
+
+JSON_KINDS = {"object": dict, "list": list, "integer": int, "string": str,
+              "null": type(None)}
+
+
+def json_shape_oracle(value, kind, what, size=None):
+    """``padic.json_shape`` as it was written before it resolved each kind
+    to a set of types once: split ``kind`` on every call and test each
+    type in turn."""
+    if any(type(value) is JSON_KINDS[k] for k in kind.split(" or ")) and \
+            (size is None or len(value) == size):
+        return value
+    entries = "" if size is None else f" of {size} entries"
+    raise ValueError(f"{what} must be a JSON {kind}{entries}, not {value!r}")

@@ -799,3 +799,78 @@ def test_missing_key_exits_2_with_the_shape_text(tmp_path, capsys, kind, key, re
     assert main(argv + ["--poles" if kind == "poles" else "--file", str(f)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == {
         "kind": "ValueError", "reason": reason.format(f=f)}
+
+
+@pytest.mark.parametrize("pole", [{"rat": 0.1}, 0.1, "1/10", {"rat": "1/10"}])
+def test_a_json_number_with_a_fraction_part_is_read_as_its_decimal(tmp_path, pole):
+    # read through binary floating point, {"rat": 0.1} was
+    # 3602879701896397/36028797018963968 and changed the witness
+    f = pole_file(tmp_path, {"p": 5, "x": 0, "poles": [pole, 2, 3]})
+    code, payload = run(["find-order", "--poles", f])
+    assert code == 0
+    assert payload["result"]["coefficients"] == ["-1/4", "5", "0"]
+
+
+def test_a_decimal_edge_length_in_a_tower_file_is_exact(tmp_path):
+    # 0.1 + 1.9 is 2 only when both lengths are read as decimals
+    f = tower_file(tmp_path)
+    data = json.loads(f.read_text())
+    for g in data["graphs"][1:]:
+        g["edges"][0][3], g["edges"][1][3] = 0.1, 1.9
+    f.write_text(json.dumps(data))
+    tower = nonarch.cli._load_tower(str(f))
+    assert tower.graphs[1].edge_map["e1"].length == Fraction(1, 10)
+    assert tower.graphs[2].edge_map["f2"].length == Fraction(19, 10)
+    code, payload = run(["skeleton-tower", "--file", str(f), "--check", "compose"])
+    assert (code, payload["result"]["ok"]) == (0, True)
+
+
+@pytest.mark.parametrize("number, reason", [
+    ("1e5000", "decimal exponent beyond +-4300: 1E+5000"),
+    ("1e99999999999999999999", "{f}: a JSON number's exponent is out of range")])
+def test_a_json_number_with_a_huge_exponent_exits_2_at_once(tmp_path, capsys, number,
+                                                             reason):
+    f = tmp_path / "poles.json"
+    f.write_text('{"p": 5, "x": 0, "poles": [{"rat": %s}, 2]}' % number)
+    assert main(["order-set", "--poles", str(f)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": reason.format(f=f)}
+
+
+@pytest.mark.parametrize("prec", [4507, 100000, 10 ** 30])
+def test_prec_past_the_printable_digits_exits_2_before_any_work(tmp_path, capsys, prec):
+    f = _windowed_current_file(tmp_path)
+    assert main(["current", "--file", str(f), "--p", "3", "--q", "p", "--delta-at", "5",
+                 "--prec", str(prec)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "ValueError", "reason": (
+        f"--prec {prec} is too large for p = 3: p^(2*prec) must stay below 10^4300")}
+    assert payload["wall_time_ms"] < 1000
+
+
+def test_a_prec_pole_file_value_is_checked_too(tmp_path, capsys):
+    f = pole_file(tmp_path, {"p": 3, "x": 0, "poles": [{"rat": 1, "pi": 1}]})
+    assert main(["order-set", "--poles", f, "--prec", "4507"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["reason"].startswith(
+        "--prec 4507 is too large for p = 3")
+
+
+def test_the_largest_prec_renders_a_ramified_unit_in_full():
+    # p^(2 prec) < 10^4300 leaves every interleaved unit printable: at p = 3
+    # the bound is prec 4506, where -1 - pi has a unit of 4300 digits
+    x = nonarch.cli._padic(3, -1, 4506, pi_part=-1)
+    assert len(x.to_json()["unit"]) == 4300
+
+
+def test_the_default_prec_holds_for_every_provable_prime():
+    from nonarch.padic import _MR_PROOF_BOUND, DEFAULT_PREC, is_prime
+    p = _MR_PROOF_BOUND - 1
+    while not is_prime(p):
+        p -= 1
+    assert nonarch.cli._padic(p, 1, DEFAULT_PREC).prec == DEFAULT_PREC
+
+
+def test_a_bad_p_keeps_its_message_under_a_huge_prec(capsys):
+    assert main(["poly-eval", "--p", "4", "--q", "p", "--coeffs", "1", "--prec",
+                 str(10 ** 30)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["reason"] == "p = 4 is not prime"

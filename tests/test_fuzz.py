@@ -2,16 +2,20 @@
 of an input file, or one argument value, replaced or deleted ends in exit
 0, 2, 3 or 4, never in a traceback or a hang."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import random
 import signal
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from nonarch import Current
+from nonarch import Current, cli
 from nonarch.cli import dispatch
 
 from helpers import random_tower, seeded_window_current, tower_json
@@ -21,8 +25,7 @@ from helpers import random_tower, seeded_window_current, tower_json
 NODES = [[], {}, "x", "1/0", 0, -1, 1.5, None, True, 10 ** 30, ["a"], {"a": 1}]
 ARGS = ["0", "-1", "1/0", "x", str(10 ** 30), "[]", "1/3", "", "inf"]
 # size arguments whose work grows without bound (README): never mutated
-UNBOUNDED = {"--J", "--M", "--l", "--prec", ("moebius-check", "--n"),
-             ("ladder-ord", "--nmax")}
+UNBOUNDED = {"--J", "--M", "--l", ("moebius-check", "--n"), ("ladder-ord", "--nmax")}
 
 
 def _files():
@@ -40,16 +43,17 @@ FILES, X, Y = _files()
 REQUESTS = [
     ["splitting-radius", "--p", "3", "--N", "2", "--n", "2", "--numeric"],
     ["as-genus", "--e", "6", "--p", "5"],
-    ["order-set", "--poles", "{poles}", "--nmax", "4", "--x", "1/3"],
+    ["order-set", "--poles", "{poles}", "--nmax", "4", "--x", "1/3", "--prec", "32"],
     ["find-order", "--poles", "{poles}", "--p", "5", "--nmax", "3"],
     ["current", "--file", "{window}", "--p", "3", "--q", "p", "--alpha-at", "5",
-     "--delta-at", "5"],
+     "--delta-at", "5", "--prec", "64"],
     ["current", "--file", "{periodic}", "--p", "3", "--q", "p", "--delta-at", "5",
      "--J", "2"],
     ["moebius-check", "--p", "3", "--q", "p", "--n", "1", "--J", "4"],
     ["poly-eval", "--p", "3", "--q", "p", "--coeffs", "1,2,0,1", "--J", "4"],
     ["theta", "--p", "3", "--q", "p", "--factors", "[[1, 1], [2, -1]]",
-     "--x-exponent", "0", "--l", "1", "--z", "5", "--z0", "2", "--M", "4"],
+     "--x-exponent", "0", "--l", "1", "--z", "5", "--z0", "2", "--M", "4",
+     "--prec", "16"],
     ["ladder-ord", "--file", "{window}", "--p", "3", "--q", "p", "--z", "5",
      "--nmax", "3"],
     ["skeleton-tower", "--file", "{tower}", "--check", "compose", "--samples", "40",
@@ -90,19 +94,26 @@ def _hung(signum, frame):
     raise _Hung("the request did not return within 10 s")
 
 
-def _exit_code(argv, files):
-    """dispatch's exit code for ``argv`` with each "{name}" standing for the
-    path of ``files[name]`` written as JSON; argparse's usage exit counts."""
+@contextlib.contextmanager
+def _written(argv, files):
+    """``argv`` with each "{name}" standing for the path of ``files[name]``
+    written as JSON to a temporary directory that lasts the context."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: os.path.join(tmp, name + ".json") for name in files}
         for name, content in files.items():
             with open(paths[name], "w") as fh:
                 json.dump(content, fh)
+        yield [a.format(**paths) if a.startswith("{") else a for a in argv]
+
+
+def _exit_code(argv, files):
+    """dispatch's exit code for ``argv`` with its files written (``_written``);
+    argparse's usage exit counts."""
+    with _written(argv, files) as argv:
         previous = signal.signal(signal.SIGALRM, _hung)
         signal.alarm(10)
         try:
-            return dispatch([a.format(**paths) if a.startswith("{") else a
-                             for a in argv])[0]
+            return dispatch(argv)[0]
         except SystemExit as exc:
             return exc.code
         finally:
@@ -134,3 +145,34 @@ def test_one_file_mutation_ends_in_a_documented_exit_code(data):
     name = data.draw(st.sampled_from(sorted(files)))
     files[name] = _mutated_file(files[name], data.draw)
     assert _exit_code(argv, files) in (0, 2, 3, 4), (argv, files[name])
+
+
+def _streamed(payload):
+    """A report as ``main`` once wrote it: json.dump, which streams through
+    the pure-Python encoder, then a newline."""
+    out = io.StringIO()
+    json.dump(payload, out, sort_keys=True, default=str)
+    out.write("\n")
+    return out.getvalue()
+
+
+def test_main_writes_the_bytes_of_the_streamed_report(monkeypatch, capsys):
+    payloads = []
+
+    def recorded(argv):
+        code, payload = dispatch(argv)
+        payloads.append(payload)
+        return code, payload
+
+    monkeypatch.setattr(cli, "dispatch", recorded)
+    for argv in REQUESTS:
+        with _written(argv, _files_of(argv)) as argv:
+            cli.main(argv)
+        assert capsys.readouterr().out == _streamed(payloads[-1]), argv
+    # a payload only default=str can encode
+    odd = {"result": {"x": Fraction(1, 3), "y": [Decimal("0.1"), 1.5, None]},
+           "wall_time_ms": 0.25}
+    monkeypatch.setattr(cli, "dispatch", lambda argv: (0, odd))
+    assert cli.main([]) == 0
+    assert capsys.readouterr().out == _streamed(odd)
+    assert '"x": "1/3"' in _streamed(odd)

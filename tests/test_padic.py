@@ -1,9 +1,11 @@
 import copy
+import itertools
 import os
 import pickle
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,11 +17,12 @@ from nonarch import (BoundedSeries, INF, NEG_INF, PadicNumber, RamifiedGerm, Tai
                      splitting_logradius_numeric, valuation, vp_factorial)
 from nonarch.currents import _binomial_factor
 from nonarch.errors import PrecisionExhaustedError, UndecidableSlopeError
-from nonarch.padic import (exact_text, is_prime, padic_digit_string, parse_extended,
-                           vp_int)
+from nonarch.cli import _JSONDecimal
+from nonarch.padic import (exact_text, is_prime, json_shape, padic_digit_string,
+                           parse_extended, parse_fraction, vp_int)
 from nonarch.series import _power_coeffs, _root_tail
 
-from helpers import power_coeffs_oracle, root_tail_oracle
+from helpers import JSON_KINDS, json_shape_oracle, power_coeffs_oracle, root_tail_oracle
 
 
 def Q(p, r, prec=64):
@@ -836,3 +839,52 @@ def test_minorant_and_slope_check(data, tail, a):
                 convergence_logradius(f)
         else:
             assert convergence_logradius(f) == -tail.alpha
+
+
+# ------------------------------------------------------------ input shapes
+
+
+def _outcome(shape, value, kind, size):
+    try:
+        return "returns", id(shape(value, kind, "the value", size))
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_json_shape_matches_the_per_call_oracle():
+    # every single kind and every pair, which covers each kind the package
+    # passes; values of every JSON type, a bool, null and both float readings
+    kinds = list(JSON_KINDS) + [f"{a} or {b}" for a, b in
+                                itertools.permutations(JSON_KINDS, 2)]
+    values = [{}, {"a": 1}, [], [1, 2], ["a", "b", "c", "d"], "", "ab", 0, 7, -1,
+              10 ** 30, True, False, None, 1.5, Decimal("0.1"), _JSONDecimal("1.5"),
+              [_JSONDecimal("2.5"), 1]]
+    for kind, value, size in itertools.product(kinds, values, (None, 2, 4)):
+        assert _outcome(json_shape, value, kind, size) == \
+            _outcome(json_shape_oracle, value, kind, size), (kind, value, size)
+
+
+def test_json_shape_shows_a_json_decimal_as_written():
+    with pytest.raises(ValueError, match=r"^x must be a JSON integer, not \[1\.5, 1E\+5\]$"):
+        json_shape([_JSONDecimal("1.5"), _JSONDecimal("1e5")], "integer", "x")
+
+
+@pytest.mark.parametrize("text, value", [("0.1", Fraction(1, 10)), ("-2.50", Fraction(-5, 2)),
+                                         ("1e3", Fraction(1000)), ("1E-3", Fraction(1, 1000)),
+                                         ("1e4300", Fraction(10 ** 4300)),
+                                         ("1e-4300", Fraction(1, 10 ** 4300))])
+def test_parse_fraction_reads_a_decimal_exactly(text, value):
+    assert parse_fraction(Decimal(text)) == value
+    assert parse_fraction(_JSONDecimal(text)) == value
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1e-4301", "25e999999999"])
+def test_parse_fraction_refuses_a_decimal_exponent_past_the_digit_limit(text):
+    with pytest.raises(ValueError, match=r"^decimal exponent beyond \+-4300: "):
+        parse_fraction(_JSONDecimal(text))
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity"])
+def test_parse_fraction_refuses_a_decimal_that_is_not_finite(text):
+    with pytest.raises(ValueError, match=f"^not a rational number: {text}$"):
+        parse_fraction(_JSONDecimal(text))

@@ -414,3 +414,27 @@ def test_subdivision_strictly_increasing_output():
 def test_graph_json_roundtrip():
     g = subdivided_with_tree()
     assert SkeletonGraph.from_json(g.to_json()).to_json() == g.to_json()
+
+
+@pytest.mark.parametrize("given, length", [(Fraction(3, 2), Fraction(3, 2)),
+                                           (2, Fraction(2)), ("3/4", Fraction(3, 4))])
+def test_edge_keeps_a_fraction_and_coerces_anything_else(given, length):
+    for e in (skeleton.Edge("e", "a", "b", given),
+              SkeletonGraph.build(["a", "b"], [("e", "a", "b", given)]).edge_map["e"]):
+        assert type(e.length) is Fraction and e.length == length
+        assert (e.length is given) == (type(given) is Fraction)
+
+
+@pytest.mark.parametrize("length", [Fraction(0), Fraction(-1, 2), 0, "-3"])
+def test_edge_refuses_a_length_that_is_not_positive(length):
+    with pytest.raises(ValueError, match="edge e: length must be positive"):
+        skeleton.Edge("e", "a", "b", length)
+
+
+@pytest.mark.parametrize("given, offset", [(Fraction(1, 3), Fraction(1, 3)),
+                                           (1, Fraction(1)), ("1/4", Fraction(1, 4))])
+def test_graph_point_keeps_a_fraction_offset_and_coerces_anything_else(given, offset):
+    pt = GraphPoint.on_edge("e", given)
+    assert type(pt.offset) is Fraction and pt.offset == offset
+    assert (pt.offset is given) == (type(given) is Fraction)
+    assert GraphPoint.at_vertex("a").offset is None
