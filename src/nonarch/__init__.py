@@ -21,11 +21,11 @@ from .poles import (OrderSetResult, PoleFamily, find_nonppower_order,
                     finite_product_eval, integer_approximation, moebius_orbit,
                     order_of_combination, order_set)
 from .currents import (Current, EvalResult, FactoredFunction, LadderResult,
-                       TateCurve, alpha_eval, alpha_germ, current_from_slopes,
-                       current_x, delta_at_one, delta_eval, factored_alpha,
-                       ladder_ord, moebius, moebius_current, poly_current_eval,
-                       theta_automorphy_constant, theta_automorphy_ratio,
-                       theta_product)
+                       TateCurve, ThetaRequest, alpha_eval, alpha_germ,
+                       current_from_slopes, current_x, delta_at_one, delta_eval,
+                       factored_alpha, ladder_ord, moebius, moebius_current,
+                       poly_current_eval, theta_automorphy_constant,
+                       theta_automorphy_ratio, theta_product)
 from .skeleton import (CompletedSubdivision, Edge, EdgeEnd, GraphPoint,
                        Refinement, SkeletonGraph, SkeletonTower, SubdivisionSet,
                        canonical_point, compose, compose_check, retract,

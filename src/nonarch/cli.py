@@ -220,16 +220,15 @@ def _cmd_theta(args) -> dict:
     fd = _parse_factored(args)
     z = _parse_scalar(args.z, args.p, args.prec)
     z0 = _parse_scalar(args.z0, args.p, args.prec)
-    res = currents.theta_product(fd, q, args.l, z, z0, args.M)
-    out = {
+    req = currents.ThetaRequest(fd, q, args.l, z, z0, args.M)
+    res, ratio = req.product(), req.automorphy_ratio()
+    return {
         "value": _padic_json(res.value, res.error_valuation),
         "error_valuation": exact_text(res.error_valuation),
+        "automorphy_ratio": _padic_json(ratio.value, ratio.error_valuation),
+        "automorphy_constant": _padic_json(
+            currents.theta_automorphy_constant(fd, q), INF),
     }
-    ratio = currents.theta_automorphy_ratio(fd, q, args.l, z, z0, args.M)
-    out["automorphy_ratio"] = _padic_json(ratio.value, ratio.error_valuation)
-    out["automorphy_constant"] = _padic_json(
-        currents.theta_automorphy_constant(fd, q), INF)
-    return out
 
 
 def _cmd_ladder_ord(args) -> dict:

@@ -508,80 +508,6 @@ def theta_automorphy_constant(fd: FactoredFunction, q: PadicNumber) -> PadicNumb
     return fd.value(q, PadicNumber.zero(q.p))
 
 
-def _theta_tail_bound(fd: FactoredFunction, l: int, M: int, vq, vz, vz0):
-    """Relative tail bound of the theta product at a point of valuation vz:
-    the truncated product differs from the full one by a factor
-    1 + O(p^rel), with rel = +inf when f is constant.  A bound <= 0
-    certifies nothing and raises TailCertificateError."""
-    if not fd.zeros:
-        return INF
-    jmin, jmax = fd.zeros[0][0], fd.zeros[-1][0]  # the zeros are sorted
-    beta_pos = (l * (M + 1) - jmax) * vq + min(vz, vz0)
-    beta_neg = (l * (M + 1) + jmin) * vq - max(vz, vz0)
-    rel_err = min(beta_pos, beta_neg)
-    if rel_err <= 0:
-        raise TailCertificateError(
-            f"truncation M={M} cannot certify the tail (bound {rel_err})")
-    return rel_err
-
-
-@dataclass(frozen=True)
-class _ThetaRequest:
-    """A checked theta request: its arguments as passed, v(q), v(z), v(z0)
-    and the relative tail bound ``rel`` of its product at z."""
-
-    args: tuple  # (fd, q, l, z, z0, M)
-    vq: Fraction
-    vz: Fraction
-    vz0: Fraction
-    rel: Union[Fraction, float]
-
-
-_last_request: Optional[_ThetaRequest] = None
-
-
-def _theta_request(fd: FactoredFunction, q: PadicNumber, l: int,
-                   z: PadicNumber, z0: PadicNumber, M: int) -> _ThetaRequest:
-    """Check a theta request and return its record, which ``theta_product``
-    and ``theta_automorphy_ratio`` both read.
-
-    The checks run in a fixed order, each with its own error: l and M, the
-    degree of f, z and z0 in G_m, q a Tate parameter, z and z0 off every
-    zero/pole q^(j + ls) of a Gamma'-translate of f, and a positive tail
-    bound at z.  A point w can be such a q^(j + ls) only when
-    t = v(w)/v(q) is an integer with t = j mod l, so the power q^t and the
-    exact comparison run only then.
-
-    The last record is kept, and a call with the very same argument objects
-    returns it, so the automorphy ratio that ``cli`` builds right after the
-    product repeats none of its checks.  The arguments are immutable, so the
-    same objects are the same request; the record holds them, so their ids
-    cannot be reused while it is kept.
-    """
-    global _last_request
-    args = (fd, q, l, z, z0, M)
-    last = _last_request
-    if last is not None and all(a is b for a, b in zip(last.args, args)):
-        return last
-    if l < 1 or M < 0:
-        raise ValueError("l must be positive, M nonnegative")
-    _require_theta_degree(fd)
-    if z.is_exact_zero or z0.is_exact_zero:
-        raise PoleCollisionError("z and z0 must lie in G_m")
-    vq = _tate_valuation(q)
-    vz, vz0 = z.exact_valuation, z0.exact_valuation
-    for w, vw, name in ((z, vz, "z"), (z0, vz0, "z0")):
-        t = vw / vq
-        if t.denominator == 1 and \
-                any((t.numerator - j) % l == 0 for j, _ in fd.zeros) and \
-                (w - q ** t.numerator).is_exact_zero:
-            raise PoleCollisionError(
-                f"{name} meets a zero/pole of a Gamma'-translate of f")
-    rel = _theta_tail_bound(fd, l, M, vq, vz, vz0)
-    _last_request = _ThetaRequest(args, vq, vz, vz0, rel)
-    return _last_request
-
-
 def _theta_exponents(zeros: Sequence[Tuple[int, int]], l: int,
                      M: int) -> list:
     """The pairs (m, e_m) with e_m != 0, in increasing m, where e_m = sum k
@@ -608,65 +534,139 @@ def _theta_exponents(zeros: Sequence[Tuple[int, int]], l: int,
     return out
 
 
+@dataclass(frozen=True)
+class ThetaRequest:
+    """A theta request, checked once on construction so that no invalid one
+    exists: f, q, l, z, z0 and M as ``theta_product`` takes them, with
+    v(q), v(z0) and the relative tail bound ``rel`` of the product at z.
+    ``product`` and ``automorphy_ratio`` both read it, so a caller that
+    wants both, as the CLI does, checks the request once.
+
+    The checks run in a fixed order, each with its own error: l and M, the
+    degree of f, z and z0 in G_m, q a Tate parameter, z and z0 off every
+    zero/pole q^(j + ls) of a Gamma'-translate of f, and a positive tail
+    bound at z.  A point w can be such a q^(j + ls) only when
+    t = v(w)/v(q) is an integer with t = j mod l, so the power q^t and the
+    exact comparison run only then.
+    """
+
+    fd: FactoredFunction
+    q: PadicNumber
+    l: int
+    z: PadicNumber
+    z0: PadicNumber
+    M: int
+    vq: Fraction = field(init=False, repr=False, compare=False)
+    vz0: Fraction = field(init=False, repr=False, compare=False)
+    rel: Union[Fraction, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fd, q, l, z, z0 = self.fd, self.q, self.l, self.z, self.z0
+        if l < 1 or self.M < 0:
+            raise ValueError("l must be positive, M nonnegative")
+        _require_theta_degree(fd)
+        if z.is_exact_zero or z0.is_exact_zero:
+            raise PoleCollisionError("z and z0 must lie in G_m")
+        vq = _tate_valuation(q)
+        vz, vz0 = z.exact_valuation, z0.exact_valuation
+        for w, vw, name in ((z, vz, "z"), (z0, vz0, "z0")):
+            t = vw / vq
+            if t.denominator == 1 and \
+                    any((t.numerator - j) % l == 0 for j, _ in fd.zeros) and \
+                    (w - q ** t.numerator).is_exact_zero:
+                raise PoleCollisionError(
+                    f"{name} meets a zero/pole of a Gamma'-translate of f")
+        object.__setattr__(self, "vq", vq)
+        object.__setattr__(self, "vz0", vz0)
+        object.__setattr__(self, "rel", self._tail_bound(vz))
+
+    def _tail_bound(self, vz):
+        """Relative tail bound of the theta product at a point of valuation
+        vz: the truncated product differs from the full one by a factor
+        1 + O(p^rel), with rel = +inf when f is constant.  A bound <= 0
+        certifies nothing and raises TailCertificateError."""
+        zeros = self.fd.zeros
+        if not zeros:
+            return INF
+        l, M, vq, vz0 = self.l, self.M, self.vq, self.vz0
+        jmin, jmax = zeros[0][0], zeros[-1][0]  # the zeros are sorted
+        beta_pos = (l * (M + 1) - jmax) * vq + min(vz, vz0)
+        beta_neg = (l * (M + 1) + jmin) * vq - max(vz, vz0)
+        rel_err = min(beta_pos, beta_neg)
+        if rel_err <= 0:
+            raise TailCertificateError(
+                f"truncation M={M} cannot certify the tail (bound {rel_err})")
+        return rel_err
+
+    def product(self) -> EvalResult:
+        """Truncated theta product prod_{|k|<=M} f(q^(lk) z)/f(q^(lk) z0)
+        for the subgroup q^(lZ), with a certified tail valuation.
+
+        Requires a degree-zero factorization with no zero/pole at 0 or
+        infinity (x_exponent = 0 and total degree 0): that is the
+        convergent core of the rank-1 theta construction.
+
+        The product telescopes.  With f(w) = prod_j (w - q^j)^(k_j), each
+        factor q^(lk) w - q^j is q^j (q^(lk-j) w - 1) and the q^(j k_j)
+        cancel between z and z0, so f(q^(lk) z)/f(q^(lk) z0) =
+        prod_j R(lk - j)^(k_j) with R(m) = (q^m z - 1)/(q^m z0 - 1).  The
+        product is therefore prod_m R(m)^(e_m), where e_m = sum k_j over
+        the pairs (j, k) with lk - j = m and |k| <= M, and only the m with
+        e_m != 0 are evaluated.  At l = 1 the total degree 0 makes every
+        interior e_m vanish, so a request costs O(#zeros * span of j)
+        factors instead of O(M).  The grid checks of the constructor keep
+        every q^m z and q^m z0 off 1.  The value starts from a one at the
+        least of DEFAULT_PREC and the precs of q, z and z0, the prec the
+        untelescoped product carries.
+        """
+        q, z, z0 = self.q, self.z, self.z0
+        value = one = PadicNumber.one(q.p, min(DEFAULT_PREC, q.prec, z.prec, z0.prec))
+        g, at, powers = PadicNumber.one(q.p, q.prec), 0, {}  # g = q^at
+        for m, em in _theta_exponents(self.fd.zeros, self.l, self.M):
+            if m - at not in powers:
+                powers[m - at] = q ** (m - at)
+            g, at = g * powers[m - at], m
+            num, den = g * z - one, g * z0 - one
+            if em < 0:
+                num, den = den, num
+            value = value * (num / den) ** abs(em)
+        # the tail bound is multiplicative; report it additively
+        return EvalResult(value, self.rel + value.exact_valuation)
+
+    def automorphy_ratio(self) -> EvalResult:
+        """theta(q^l z) / theta(z) for the truncated products of ``product``.
+
+        The quotient telescopes: every factor at z0 cancels, and so does
+        every factor at z but the two end ones, leaving
+        f(q^(l(M+1)) z) / f(q^(-lM) z) exactly.  Its relative error is the
+        worse of the two products' tail bounds, so both requests are
+        checked as ``product`` would check them, z's first.  The check at
+        q^l z follows from z's: v(q^l z) = v(z) + l v(q), and q^l z is a
+        grid point exactly when z is, with index t + l, which meets the
+        same translates of the zeros; so only its tail bound is new.  The
+        value carries the precision the quotient of the two products would
+        carry, which includes z0's and DEFAULT_PREC.
+        """
+        fd, q, l, M, z = self.fd, self.q, self.l, self.M, self.z
+        rel = min(self.rel, self._tail_bound(z.exact_valuation + l * self.vq))
+        # the grid checks keep both end translates of z off the zeros of f
+        factors = fd.factors(q)
+        num = product_at(factors, q ** (l * (M + 1)) * z)
+        den = product_at(factors, q ** (-l * M) * z)
+        value = PadicNumber.one(q.p, min(DEFAULT_PREC, self.z0.prec)) * num / den
+        return EvalResult(value, rel + value.exact_valuation)
+
+
 def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
                   z: PadicNumber, z0: PadicNumber, M: int) -> EvalResult:
-    """Truncated theta product prod_{|k|<=M} f(q^(lk) z)/f(q^(lk) z0) for the
-    subgroup q^(lZ), with a certified tail valuation.
-
-    Requires a degree-zero factorization with no zero/pole at 0 or infinity
-    (x_exponent = 0 and total degree 0): that is the convergent core of the
-    rank-1 theta construction.
-
-    The product telescopes.  With f(w) = prod_j (w - q^j)^(k_j), each factor
-    q^(lk) w - q^j is q^j (q^(lk-j) w - 1) and the q^(j k_j) cancel between
-    z and z0, so f(q^(lk) z)/f(q^(lk) z0) = prod_j R(lk - j)^(k_j) with
-    R(m) = (q^m z - 1)/(q^m z0 - 1).  The product is therefore
-    prod_m R(m)^(e_m), where e_m = sum k_j over the pairs (j, k) with
-    lk - j = m and |k| <= M, and only the m with e_m != 0 are evaluated.
-    At l = 1 the total degree 0 makes every interior e_m vanish, so a
-    request costs O(#zeros * span of j) factors instead of O(M).  The grid
-    checks of ``_theta_request`` keep every q^m z and q^m z0 off 1.  The
-    value starts from a one at the least of DEFAULT_PREC and the precs of q,
-    z and z0, the prec the untelescoped product carries.
-    """
-    rel_err = _theta_request(fd, q, l, z, z0, M).rel
-    value = one = PadicNumber.one(q.p, min(DEFAULT_PREC, q.prec, z.prec, z0.prec))
-    g, at, powers = PadicNumber.one(q.p, q.prec), 0, {}  # g = q^at
-    for m, em in _theta_exponents(fd.zeros, l, M):
-        if m - at not in powers:
-            powers[m - at] = q ** (m - at)
-        g, at = g * powers[m - at], m
-        num, den = g * z - one, g * z0 - one
-        if em < 0:
-            num, den = den, num
-        value = value * (num / den) ** abs(em)
-    # the tail bound is multiplicative; report it additively
-    return EvalResult(value, rel_err + value.exact_valuation)
+    """The truncated theta product: ``ThetaRequest(...).product()``."""
+    return ThetaRequest(fd, q, l, z, z0, M).product()
 
 
 def theta_automorphy_ratio(fd: FactoredFunction, q: PadicNumber, l: int,
                            z: PadicNumber, z0: PadicNumber, M: int) -> EvalResult:
-    """theta(q^l z) / theta(z) for the truncated products of ``theta_product``.
-
-    The quotient telescopes: every factor at z0 cancels, and so does every
-    factor at z but the two end ones, leaving f(q^(l(M+1)) z) / f(q^(-lM) z)
-    exactly.  Its relative error is the worse of the two products' tail
-    bounds, so both requests are checked as ``theta_product`` would check
-    them, z's first.  The check at q^l z follows from z's: v(q^l z) =
-    v(z) + l v(q), and q^l z is a grid point exactly when z is, with index
-    t + l, which meets the same translates of the zeros; so only its tail
-    bound is new.  The value carries the precision the quotient of the two
-    products would carry, which includes z0's and DEFAULT_PREC.
-    """
-    req = _theta_request(fd, q, l, z, z0, M)
-    rel = min(req.rel, _theta_tail_bound(fd, l, M, req.vq, req.vz + l * req.vq,
-                                         req.vz0))
-    # the grid checks keep both end translates of z off the zeros of f
-    factors = fd.factors(q)
-    num = product_at(factors, q ** (l * (M + 1)) * z)
-    den = product_at(factors, q ** (-l * M) * z)
-    value = PadicNumber.one(q.p, min(DEFAULT_PREC, z0.prec)) * num / den
-    return EvalResult(value, rel + value.exact_valuation)
+    """theta(q^l z) / theta(z): ``ThetaRequest(...).automorphy_ratio()``."""
+    return ThetaRequest(fd, q, l, z, z0, M).automorphy_ratio()
 
 
 @dataclass(frozen=True)

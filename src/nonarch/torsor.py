@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+from .berkovich import _recenter
 from .errors import IndeterminateGermError, PrecisionExhaustedError
 from .padic import (DEFAULT_PREC, NEG_INF, PadicNumber, require_prime, require_window,
                     vp_int)
@@ -163,7 +164,6 @@ def dlog_ord(f: BoundedSeries, shift: Optional[PadicNumber] = None) -> int:
             raise PrecisionExhaustedError(
                 "recentring a certified-tail series is not supported; "
                 "expand the germ about the point instead")
-        from .berkovich import _recenter
         f = BoundedSeries(f.p, tuple(_recenter(list(f.coeffs), shift)), None)
     m = f.ord()
     if m is None:

@@ -335,17 +335,21 @@ def test_graph_index_that_is_not_an_integer_in_a_tower_file_exits_2(tmp_path, ca
 
 
 def test_theta_request_builds_one_product(monkeypatch):
-    calls, checks = [], []
-    product = nonarch.currents.theta_product
-    record = nonarch.currents._ThetaRequest
-    monkeypatch.setattr(nonarch.currents, "theta_product",
-                        lambda *a: calls.append(a) or product(*a))
-    monkeypatch.setattr(nonarch.currents, "_ThetaRequest",
-                        lambda *a: checks.append(a) or record(*a))
+    # one ThetaRequest is built, so checked, and its product is built once
+    built, products = [], []
+    cls = nonarch.currents.ThetaRequest
+    check, product = cls.__post_init__, cls.product
+    monkeypatch.setattr(cls, "__post_init__", lambda req: built.append(req) or check(req))
+    monkeypatch.setattr(cls, "product", lambda req: products.append(req) or product(req))
     code, payload = run(THETA + ["--q", "p", "--z", "5", "--z0", "2"])
-    assert code == 0 and len(calls) == 1 and len(checks) == 1
-    ratio = payload["result"]["automorphy_ratio"]
-    assert (ratio["digits"], ratio["error_valuation"]) == ("p^-1 + O(p^2)", "2")
+    assert code == 0 and len(built) == 1 and products == built
+    result = payload["result"]
+    assert {k: result[k]["digits"] for k in ("value", "automorphy_ratio",
+                                              "automorphy_constant")} == {
+        "value": "1 + p + 2*p^2 + O(p^3)", "automorphy_ratio": "p^-1 + O(p^2)",
+        "automorphy_constant": "p^-1"}
+    assert (result["error_valuation"],
+            result["automorphy_ratio"]["error_valuation"]) == ("3", "2")
 
 
 def test_theta_request_whose_bound_fails_only_at_q_l_z_exits_4():

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonarch import (BallPoint, Current, FactoredFunction,
-                     INF, PadicNumber, TateCurve, alpha_eval, alpha_germ,
+from nonarch import (BallPoint, Current, FactoredFunction, INF, PadicNumber,
+                     TateCurve, ThetaRequest, alpha_eval, alpha_germ,
                      current_from_slopes, current_x, delta_at_one, delta_eval,
                      dlog_ord, factored_alpha, ladder_ord, moebius,
                      moebius_current, poly_current_eval,
@@ -650,21 +650,29 @@ def test_automorphy_ratio_reports_a_failing_shifted_bound():
     q = Q(3, 3)
     fd = FactoredFunction(0, ((0, 1), (1, -1)))
     z, z0 = Q(3, 15), Q(3, 2)
+    assert theta_product(fd, q, 1, z, z0, 1).error_valuation is not INF
     for fn in (theta_automorphy_ratio, _ratio_from_two_products,
                theta_automorphy_ratio_oracle):
-        # the product at z succeeds, and its checked request is the last one
-        assert theta_product(fd, q, 1, z, z0, 1).error_valuation is not INF
         with pytest.raises(TailCertificateError,
                            match=r"^truncation M=1 cannot certify the tail \(bound 0\)$"):
             fn(fd, q, 1, z, z0, 1)
 
 
-def _as_cli_builds_it(product, ratio, args):
-    """A theta request as ``cli`` builds it: the product, then the
-    automorphy ratio from the same argument objects if the product
-    succeeded; the outcome of each."""
+def _product_then_ratio(product, ratio, *args):
+    """The outcome of the product, then of the automorphy ratio if the
+    product succeeded."""
     first = _outcome(product, *args)
     return (first,) if first[0] == "raised" else (first, _outcome(ratio, *args))
+
+
+def _as_cli_builds_it(args):
+    """A theta request as ``cli`` builds it: one ``ThetaRequest``, whose
+    error is the outcome if it raises, then its product and its ratio."""
+    try:
+        req = ThetaRequest(*args)
+    except Exception as exc:  # compared by type and message
+        return (("raised", type(exc), str(exc)),)
+    return _product_then_ratio(ThetaRequest.product, ThetaRequest.automorphy_ratio, req)
 
 
 @settings(max_examples=150, deadline=None)
@@ -672,8 +680,8 @@ def _as_cli_builds_it(product, ratio, args):
 def test_one_checked_request_matches_three_checks(args):
     # the product and the ratio read one checked request; the oracles check
     # z for the product, then z and q^l z again for the ratio
-    assert _as_cli_builds_it(theta_product, theta_automorphy_ratio, args) == \
-        _as_cli_builds_it(theta_product_oracle, theta_automorphy_ratio_oracle, args)
+    assert _as_cli_builds_it(args) == \
+        _product_then_ratio(theta_product_oracle, theta_automorphy_ratio_oracle, *args)
 
 
 @pytest.mark.parametrize("i, other", [

@@ -23,28 +23,20 @@ Stdlib only; ``--src`` picks the ``nonarch`` source tree to import.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
 import os
-import platform
-import sys
 
-from _bench import best_of, report_digest
+from _bench import ROOT, best_of, env, parse_args, record, report_digest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_cli.json")
 JOBS = "perfbench/corpus/seed-1/cli-mix/jobs.json"
 REPEAT = 3
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=os.path.join(ROOT, "src"))
-    ap.add_argument("--label", required=True)
-    args = ap.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
+    args = parse_args(__doc__, argv)
     from nonarch import cli
 
     os.chdir(ROOT)
@@ -69,21 +61,13 @@ def main(argv=None):
     for total in totals.values():
         total["ms"] = round(total["ms"], 3)
 
-    data = {}
-    if os.path.exists(OUT):
-        with open(OUT, encoding="utf-8") as fh:
-            data = json.load(fh)
-    data[args.label] = {
-        "env": {"python": platform.python_version(), "machine": platform.machine(),
-                "cpus": os.cpu_count(), "repeat": REPEAT, "clock": "perf_counter"},
+    data = record(OUT, args.label, {
+        "env": env(REPEAT),
         "jobs": JOBS,
         "total_ms": round(sum(t["ms"] for t in totals.values()), 3),
         "by_command": totals,
         "rows": rows,
-    }
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
     for command, total in sorted(totals.items()):
         print(f"{command:<17} {total['requests']:>3} requests  {total['ms']:9.3f} ms")
     print(f"{'total':<17} {len(rows):>3} requests  {data[args.label]['total_ms']:9.3f} ms")

@@ -29,17 +29,14 @@ Stdlib only; ``--src`` picks the ``nonarch`` source tree to import.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
 import random
 import sys
 import tempfile
 
-from _bench import best_of, report_digest
+from _bench import ROOT, best_of, env, parse_args, record, report_digest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_poles.json")
 REPEAT = 5
 SEED = 1
@@ -114,11 +111,7 @@ def poles_digest(payload):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=os.path.join(ROOT, "src"))
-    ap.add_argument("--label", required=True)
-    args = ap.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
+    args = parse_args(__doc__, argv)
     from nonarch import cli, poles
 
     rng = random.Random(SEED)
@@ -145,19 +138,10 @@ def main(argv=None):
                 "report_sha256": poles_digest(payload),
             })
 
-    data = {}
-    if os.path.exists(OUT):
-        with open(OUT, encoding="utf-8") as fh:
-            data = json.load(fh)
-    data[args.label] = {
-        "env": {"python": platform.python_version(), "machine": platform.machine(),
-                "cpus": os.cpu_count(), "repeat": REPEAT, "clock": "perf_counter",
-                "seed": SEED},
+    record(OUT, args.label, {
+        "env": env(REPEAT, seed=SEED),
         "rows": rows,
-    }
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
     for r in rows:
         print(f"{r['command']:>10} p={r['p']} n={r['poles']:>2} C={r['C']} "
               f"request {r['request_ms']:8.3f} ms  columns {r['columns_built']:>3}  "

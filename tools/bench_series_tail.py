@@ -20,17 +20,12 @@ Stdlib only; ``--src`` picks the ``nonarch`` source tree to import.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
 import random
-import sys
 from fractions import Fraction
 
-from _bench import best_of
+from _bench import ROOT, best_of, env, parse_args, record
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_series_tail.json")
 REPEAT = 5
 
@@ -60,11 +55,7 @@ def operand_bits(coeffs):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=os.path.join(ROOT, "src"))
-    ap.add_argument("--label", required=True)
-    args = ap.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
+    args = parse_args(__doc__, argv)
     from nonarch import series, torsor
 
     rows = []
@@ -92,18 +83,10 @@ def main(argv=None):
             "splitting_logradius_numeric_ms": round(t_radius * 1e3, 3),
         })
 
-    data = {}
-    if os.path.exists(OUT):
-        with open(OUT, encoding="utf-8") as fh:
-            data = json.load(fh)
-    data[args.label] = {
-        "env": {"python": platform.python_version(), "machine": platform.machine(),
-                "cpus": os.cpu_count(), "repeat": REPEAT, "clock": "perf_counter"},
+    record(OUT, args.label, {
+        "env": env(REPEAT),
         "rows": rows,
-    }
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
     for r in rows:
         print(f"p={r['p']} D={r['degree']:>2} m={r['m']} tail={r['tail']!s:5} "
               f"points={r['constraint_points']:>2} tail {r['root_tail_ms']:8.3f} ms  "

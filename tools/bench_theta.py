@@ -27,15 +27,10 @@ Stdlib only; ``--src`` picks the ``nonarch`` source tree to import.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
-import sys
 
-from _bench import best_of, report_digest
+from _bench import ROOT, best_of, env, parse_args, record, report_digest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "BENCH_theta.json")
 REPEAT = 3
 
@@ -82,11 +77,7 @@ class ScalarCount:
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=os.path.join(ROOT, "src"))
-    ap.add_argument("--label", required=True)
-    args = ap.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
+    args = parse_args(__doc__, argv)
     from nonarch import cli, padic
 
     rows = []
@@ -103,19 +94,11 @@ def main(argv=None):
             "report_sha256": report_digest(payload),
         })
 
-    data = {}
-    if os.path.exists(OUT):
-        with open(OUT, encoding="utf-8") as fh:
-            data = json.load(fh)
-    data[args.label] = {
-        "env": {"python": platform.python_version(), "machine": platform.machine(),
-                "cpus": os.cpu_count(), "repeat": REPEAT, "clock": "perf_counter"},
+    record(OUT, args.label, {
+        "env": env(REPEAT),
         "argv": theta_argv("<factors>", "<M>", "<l>"),
         "rows": rows,
-    }
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
     for r in rows:
         print(f"{r['factors']:<34} M={r['M']:>6} l={r['l']} "
               f"request {r['request_ms']:9.3f} ms  built {r['padic_numbers_built']:>7}  "
