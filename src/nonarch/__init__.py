@@ -8,8 +8,8 @@ Tate tree with theta products and the ladder computation of ord (currents),
 and metric-graph skeleton towers (skeleton).
 """
 
-from .padic import (DEFAULT_PREC, INF, NEG_INF, PadicNumber, binom_fractional,
-                    padic_digit_string, valuation, vp_factorial)
+from .padic import (INF, NEG_INF, PadicNumber, binom_fractional, padic_digit_string,
+                    valuation, vp_factorial)
 from .series import (BoundedSeries, TailBound, convergence_logradius,
                      series_p_power_root)
 from .berkovich import (BallPoint, Segment, classify_type, join, ladder_point,

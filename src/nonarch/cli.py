@@ -194,9 +194,7 @@ def _cmd_poly_eval(args) -> dict:
     q = _parse_scalar(args.q, args.p, args.prec)
     coeffs = [parse_fraction(c) for c in args.coeffs.split(",")]
     res = currents.poly_current_eval(coeffs, q, args.J)
-    direct = PadicNumber.zero(args.p)
-    for n, a in enumerate(coeffs):
-        direct = direct + (q ** n) * a
+    direct = sum((q ** n * a for n, a in enumerate(coeffs)), PadicNumber.zero(q.p, q.prec))
     diff = res.value - direct
     return {
         "value": padic_digit_string(res.value, res.error_valuation),

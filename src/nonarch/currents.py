@@ -35,9 +35,8 @@ from .berkovich import BallPoint, product_at
 from .errors import (NonStabilizedError, PoleCollisionError,
                      PrecisionExhaustedError, TailCertificateError)
 # binom_fractional is re-exported (public name of this module), not called here
-from .padic import (DEFAULT_PREC, INF, PadicNumber, binom_fractional,  # noqa: F401
-                    json_shape, parse_fraction, require_window, valuation,
-                    vp_fraction)
+from .padic import (INF, PadicNumber, binom_fractional, json_shape,  # noqa: F401
+                    parse_fraction, require_window, valuation, vp_fraction)
 from .series import BoundedSeries, TailBound, _power_coeffs
 from .torsor import RamifiedGerm, splitting_logradius_numeric
 
@@ -470,7 +469,7 @@ def delta_at_one(n: int, q: PadicNumber, J: int) -> EvalResult:
     """delta(c_n)(1) for the Moebius current c_n = ``moebius_current(n, J)``,
     that is sum_{j<=J} mu(j) q^(jn) / (1 - q^(jn)); it equals q^n up to a
     tail of valuation >= n(J+1)v(q)."""
-    res = delta_eval(moebius_current(n, J), q, PadicNumber.one(q.p))
+    res = delta_eval(moebius_current(n, J), q, PadicNumber.one(q.p, q.prec))
     return EvalResult(res.value, Fraction(n) * (J + 1) * _tate_valuation(q))
 
 
@@ -483,8 +482,7 @@ def poly_current_eval(P: Sequence[Value], q: PadicNumber, J: int) -> EvalResult:
     for n, a in enumerate(coeffs[1:], start=1):
         if a != 0:
             total = total + moebius_current(n, J).scale(a)
-    one = PadicNumber.one(q.p)
-    res = delta_eval(total, q, one)
+    res = delta_eval(total, q, PadicNumber.one(q.p, q.prec))
     err = INF
     for n, a in enumerate(coeffs[1:], start=1):
         if a != 0:
@@ -505,7 +503,7 @@ def theta_automorphy_constant(fd: FactoredFunction, q: PadicNumber) -> PadicNumb
     prod_j (-q^j)^(k_j) for the degree-zero factorization (x_exponent = 0,
     total degree 0) a theta product needs; any other f raises ValueError."""
     _require_theta_degree(fd)
-    return fd.value(q, PadicNumber.zero(q.p))
+    return fd.value(q, PadicNumber.zero(q.p, q.prec))
 
 
 def _theta_exponents(zeros: Sequence[Tuple[int, int]], l: int,
@@ -615,12 +613,10 @@ class ThetaRequest:
         e_m != 0 are evaluated.  At l = 1 the total degree 0 makes every
         interior e_m vanish, so a request costs O(#zeros * span of j)
         factors instead of O(M).  The grid checks of the constructor keep
-        every q^m z and q^m z0 off 1.  The value starts from a one at the
-        least of DEFAULT_PREC and the precs of q, z and z0, the prec the
-        untelescoped product carries.
+        every q^m z and q^m z0 off 1.
         """
         q, z, z0 = self.q, self.z, self.z0
-        value = one = PadicNumber.one(q.p, min(DEFAULT_PREC, q.prec, z.prec, z0.prec))
+        value = one = PadicNumber.one(q.p, min(q.prec, z.prec, z0.prec))
         g, at, powers = PadicNumber.one(q.p, q.prec), 0, {}  # g = q^at
         for m, em in _theta_exponents(self.fd.zeros, self.l, self.M):
             if m - at not in powers:
@@ -643,9 +639,8 @@ class ThetaRequest:
         checked as ``product`` would check them, z's first.  The check at
         q^l z follows from z's: v(q^l z) = v(z) + l v(q), and q^l z is a
         grid point exactly when z is, with index t + l, which meets the
-        same translates of the zeros; so only its tail bound is new.  The
-        value carries the precision the quotient of the two products would
-        carry, which includes z0's and DEFAULT_PREC.
+        same translates of the zeros; so only its tail bound is new.  Like
+        the quotient of the two products, the value carries z0's prec too.
         """
         fd, q, l, M, z = self.fd, self.q, self.l, self.M, self.z
         rel = min(self.rel, self._tail_bound(z.exact_valuation + l * self.vq))
@@ -653,7 +648,7 @@ class ThetaRequest:
         factors = fd.factors(q)
         num = product_at(factors, q ** (l * (M + 1)) * z)
         den = product_at(factors, q ** (-l * M) * z)
-        value = PadicNumber.one(q.p, min(DEFAULT_PREC, self.z0.prec)) * num / den
+        value = PadicNumber.one(q.p, self.z0.prec) * num / den
         return EvalResult(value, rel + value.exact_valuation)
 
 
@@ -686,7 +681,7 @@ class LadderResult:
 def _binomial_factor(p: int, u: PadicNumber, mexp: int, degree: int) -> BoundedSeries:
     """(1 + u*T)^mexp as a BoundedSeries (integer exponent, possibly negative)."""
     top = degree if mexp < 0 else min(mexp, degree)
-    one = PadicNumber.one(p)
+    one = PadicNumber.one(p, u.prec)
     coeffs = _power_coeffs((one, u), Fraction(mexp), one, top)
     if 0 <= mexp <= degree:
         tail = None
@@ -700,7 +695,7 @@ def alpha_germ(c: Current, q: PadicNumber, z: PadicNumber,
     """Normalized germ alpha(c)(z+T)/alpha(c)(z) = (1+T/z)^m *
     prod_j (1 + T/(z-q^j))^(k_j), as a BoundedSeries in T."""
     p = q.p
-    out = BoundedSeries.build(p, [1], None)
+    out = BoundedSeries.build(p, [1], None, min(q.prec, z.prec))
     for center, k in factored_alpha(c).factors(q):
         dz = z - center
         if dz.is_exact_zero:

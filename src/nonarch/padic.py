@@ -236,17 +236,9 @@ class PadicNumber:
         else:
             a_unit = self.pi_part / pt
             b_unit = self.rat / (pt * self.p)
-        if not self.is_ramified:
-            return integer_lift_mod(a_unit, self.p, self.prec)
-        a = integer_lift_mod(a_unit, self.p, self.prec) if a_unit else 0
-        b = integer_lift_mod(b_unit, self.p, self.prec) if b_unit else 0
-        out = 0
-        for i in range(self.prec):
-            out += (a % self.p) * self.p ** (2 * i)
-            out += (b % self.p) * self.p ** (2 * i + 1)
-            a //= self.p
-            b //= self.p
-        return out
+        a, b = (integer_lift_mod(u, self.p, self.prec) if u else 0
+                for u in (a_unit, b_unit))
+        return _interleave(a, b, self.p) if self.is_ramified else a
 
     # -- arithmetic ---------------------------------------------------
 
@@ -369,20 +361,31 @@ class PadicNumber:
         unit = int(data["unit"])
         if not data.get("ext", False) and v.denominator == 1:
             return cls(p, Fraction(unit) * Fraction(p) ** v, Fraction(0), prec)
-        digits_a, digits_b = [], []
-        u = unit
-        while u:
-            digits_a.append(u % p)
-            u //= p
-            digits_b.append(u % p)
-            u //= p
-        a = sum(d * p ** i for i, d in enumerate(digits_a))
-        b = sum(d * p ** i for i, d in enumerate(digits_b))
+        a, b = _deinterleave(unit, p)
         t, odd = divmod(int(2 * v), 2)
         pt = Fraction(p) ** t
         if odd == 0:
             return cls(p, a * pt, b * pt, prec)
         return cls(p, b * pt * p, a * pt, prec)
+
+
+def _interleave(a: int, b: int, p: int) -> int:
+    """The integer whose base-p digits alternate those of a, b >= 0: digit
+    i of a weighs p^(2i) and digit i of b weighs p^(2i+1)."""
+    out, w = 0, 1
+    while a or b:
+        (a, da), (b, db) = divmod(a, p), divmod(b, p)
+        out, w = out + (da + db * p) * w, w * p * p
+    return out
+
+
+def _deinterleave(u: int, p: int) -> tuple:
+    """(a, b) with ``_interleave(a, b, p) == u``."""
+    a, b, w = 0, 0, 1
+    while u:
+        u, (db, da) = u // (p * p), divmod(u % (p * p), p)
+        a, b, w = a + da * w, b + db * w, w * p
+    return a, b
 
 
 _set_p = PadicNumber.p.__set__

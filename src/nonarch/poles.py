@@ -186,8 +186,8 @@ def order_of_combination(a: Sequence, fam: PoleFamily,
     Coefficient k of the sum is built from the PadicNumber expansions of
     the poles, one k at a time, independently of the integer blocks.
     """
-    coeffs = [c if isinstance(c, PadicNumber) else PadicNumber.from_rational(fam.p, c)
-              for c in a]
+    coeffs = [c if isinstance(c, PadicNumber) else
+              PadicNumber.from_rational(fam.p, c, fam.x.prec) for c in a]
     if len(coeffs) != len(fam.poles):
         raise ValueError("coefficient count must match the pole count")
     if all(c.is_exact_zero for c in coeffs):
@@ -197,7 +197,7 @@ def order_of_combination(a: Sequence, fam: PoleFamily,
     steps = [-(fam.x - i).inverse() for i in fam.poles]
     terms = [-c * s for c, s in zip(coeffs, steps)]
     for k in range(kmax + 1):
-        if not sum(terms, PadicNumber.zero(fam.p)).is_exact_zero:
+        if not sum(terms[1:], terms[0]).is_exact_zero:
             return k
         terms = [t * s for t, s in zip(terms, steps)]
     raise PrecisionExhaustedError(
@@ -357,8 +357,8 @@ def finite_product_eval(poles: Sequence[PadicNumber], exponents: Sequence[int],
 def moebius_orbit(matrix, t: PadicNumber, kmin: int, kmax: int) -> List[PadicNumber]:
     """Orbit points g^k(t), kmin <= k <= kmax, for g = [[a, b], [c, d]] acting
     as the fractional-linear map (a t + b)/(c t + d)."""
-    a, b, c, d = (x if isinstance(x, PadicNumber) else PadicNumber.from_rational(t.p, x)
-                  for x in matrix)
+    a, b, c, d = (x if isinstance(x, PadicNumber) else
+                  PadicNumber.from_rational(t.p, x, t.prec) for x in matrix)
     det = a * d - b * c
     if det.is_exact_zero:
         raise ValueError("transformation must be invertible")

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import PrecisionExhaustedError, UndecidableSlopeError
 # binom_fractional is re-exported (public name of this module), not called here
-from .padic import (DEFAULT_PREC, INF, NEG_INF, PadicNumber,  # noqa: F401
-                    binom_fractional)
+from .padic import INF, NEG_INF, PadicNumber, binom_fractional  # noqa: F401
 
 _ZERO = Fraction(0)
 
@@ -41,12 +40,13 @@ class TailBound:
         return cls(Fraction(data["alpha"]), Fraction(data["beta"]))
 
 
-def _as_coeff(p: int, c, prec: int) -> PadicNumber:
+def _as_coeff(p: int, c, prec: Optional[int]) -> PadicNumber:
+    """c over p; a rational at ``prec`` (None: the PadicNumber default)."""
     if isinstance(c, PadicNumber):
         if c.p != p:
             raise ValueError("mixed primes in series")
         return c
-    return PadicNumber(p, c, _ZERO, prec)
+    return PadicNumber(p, c) if prec is None else PadicNumber(p, c, _ZERO, prec)
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,23 @@ class BoundedSeries:
 
     @classmethod
     def build(cls, p: int, coeffs: Sequence, tail: Optional[TailBound] = None,
-              prec: int = DEFAULT_PREC) -> "BoundedSeries":
+              prec: Optional[int] = None) -> "BoundedSeries":
         return cls(p, tuple(_as_coeff(p, c, prec) for c in coeffs), tail)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def prec(self) -> int:
+        """The least coefficient prec, which a rational scalar takes."""
+        return min(c.prec for c in self.coeffs)
+
     def coeff(self, j: int) -> PadicNumber:
         if j <= self.degree:
             return self.coeffs[j]
         if self.tail is None:
-            return PadicNumber.zero(self.p)
+            return PadicNumber.zero(self.p, self.prec)
         raise PrecisionExhaustedError(
             f"coefficient {j} lies beyond the certified degree {self.degree}")
 
@@ -117,16 +122,17 @@ class BoundedSeries:
     # -- ring operations ----------------------------------------------
 
     def scalar_mul(self, c) -> "BoundedSeries":
-        c = _as_coeff(self.p, c, DEFAULT_PREC)
+        c = _as_coeff(self.p, c, self.prec)
         if c.is_exact_zero:
-            return BoundedSeries(self.p, (PadicNumber.zero(self.p),), None)
+            zero = PadicNumber.zero(self.p, min(c.prec, self.prec))
+            return BoundedSeries(self.p, (zero,), None)
         vc = c.exact_valuation
         tail = None if self.tail is None else TailBound(self.tail.alpha,
                                                         self.tail.beta + vc)
         return BoundedSeries(self.p, tuple(c * a for a in self.coeffs), tail)
 
     def scalar_add(self, c) -> "BoundedSeries":
-        c = _as_coeff(self.p, c, DEFAULT_PREC)
+        c = _as_coeff(self.p, c, self.prec)
         coeffs = (self.coeffs[0] + c,) + self.coeffs[1:]
         return BoundedSeries(self.p, coeffs, self.tail)
 
@@ -157,8 +163,9 @@ class BoundedSeries:
         if self.p != other.p:
             raise ValueError("mixed primes")
         f, g = self, other
+        zero = PadicNumber.zero(self.p, min(f.prec, g.prec))
         if f.is_zero() or g.is_zero():
-            return BoundedSeries(self.p, (PadicNumber.zero(self.p),), None)
+            return BoundedSeries(self.p, (zero,), None)
         of = _ord_or_zero(f)
         og = _ord_or_zero(g)
         if f.tail is None and g.tail is None:
@@ -172,7 +179,6 @@ class BoundedSeries:
             tail = TailBound(a, f.minorant_at(a) + g.minorant_at(a))
         if trunc is not None:
             d_out = min(d_out, trunc)
-        zero = PadicNumber.zero(self.p)
         out = [zero] * (d_out + 1)
         for i, ci in enumerate(f.coeffs):
             if ci.is_exact_zero or i > d_out:
@@ -203,7 +209,7 @@ class BoundedSeries:
 
     def rescale(self, c) -> "BoundedSeries":
         """Substitution X -> c*X."""
-        c = _as_coeff(self.p, c, DEFAULT_PREC)
+        c = _as_coeff(self.p, c, self.prec)
         if c.is_exact_zero:
             return BoundedSeries(self.p, (self.coeffs[0],), None)
         vc = c.exact_valuation
@@ -213,13 +219,11 @@ class BoundedSeries:
         return BoundedSeries(self.p, coeffs, tail)
 
     def derivative(self) -> "BoundedSeries":
-        if self.degree == 0:
-            coeffs = (PadicNumber.zero(self.p),)
-        else:
-            coeffs = tuple(self.coeffs[j] * j for j in range(1, self.degree + 1))
+        # j c_j for j >= 1; a constant's derivative is c_0 * 0, at c_0's prec
+        coeffs = tuple(c * j for j, c in enumerate(self.coeffs))
         tail = None if self.tail is None else TailBound(
             self.tail.alpha, self.tail.alpha + self.tail.beta)
-        return BoundedSeries(self.p, coeffs, tail)
+        return BoundedSeries(self.p, coeffs[1:] or coeffs, tail)
 
     def inverse(self, trunc: Optional[int] = None) -> "BoundedSeries":
         """Multiplicative inverse of a unit series (nonzero constant term)."""
@@ -275,8 +279,8 @@ def _power_coeffs(v: Sequence[PadicNumber], a: Fraction, w0: PadicNumber,
     The sum runs on the (rat, pi_part) Fraction components, and the pi
     products are skipped when every pi part is zero.  Each W_n is one
     PadicNumber whose prec is the running minimum that PadicNumber
-    arithmetic would give it: DEFAULT_PREC, V_0's prec, and the precs of
-    the V_k and W_{n-k} that feed it.
+    arithmetic would give it: V_0's prec and the precs of the V_k and
+    W_{n-k} that feed it.
     """
     p = w0.p
     inv0 = v[0].inverse()
@@ -286,7 +290,7 @@ def _power_coeffs(v: Sequence[PadicNumber], a: Fraction, w0: PadicNumber,
                if not c.is_exact_zero]
     ramified = bool(s0 or w0.pi_part or any(s for _, _, s, _ in support))
     a1 = a + 1
-    prec0 = min(DEFAULT_PREC, inv0.prec)
+    prec0 = inv0.prec
     xs, ys, precs = [w0.rat], [w0.pi_part], [w0.prec]
     w = [w0]
     for n in range(1, d + 1):
@@ -386,14 +390,15 @@ def series_p_power_root(f: BoundedSeries, m: int) -> BoundedSeries:
     if m < 0:
         raise ValueError("m must be nonnegative")
     p = f.p
-    if f.coeffs[0] != PadicNumber.one(p):
+    one = PadicNumber.one(p, f.coeffs[0].prec)  # the root's W_0, at V_0's prec
+    if f.coeffs[0] != one:
         raise ValueError("series_p_power_root requires constant term 1")
     if m == 0:
         return f
     tail = _root_tail(f, m)
     if tail is None:
-        return BoundedSeries(p, (PadicNumber.one(p),), None)
-    coeffs = _power_coeffs(f.coeffs, Fraction(1, p ** m), PadicNumber.one(p), f.degree)
+        return BoundedSeries(p, (one,), None)
+    coeffs = _power_coeffs(f.coeffs, Fraction(1, p ** m), one, f.degree)
     return BoundedSeries(p, tuple(coeffs), tail)
 
 

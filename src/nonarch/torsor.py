@@ -14,8 +14,7 @@ from typing import Optional, Union
 
 from .berkovich import _recenter
 from .errors import IndeterminateGermError, PrecisionExhaustedError
-from .padic import (DEFAULT_PREC, NEG_INF, PadicNumber, require_prime, require_window,
-                    vp_int)
+from .padic import NEG_INF, PadicNumber, require_prime, require_window, vp_int
 from .series import BoundedSeries, _tail_from_points, _unit_points
 
 
@@ -38,7 +37,7 @@ class RamifiedGerm:
         c0 = self.series.coeffs[0]
         if c0.is_exact_zero:
             raise ValueError("germ must not vanish at 0")
-        if c0 != PadicNumber.one(self.series.p):
+        if c0 != PadicNumber.one(self.series.p, c0.prec):
             object.__setattr__(self, "series", self.series.scalar_mul(c0.inverse()))
         object.__setattr__(self, "e0", ramification_index(self.series))
         points, slope = _unit_points(self.series)
@@ -50,8 +49,8 @@ class RamifiedGerm:
         return self.series.p
 
     @classmethod
-    def model(cls, p: int, n_index: int, prec: int = DEFAULT_PREC) -> "RamifiedGerm":
-        """The model germ 1 + X^N."""
+    def model(cls, p: int, n_index: int, prec: Optional[int] = None) -> "RamifiedGerm":
+        """The model germ 1 + X^N, at ``prec`` as ``BoundedSeries.build``."""
         require_window(n_index)
         coeffs = [1] + [0] * (n_index - 1) + [1]
         return cls(BoundedSeries.build(p, coeffs, None, prec))

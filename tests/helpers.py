@@ -9,7 +9,7 @@ from nonarch import (INF, BallPoint, Current, FactoredFunction, PadicNumber,
                      current_from_slopes, moebius, seminorm, valuation)
 from nonarch.berkovich import product_at
 from nonarch.currents import EvalResult, _tate_valuation
-from nonarch.padic import DEFAULT_PREC, vp_fraction
+from nonarch.padic import vp_fraction
 from nonarch.errors import PoleCollisionError, TailCertificateError
 
 
@@ -93,12 +93,13 @@ def root_tail_oracle(u, e, m, p):
 def power_coeffs_oracle(v, a, w0, d):
     """Miller's power recurrence on PadicNumber scalars, one scalar
     operation at a time: coefficients 0..d of V^a with W_0 = w0, each
-    carrying the prec that PadicNumber arithmetic gives it."""
+    carrying the prec that PadicNumber arithmetic gives it, from a zero at
+    V_0's prec."""
     inv0 = v[0].inverse()
     support = [k for k in range(1, min(d, len(v) - 1) + 1) if not v[k].is_exact_zero]
     w = [w0]
     for n in range(1, d + 1):
-        acc = PadicNumber.zero(w0.p)
+        acc = PadicNumber.zero(w0.p, v[0].prec)
         for k in support:
             if k > n:
                 break
@@ -184,21 +185,23 @@ def delta_eval_oracle(c, q, z, J=None):
 
 
 def factored_value_oracle(fd, q, w):
-    """f(w) = w^m prod (w - q^j)^(k_j); a zero is returned at prec 64."""
+    """f(w) = w^m prod (w - q^j)^(k_j); a zero is returned at the prec of
+    the factor that vanishes."""
     out = w ** fd.x_exponent
     for j, k in fd.zeros:
         base = w - q ** j
         if base.is_exact_zero:
             if k < 0:
                 raise PoleCollisionError(f"evaluation at the pole q^{j}")
-            return PadicNumber.zero(w.p)
+            return PadicNumber.zero(w.p, base.prec)
         out = out * base ** k
     return out
 
 
 def finite_product_oracle(poles, exponents, x, z):
-    """prod ((X - i)/(x - i))^(a_i) factor by factor, from a prec-64 one; at
-    a ball point sum a_i (log-seminorm of X - i - prec-capped v(x - i))."""
+    """prod ((X - i)/(x - i))^(a_i) factor by factor, from a one at the
+    least prec of x and z; at a ball point sum a_i (log-seminorm of X - i -
+    prec-capped v(x - i))."""
     if len(poles) != len(exponents):
         raise ValueError("pole and exponent counts differ")
     if isinstance(z, BallPoint):
@@ -206,7 +209,7 @@ def finite_product_oracle(poles, exponents, x, z):
         for i, a in zip(poles, exponents):
             total += a * (seminorm([-i, PadicNumber.one(i.p)], z) - valuation(x - i))
         return total
-    value = PadicNumber.one(x.p)
+    value = PadicNumber.one(x.p, min(x.prec, z.prec))
     for i, a in zip(poles, exponents):
         num = z - i
         if num.is_exact_zero and a < 0:
@@ -270,11 +273,11 @@ def theta_exponents_oracle(zeros, l, M):
 def theta_product_oracle(fd, q, l, z, z0, M):
     """The truncated theta product untelescoped: every f(q^(lk) z) and
     f(q^(lk) z0) with |k| <= M evaluated from f's factors, each quotient
-    multiplied into a prec-64 one; the same checks and tail bound as
-    ``theta_product``."""
+    multiplied into a one at the least prec of q, z and z0; the same checks
+    and tail bound as ``theta_product``."""
     rel_err = _theta_tail(fd, q, l, z, z0, M)
     factors = fd.factors(q)
-    value = PadicNumber.one(q.p)
+    value = PadicNumber.one(q.p, min(q.prec, z.prec, z0.prec))
     step = q ** l
     g = q ** (-l * M)  # the grid point q^(lk), stepped by q^l
     for k in range(-M, M + 1):
@@ -293,21 +296,21 @@ def theta_automorphy_ratio_oracle(fd, q, l, z, z0, M):
     factors = fd.factors(q)
     num = product_at(factors, q ** (l * (M + 1)) * z)
     den = product_at(factors, q ** (-l * M) * z)
-    value = PadicNumber.one(q.p, min(DEFAULT_PREC, z0.prec)) * num / den
+    value = PadicNumber.one(q.p, z0.prec) * num / den
     return EvalResult(value, rel + value.exact_valuation)
 
 
 def delta_at_one_oracle(n, q, J):
     """The Lambert sum sum_{j<=J} mu(j) q^(jn) / (1 - q^(jn)) term by term,
-    from a DEFAULT_PREC zero, with the tail bound n(J+1)v(q); the same
+    from a zero at q's prec, with the tail bound n(J+1)v(q); the same
     checks, in the same order, as ``delta_at_one``."""
     if n < 1:
         raise ValueError("n must be positive")
     if J < 0:
         raise ValueError("J must be nonnegative")
     vq = _tate_valuation(q)
-    acc = PadicNumber.zero(q.p)
-    one = PadicNumber.one(q.p)
+    acc = PadicNumber.zero(q.p, q.prec)
+    one = PadicNumber.one(q.p, q.prec)
     for j in range(1, J + 1):
         mu = moebius(j)
         if mu == 0:
@@ -318,8 +321,8 @@ def delta_at_one_oracle(n, q, J):
 
 
 def theta_automorphy_constant_oracle(fd, q):
-    """prod_j (-q^j)^(k_j) factor by factor, from a DEFAULT_PREC one."""
-    out = PadicNumber.one(q.p)
+    """prod_j (-q^j)^(k_j) factor by factor, from a one at q's prec."""
+    out = PadicNumber.one(q.p, q.prec)
     for j, k in fd.zeros:
         out = out * (-(q ** j)) ** k
     return out

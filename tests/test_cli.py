@@ -14,14 +14,38 @@ def run(argv):
     return dispatch(argv)
 
 
+# no --prec, and one above the default
+PRECS = ([], ["--prec", "100"])
+
+
+def exact_precs(report):
+    """The prec of every p-adic value in a report."""
+    if isinstance(report, dict):
+        own = [report["exact"]["prec"]] if "exact" in report else []
+        return own + [n for v in report.values() for n in exact_precs(v)]
+    return []
+
+
 def test_moebius_check_example():
-    code, payload = run(["moebius-check", "--p", "3", "--q", "p", "--n", "1",
-                         "--J", "10"])
+    for prec in PRECS:
+        code, payload = run(["moebius-check", "--p", "3", "--q", "p", "--n", "1",
+                             "--J", "10"] + prec)
+        assert code == 0
+        res = payload["result"]
+        assert res["ok"] is True
+        assert res["value"] == "p + O(p^11)"
+        assert res["target"] == "p + O(p^11)"
+
+
+def test_moebius_check_shows_every_digit_below_the_error_at_prec_100():
+    # q = 3/2 has digits at every power of p; the value's reach p^90
+    code, payload = run(["moebius-check", "--p", "3", "--q", "3/2", "--n", "1",
+                         "--J", "90", "--prec", "100"])
     assert code == 0
     res = payload["result"]
     assert res["ok"] is True
-    assert res["value"] == "p + O(p^11)"
-    assert res["target"] == "p + O(p^11)"
+    assert res["value"] == res["target"]
+    assert res["value"].endswith(" + p^90 + O(p^91)")
 
 
 def test_splitting_radius_example():
@@ -81,26 +105,39 @@ def test_current_validate_and_delta(tmp_path):
     cur = Current.windowed({1: 1, 2: -1})
     f = tmp_path / "current.json"
     f.write_text(json.dumps(cur.to_json()))
-    code, payload = run(["current", "--file", str(f), "--p", "3", "--q", "p",
-                         "--delta-at", "1"])
-    assert code == 0
-    assert payload["result"]["valid"] is True
-    assert "delta" in payload["result"]
+    for prec in PRECS:
+        code, payload = run(["current", "--file", str(f), "--p", "3", "--q", "p",
+                             "--delta-at", "1", "--alpha-at", "5"] + prec)
+        assert code == 0
+        assert payload["result"]["valid"] is True
+        assert "delta" in payload["result"]
+        assert exact_precs(payload["result"]) == [100 if prec else 64] * 2
 
 
 def test_poly_eval():
-    code, payload = run(["poly-eval", "--p", "3", "--q", "p",
-                         "--coeffs", "1,2,0,1", "--J", "12"])
+    for prec in PRECS:
+        code, payload = run(["poly-eval", "--p", "3", "--q", "p",
+                             "--coeffs", "1,2,0,1", "--J", "12"] + prec)
+        assert code == 0
+        assert payload["result"]["ok"] is True
+    # (1 + q)^2 at q = 3/2 has digits at every power of p
+    code, payload = run(["poly-eval", "--p", "3", "--q", "3/2", "--coeffs", "1,2,1",
+                         "--J", "80", "--prec", "100"])
     assert code == 0
-    assert payload["result"]["ok"] is True
+    res = payload["result"]
+    assert res["ok"] is True
+    assert res["value"] == res["direct"]
+    assert res["value"].endswith(" + 2*p^79 + O(p^81)")
 
 
 def test_theta_cli():
-    code, payload = run(["theta", "--p", "3", "--q", "p",
-                         "--factors", "[[1, 1], [2, -1]]",
-                         "--l", "1", "--z", "5", "--z0", "2", "--M", "8"])
-    assert code == 0
-    assert "automorphy_ratio" in payload["result"]
+    for prec in PRECS:
+        code, payload = run(["theta", "--p", "3", "--q", "p",
+                             "--factors", "[[1, 1], [2, -1]]",
+                             "--l", "1", "--z", "5", "--z0", "2", "--M", "8"] + prec)
+        assert code == 0
+        assert "automorphy_ratio" in payload["result"]
+        assert exact_precs(payload["result"]) == [100 if prec else 64] * 3
 
 
 def test_theta_cli_trivial_function_has_exact_report():

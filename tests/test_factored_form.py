@@ -148,10 +148,10 @@ def test_factored_function_value_matches_its_oracle(data):
         assert w.is_exact_zero and fd.x_exponent < 0 and got is PoleCollisionError
     elif isinstance(want, PadicNumber):
         # every factor, x^m included, carries q's prec, and so does a zero
-        # (the oracle's zero has DEFAULT_PREC)
+        # (the oracle's x^m is w^m, at w's prec alone)
         assert (got.rat, got.pi_part) == (want.rat, want.pi_part)
         assert got.prec == (min(w.prec, q.prec) if fd.factors(q) else w.prec)
-        if fd.zeros and not want.is_exact_zero:
+        if fd.zeros:
             assert got.prec == want.prec
     else:
         assert key(got) == key(want)
@@ -172,8 +172,8 @@ def test_finite_product_eval_matches_its_oracle(data):
         if isinstance(want, type):
             assert got is want
         else:
-            # the normalised product no longer mixes in DEFAULT_PREC, and a
-            # factor of exponent 0 adds no prec
+            # a factor of exponent 0 adds no prec, where the oracle's
+            # (num / (x - i))^0 carries i's
             assert (got.rat, got.pi_part) == (want.rat, want.pi_part)
             assert got.prec == min([z.prec, x.prec] +
                                    [i.prec for i, a in zip(poles, exponents) if a])
