@@ -37,8 +37,9 @@ from .errors import (NonStabilizedError, PoleCollisionError,
 # binom_fractional is re-exported (public name of this module), not called here
 from .padic import (INF, PadicNumber, binom_fractional, json_shape,  # noqa: F401
                     parse_fraction, require_window, valuation, vp_fraction)
-from .series import BoundedSeries, TailBound, _power_coeffs
-from .torsor import RamifiedGerm, splitting_logradius_numeric
+from .series import (BoundedSeries, TailBound, _least_root_level, _power_coeffs,
+                     _unit_points)
+from .torsor import RamifiedGerm
 
 Value = Union[int, Fraction]
 
@@ -666,10 +667,10 @@ def theta_automorphy_ratio(fd: FactoredFunction, q: PadicNumber, l: int,
 
 @dataclass(frozen=True)
 class LadderResult:
-    """Stabilized ladder estimate of ord_z(delta(c)) + 1.
+    """Certified ladder value of ord_z(delta(c)) + 1.
 
     ``table`` records, for each canonical ladder depth n, the least torsor
-    level m whose splitting point has entered [z, z'_n]; the stabilized
+    level m whose splitting point has entered [z, z'_n]; the certified
     consecutive difference is the estimate.
     """
 
@@ -707,50 +708,49 @@ def alpha_germ(c: Current, q: PadicNumber, z: PadicNumber,
 def ladder_ord(c: Current, q: PadicNumber, z: PadicNumber, nmax: int) -> LadderResult:
     """Ladder computation of ord_z(delta(c)) + 1.
 
-    For each n <= nmax the canonical ladder point z'_n = b_{z, v(z)+n+1/(p-1)}
-    is compared against the splitting points of the mu_{p^m}-torsors of
-    alpha(c) about z; m_min(n) = inf{m : splitting log-radius >= log-radius
-    of z'_n} grows affinely with slope ord + 1, and the stabilized
-    consecutive difference is returned.  Evaluation at a cusp of the current
-    short-circuits to 0 (= ord(-1) + 1).
+    Row n of the table is m_min(n), the least torsor level whose splitting
+    log-radius for the germ f of alpha(c) about z reaches the ladder point
+    z'_n = b_{z, t_n}, t_n = v(z) + n + 1/(p-1) (``series._least_root_level``).
+    Row n is settled when t_n > -(tail slope of f - 1), the point (e0, w_e0)
+    of f - 1 attains min (t_n*j + w_j) and x_n = t_n*e0 + w_e0 - 1/(p-1) > 0:
+    then m_min(n) = ceil(x_n), and x_{n+1} = x_n + e0, so settled rows differ
+    by e0 = ord_z(delta(c)) + 1.  The value needs the last min(3, nmax - 1)
+    + 1 rows settled and no level above 16(nmax + 4), else
+    NonStabilizedError.  A cusp short-circuits to 0 (= ord(-1) + 1).
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2 to observe a difference")
+    require_window(nmax)
     _integer_ring(c, "the ladder")
     p = q.p
     t = _grid_index(z, q)
     if t is not None and c.cusp_at(t) != 0:
         return LadderResult(value=0, pole=True)
-    if z.is_exact_zero:
+    vz = valuation(z)
+    if vz == INF:
         raise ValueError("z must be a nonzero type-1 point")
-    germ = None
-    d = 8
-    while germ is None:
+    for d in (8, 16, 32, 64):
         try:
             germ = RamifiedGerm(alpha_germ(c, q, z, degree=d))
+            break
         except PrecisionExhaustedError:
-            d *= 2
-            if d > 64:
+            if d == 64:
                 raise
-    vz = valuation(z)
-    offset = Fraction(1, p - 1)
+    points, alpha_u = _unit_points(germ.series)
+    e0, offset = germ.e0, Fraction(1, p - 1)
+    w0 = dict(points)[e0]
     cap = 16 * (nmax + 4)
-    table = []
-    m = 1
-    rho_m = splitting_logradius_numeric(germ, m)
+    table, settled = [], []
     for n in range(1, nmax + 1):
-        threshold = vz + n + offset
-        while rho_m < threshold:
-            m += 1
-            if m > cap:
-                raise NonStabilizedError(
-                    f"no torsor level below {cap} reaches ladder depth {n}")
-            rho_m = splitting_logradius_numeric(germ, m)
+        tn = vz + n + offset
+        m, x = _least_root_level(points, alpha_u, p, tn)
+        if m > cap:
+            raise NonStabilizedError(
+                f"no torsor level below {cap} reaches ladder depth {n}")
         table.append((n, m))
-    diffs = [table[i + 1][1] - table[i][1] for i in range(len(table) - 1)]
-    k = min(3, len(diffs))
-    tail = diffs[-k:]
-    if len(set(tail)) != 1:
-        raise NonStabilizedError(
-            f"ladder differences did not stabilize within nmax={nmax}: {diffs}")
-    return LadderResult(value=tail[0], pole=False, table=tuple(table))
+        settled.append(tn > -alpha_u and 0 < x == tn * e0 + w0 - offset)
+    if not all(settled[-min(3, nmax - 1) - 1:]):
+        diffs = [table[i + 1][1] - table[i][1] for i in range(nmax - 1)]
+        raise NonStabilizedError(f"ladder differences not certified within "
+                                 f"nmax={nmax}: {diffs}; raise nmax")
+    return LadderResult(value=e0, pole=False, table=tuple(table))

@@ -9,6 +9,7 @@ operation may weaken a tail but never claim more than it can prove.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -338,22 +339,6 @@ def _unit_points(f: BoundedSeries):
     return points, f.tail.alpha
 
 
-def _tail_from_points(points, alpha_u, p: int, m: int) -> Optional[TailBound]:
-    """The root tail of ``_root_tail`` at level m >= 1 from ``_unit_points``:
-    None when there are no points (u = 0), else (a*, 1/(p-1)) with
-    a* = min (w - M)/j, M = m + 1/(p-1), or, when u's tail slope lies
-    below a*, that slope with offset bmax - M + 1/(p-1)."""
-    if not points:
-        return None
-    one_over = Fraction(1, p - 1)
-    M = m + one_over
-    a = min((w - M) / j for j, w in points)
-    if alpha_u < a:
-        bmax = min(w - alpha_u * j for j, w in points)
-        return TailBound(alpha_u, bmax - M + one_over)
-    return TailBound(a, one_over)
-
-
 def _root_tail(f: BoundedSeries, m: int) -> Optional[TailBound]:
     """Certified tail of f^(1/p^m) = sum_k C(1/p^m, k) u^k, u = f - 1, for
     f(0) = 1 and m >= 1, read from u's coefficient data alone; None when
@@ -372,12 +357,33 @@ def _root_tail(f: BoundedSeries, m: int) -> Optional[TailBound]:
     is a and grows; past a*, it changes at rate 1 - j/e <= 0 (j the point
     attaining bmax, j >= e), so it never exceeds a*.  The tail is therefore
     (a*, 1/(p-1)), or, when u's tail slope lies below a*, that slope with
-    offset bmax - M + 1/(p-1).  This is a single pass over the points;
-    the points (``_unit_points``) do not depend on m, so a caller that
-    asks for several levels reads them once and calls
-    ``_tail_from_points`` per level.
+    offset bmax - M + 1/(p-1): one pass over the points (``_unit_points``).
     """
-    return _tail_from_points(*_unit_points(f), f.p, m)
+    points, alpha_u = _unit_points(f)
+    if not points:
+        return None
+    one_over = Fraction(1, f.p - 1)
+    M = m + one_over
+    a = min((w - M) / j for j, w in points)
+    if alpha_u < a:
+        bmax = min(w - alpha_u * j for j, w in points)
+        return TailBound(alpha_u, bmax - M + one_over)
+    return TailBound(a, one_over)
+
+
+def _least_root_level(points, alpha_u, p: int, t):
+    """(m, x): the least level m >= 1 whose root log-radius reaches t, and
+    x = min (t*j + w) - 1/(p-1) over the nonempty points (j, w) of
+    ``_unit_points`` with tail slope alpha_u.
+
+    By ``_root_tail`` the level-m log-radius is rho_m =
+    max(max (m + 1/(p-1) - w)/j, -alpha_u).  As every j >= 1,
+    (m + 1/(p-1) - w)/j >= t is m >= t*j + w - 1/(p-1), so rho_m >= t
+    exactly when -alpha_u >= t or m >= x.  Neither condition weakens as m
+    grows: m is 1 in the first case, else max(1, ceil(x)).
+    """
+    x = min(t * j + w for j, w in points) - Fraction(1, p - 1)
+    return (1 if -alpha_u >= t else max(1, math.ceil(x))), x
 
 
 def series_p_power_root(f: BoundedSeries, m: int) -> BoundedSeries:

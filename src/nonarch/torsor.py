@@ -10,28 +10,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .berkovich import _recenter
 from .errors import IndeterminateGermError, PrecisionExhaustedError
 from .padic import NEG_INF, PadicNumber, require_prime, require_window, vp_int
-from .series import BoundedSeries, _tail_from_points, _unit_points
+from .series import BoundedSeries, _root_tail
 
 
 @dataclass(frozen=True)
 class RamifiedGerm:
     """A unit germ at 0, normalized to f(0) = 1, with its ramification index.
 
-    e0 = min{k >= 1 : a_k != 0} = ord_0(df/f) + 1.  ``u_points`` and
-    ``u_slope`` are the constraint points and tail slope of u = f - 1
-    (``series._unit_points``; the slope is INF for a polynomial), read once
-    for every torsor level.
+    e0 = min{k >= 1 : a_k != 0} = ord_0(df/f) + 1.
     """
 
     series: BoundedSeries
     e0: int = field(init=False)
-    u_points: tuple = field(init=False, repr=False, compare=False)
-    u_slope: Union[Fraction, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c0 = self.series.coeffs[0]
@@ -40,9 +35,6 @@ class RamifiedGerm:
         if c0 != PadicNumber.one(self.series.p, c0.prec):
             object.__setattr__(self, "series", self.series.scalar_mul(c0.inverse()))
         object.__setattr__(self, "e0", ramification_index(self.series))
-        points, slope = _unit_points(self.series)
-        object.__setattr__(self, "u_points", tuple(points))
-        object.__setattr__(self, "u_slope", slope)
 
     @property
     def p(self) -> int:
@@ -96,15 +88,14 @@ def splitting_logradius_numeric(germ: RamifiedGerm, n: int):
     below degree k*e, the term k of coefficient j is bounded by the tail
     line for every k <= j/e and every j >= 1, not only beyond the explicit
     degree; by the ultrametric inequality so is their sum, the exact root
-    coefficient.  The tail is ``series._root_tail``'s, computed from the
-    germ's points of f - 1, which the germ reads once for every level.
+    coefficient.  The tail is ``series._root_tail``'s.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return NEG_INF
     # RamifiedGerm certifies a nonzero coefficient of f - 1, so the tail exists
-    return -_tail_from_points(germ.u_points, germ.u_slope, germ.p, n).alpha
+    return -_root_tail(germ.series, n).alpha
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ from fractions import Fraction
 from math import lcm
 
 from nonarch import (INF, BallPoint, Current, FactoredFunction, PadicNumber,
-                     Refinement, SkeletonGraph, SkeletonTower, TailBound,
-                     current_from_slopes, moebius, seminorm, valuation)
+                     RamifiedGerm, Refinement, SkeletonGraph, SkeletonTower,
+                     TailBound, alpha_germ, current_from_slopes, moebius,
+                     seminorm, splitting_logradius_numeric, valuation)
 from nonarch.berkovich import product_at
 from nonarch.currents import EvalResult, _tate_valuation
 from nonarch.padic import vp_fraction
-from nonarch.errors import PoleCollisionError, TailCertificateError
+from nonarch.errors import (NonStabilizedError, PoleCollisionError,
+                            PrecisionExhaustedError, TailCertificateError)
 
 
 def rref_nullspace(rows):
@@ -88,6 +90,39 @@ def root_tail_oracle(u, e, m, p):
         key = (a, b - M + one_over) if b >= M else (a + (b - M) / e, one_over)
         best = key if best is None else max(best, key)
     return TailBound(*best)
+
+
+def ladder_germ(c, q, z):
+    """The germ ``ladder_ord`` reads: ``alpha_germ`` at degree 8, 16, 32
+    and 64 until the ramification index is certified."""
+    for d in (8, 16, 32, 64):
+        try:
+            return RamifiedGerm(alpha_germ(c, q, z, degree=d))
+        except PrecisionExhaustedError:
+            if d == 64:
+                raise
+
+
+def ladder_walk_oracle(germ, vz, nmax):
+    """The ladder table by walking the levels m = 1, 2, ... with one
+    ``splitting_logradius_numeric`` each, until the log-radius reaches
+    t_n = vz + n + 1/(p-1) for every depth n <= nmax; NonStabilizedError
+    with ``ladder_ord``'s text past level 16(nmax + 4)."""
+    offset = Fraction(1, germ.p - 1)
+    cap = 16 * (nmax + 4)
+    table = []
+    m = 1
+    rho_m = splitting_logradius_numeric(germ, m)
+    for n in range(1, nmax + 1):
+        threshold = vz + n + offset
+        while rho_m < threshold:
+            m += 1
+            if m > cap:
+                raise NonStabilizedError(
+                    f"no torsor level below {cap} reaches ladder depth {n}")
+            rho_m = splitting_logradius_numeric(germ, m)
+        table.append((n, m))
+    return table
 
 
 def power_coeffs_oracle(v, a, w0, d):

@@ -162,6 +162,30 @@ def test_ladder_ord_cli(tmp_path):
     assert payload["result"]["ord_plus_one"] == 1
 
 
+# z = 6564 = 3 + 3^8 lies near the grid point q: six ladder rows still see
+# that pole of alpha and do not certify ord + 1 = 1 (the level walk printed
+# 0); p^200 is zero at the default prec 64; at z = p^150 the first depth
+# needs a level above 16 (nmax + 4) = 96
+@pytest.mark.parametrize("spine, argv, code, error", [
+    ({"0": 0, "1": 1}, ["--z", "6564", "--nmax", "6"], 4,
+     {"kind": "NonStabilizedError", "reason": "ladder differences not certified "
+      "within nmax=6: [0, 0, 0, 0, 0]; raise nmax"}),
+    ({"0": 1, "1": 2}, ["--z", "p^200", "--nmax", "2"], 2,
+     {"kind": "ValueError", "reason": "z must be a nonzero type-1 point"}),
+    ({"0": 1, "1": 2}, ["--z", "p^150", "--nmax", "2", "--prec", "200"], 4,
+     {"kind": "NonStabilizedError",
+      "reason": "no torsor level below 96 reaches ladder depth 1"}),
+    ({"0": 1, "1": 2}, ["--z", "5", "--nmax", str(10 ** 6 + 1)], 2,
+     {"kind": "ValueError", "reason": "input beyond the supported window size"}),
+])
+def test_ladder_ord_refusals(tmp_path, spine, argv, code, error):
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps({"ring": "Z", "period": None, "window": [1, 1],
+                             "cusp": {"1": 1}, "spine": spine}))
+    got, payload = run(["ladder-ord", "--file", str(f), "--p", "3", "--q", "p"] + argv)
+    assert (got, payload["error"]) == (code, error)
+
+
 def tower_file(tmp_path):
     from nonarch import Refinement, SkeletonGraph
     g0 = SkeletonGraph.build(["a", "b"], [("e", "a", "b", Fraction(2))])

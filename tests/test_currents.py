@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nonarch import (BallPoint, Current, FactoredFunction, INF, PadicNumber,
                      TateCurve, ThetaRequest, alpha_eval, alpha_germ,
@@ -14,13 +14,15 @@ from nonarch import (BallPoint, Current, FactoredFunction, INF, PadicNumber,
                      dlog_ord, factored_alpha, ladder_ord, moebius,
                      moebius_current, poly_current_eval,
                      theta_automorphy_constant, theta_automorphy_ratio,
-                     theta_product)
+                     theta_product, valuation)
 from nonarch.cli import dispatch
 from nonarch.currents import EvalResult, _theta_exponents
-from nonarch.errors import PoleCollisionError, TailCertificateError
+from nonarch.errors import (IndeterminateGermError, NonStabilizedError,
+                            PoleCollisionError, TailCertificateError)
 
-from helpers import (delta_at_one_oracle, seed_current_with_ord,
-                     seeded_window_current, spine_at_oracle, spine_oracle,
+from helpers import (delta_at_one_oracle, ladder_germ, ladder_walk_oracle,
+                     seed_current_with_ord, seeded_window_current,
+                     spine_at_oracle, spine_oracle,
                      theta_automorphy_constant_oracle,
                      theta_automorphy_ratio_oracle, theta_exponents_oracle,
                      theta_product_oracle)
@@ -721,6 +723,69 @@ def test_ladder_ord_matches_dlog(ord_target):
     # inf-index grows affinely in n with slope e0 = ord + 1
     steps = [res.table[i + 1][1] - res.table[i][1] for i in range(len(res.table) - 1)]
     assert steps[-2:] == [ord_target + 1, ord_target + 1]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), qexp=st.integers(1, 2),
+       cusp=st.dictionaries(st.integers(-2, 4), st.integers(-3, 3), max_size=4),
+       spine=st.integers(-2, 2),
+       j=st.one_of(st.integers(-2, 5), st.integers(60, 160)),
+       k=st.integers(0, 10), u=st.integers(1, 50), nmax=st.integers(2, 12))
+# z = 3 + 3^8: six rows do not settle; z = 3^150 with alpha = x - q: depth 1
+# needs a level above 16 (nmax + 4)
+@example(p=3, qexp=1, cusp={1: 1}, spine=0, j=1, k=7, u=1, nmax=6)
+@example(p=3, qexp=1, cusp={1: 1}, spine=1, j=150, k=0, u=1, nmax=2)
+def test_ladder_ord_matches_the_level_walk(p, qexp, cusp, spine, j, k, u, nmax):
+    # z = p^j (1 + p^k u) is generic for k = 0, and near the p-power p^j,
+    # a grid point when qexp divides j, for k >= 1
+    c = Current.windowed(cusp, left_spine=spine)
+    q = Q(p, p ** qexp)
+    z = Q(p, Fraction(p) ** j * (1 + p ** k * u if k else u), prec=256)
+    try:
+        res = ladder_ord(c, q, z, nmax)
+    except (IndeterminateGermError, NonStabilizedError) as err:
+        res = err
+    if getattr(res, "pole", False):
+        return
+    try:
+        germ = ladder_germ(c, q, z)
+    except IndeterminateGermError:  # alpha(c) is constant
+        assert isinstance(res, IndeterminateGermError)
+        return
+    try:
+        table = ladder_walk_oracle(germ, valuation(z), nmax)
+    except NonStabilizedError as err:
+        assert isinstance(res, NonStabilizedError) and str(res) == str(err)
+        return
+    diffs = [table[i + 1][1] - table[i][1] for i in range(nmax - 1)]
+    if isinstance(res, NonStabilizedError):
+        assert str(res) == (f"ladder differences not certified within "
+                            f"nmax={nmax}: {diffs}; raise nmax")
+        return
+    assert list(res.table) == table
+    # a certified value is ord + 1 of the germ, and the walk's last
+    # differences show it
+    assert res.value == dlog_ord(germ.series) + 1
+    assert diffs[-min(3, nmax - 1):] == [res.value] * min(3, nmax - 1)
+
+
+@pytest.mark.parametrize("ord_target", [0, 1, 2])
+@pytest.mark.parametrize("j, k", [(1, 1), (1, 4), (2, 3), (3, 2)])
+def test_certified_ladder_near_a_grid_point_is_dlog_ord(ord_target, j, k):
+    # z = q^j + q^(j+k) lies in the ball of radius p^-(j+k) about the grid
+    # point q^j, so the first ladder rows may still see a zero or pole of
+    # alpha there; a small nmax may be refused, but never answered wrongly
+    q = Q(3, 3)
+    z = q ** j + q ** (j + k)
+    c = seed_current_with_ord(q, z, ord_target, grid=(1, 2, 3))
+    want = dlog_ord(alpha_germ(c, q, z)) + 1
+    assert want == ord_target + 1
+    for nmax in range(2, k + 6):
+        try:
+            assert ladder_ord(c, q, z, nmax).value == want, nmax
+        except NonStabilizedError as err:
+            assert str(err).endswith("; raise nmax"), err
+    assert ladder_ord(c, q, z, k + 6).value == want
 
 
 def test_ladder_ord_cusp_short_circuit():

@@ -25,7 +25,7 @@ from helpers import random_tower, seeded_window_current, tower_json
 NODES = [[], {}, "x", "1/0", 0, -1, 1.5, None, True, 10 ** 30, ["a"], {"a": 1}]
 ARGS = ["0", "-1", "1/0", "x", str(10 ** 30), "[]", "1/3", "", "inf"]
 # size arguments whose work grows without bound (README): never mutated
-UNBOUNDED = {"--J", "--M", "--l", ("moebius-check", "--n"), ("ladder-ord", "--nmax")}
+UNBOUNDED = {"--J", "--M", "--l", ("moebius-check", "--n")}
 
 
 def _files():

@@ -20,7 +20,7 @@ from nonarch.errors import PrecisionExhaustedError, UndecidableSlopeError
 from nonarch.cli import _JSONDecimal
 from nonarch.padic import (exact_text, is_prime, json_shape, padic_digit_string,
                            parse_extended, parse_fraction, vp_int)
-from nonarch.series import _power_coeffs, _root_tail
+from nonarch.series import _least_root_level, _power_coeffs, _root_tail, _unit_points
 
 from helpers import JSON_KINDS, json_shape_oracle, power_coeffs_oracle, root_tail_oracle
 
@@ -780,6 +780,26 @@ def test_germ_points_give_the_root_tail_at_every_level(data, tail):
     for n in (1, 2):
         root = series_p_power_root(f, n)
         assert splitting_logradius_numeric(germ, n) == convergence_logradius(root), n
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=unit_series(tailed=False), tail=tails,
+       t=st.fractions(-4, 6, max_denominator=6), at_tail=st.booleans())
+def test_least_root_level_is_the_first_level_of_the_walk(data, tail, t, at_tail):
+    # the inverse of the level's log-radius, against the levels walked one
+    # at a time; at_tail puts t on -(tail slope of f - 1), which the tail
+    # alone reaches at every level
+    p, f = data
+    f = BoundedSeries(p, f.coeffs, tail)
+    assume(any(not c.is_exact_zero for c in f.coeffs[1:]))
+    points, alpha_u = _unit_points(f)
+    if at_tail and tail is not None:
+        t = -alpha_u
+    m, x = _least_root_level(points, alpha_u, p, t)
+    assert x == min(t * j + w for j, w in constraint_points(f) if j) - Fraction(1, p - 1)
+    germ = RamifiedGerm(f)
+    assert m == next(k for k in itertools.count(1)
+                     if splitting_logradius_numeric(germ, k) >= t)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (5, 3)])
