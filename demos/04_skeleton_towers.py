@@ -24,10 +24,10 @@ g2 = SkeletonGraph.build(
     [("f1", "a", "c", Fraction(1, 2)), ("f2", "c", "m", Fraction(1, 2)),
      ("f3", "m", "b", 1), ("h1", "m", "t1", 2), ("h2", "t1", "t2", 1)])
 
-r01 = Refinement.build(g0, g1, {"a": "a", "b": "b"},
-                       {"e": [("e1", 1), ("e2", 1)]})
-r12 = Refinement.build(g1, g2, {"a": "a", "m": "m", "b": "b"},
-                       {"e1": [("f1", 1), ("f2", 1)], "e2": [("f3", 1)]})
+r01 = Refinement(g0, g1, {"a": "a", "b": "b"},
+                 {"e": [("e1", 1), ("e2", 1)]})
+r12 = Refinement(g1, g2, {"a": "a", "m": "m", "b": "b"},
+                 {"e1": [("f1", 1), ("f2", 1)], "e2": [("f3", 1)]})
 tower = SkeletonTower((g0, g1, g2), (r01, r12))
 
 # --- retraction --------------------------------------------------------------
@@ -42,7 +42,7 @@ print("retract a hanging point:", retract(hang, r12))
 # Retracting level 2 -> level 1 -> level 0 agrees with the composite
 # retraction level 2 -> level 0 everywhere.
 r02 = compose(r12, r01)
-print("\ncomposite path of edge e:", r02.paths["e"])
+print("\ncomposite path of edge e:", r02.edge_paths["e"])
 report = compose_check(r12, r01)
 print("composition law on every point:", "ok" if report.ok else report.message)
 

@@ -255,9 +255,10 @@ def _load_tower(path: str) -> skeleton.SkeletonTower:
 
     def steps(e, p):
         what = f'{path}: refinement "edge_paths"'
-        return [(skeleton.json_name(eid), sign) for eid, sign in
-                (json_shape(s, "list", f"{what} step", 2)
-                 for s in json_shape(p, "list", f"{what} entry {e!r}"))]
+        return [(skeleton.json_name(eid),
+                 json_shape(sign, "integer", f"{what} step sign"))
+                for eid, sign in (json_shape(s, "list", f"{what} step", 2)
+                                  for s in json_shape(p, "list", f"{what} entry {e!r}"))]
 
     refs = []
     for r in json_shape(data.get("refinements"), "list", f'{path}: "refinements"'):
@@ -265,7 +266,7 @@ def _load_tower(path: str) -> skeleton.SkeletonTower:
         coarse, fine = graph(r, "coarse"), graph(r, "fine")
         vmap, paths = (json_shape(r.get(key), "object", f'{path}: refinement "{key}"')
                        for key in ("vertex_map", "edge_paths"))
-        refs.append(skeleton.Refinement.build(
+        refs.append(skeleton.Refinement(
             coarse, fine, {v: skeleton.json_name(w) for v, w in vmap.items()},
             {e: steps(e, p) for e, p in paths.items()}))
     return skeleton.SkeletonTower(tuple(graphs), tuple(refs))

@@ -422,9 +422,11 @@ def parse_fraction(s) -> Fraction:
     ``Decimal`` (how the command line reads a JSON number with a fraction
     part or an exponent) is the decimal it spells.  A zero denominator, an
     infinite float, a Decimal exponent beyond +-MAX_DIGITS (whose power of
-    ten no report could print) or a value of another type is a
-    ValueError."""
+    ten no report could print) or a value of another type, a bool included,
+    is a ValueError."""
     try:
+        if isinstance(s, bool):
+            raise TypeError
         if isinstance(s, Decimal) and abs(s.as_tuple().exponent) > MAX_DIGITS:
             raise ValueError(f"decimal exponent beyond +-{MAX_DIGITS}: {s!r}")
         return Fraction(s)

@@ -46,7 +46,8 @@ class SkeletonGraph:
     vertices: frozenset
     edges: Tuple[Edge, ...]
     cusps: Tuple[Tuple[str, str], ...] = ()  # (half-edge id, vertex)
-    _edges_by_id: dict = field(init=False, repr=False, compare=False)
+    # edges by id, built once per graph; callers must not mutate it
+    edge_map: Dict[str, Edge] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", frozenset(self.vertices))
@@ -63,7 +64,7 @@ class SkeletonGraph:
                 raise ValueError(f"cusp {hid} attached to unknown vertex {w}")
         if self.vertices and not self._connected():
             raise ValueError("graph must be connected")
-        object.__setattr__(self, "_edges_by_id", by_id)
+        object.__setattr__(self, "edge_map", by_id)
 
     def _connected(self) -> bool:
         verts = set(self.vertices)
@@ -89,11 +90,6 @@ class SkeletonGraph:
         return cls(frozenset(vertices),
                    tuple(Edge(i, u, v, L) for i, u, v, L in edges),
                    tuple(cusps))
-
-    @property
-    def edge_map(self) -> Dict[str, Edge]:
-        """Edges by id, built once per graph; callers must not mutate it."""
-        return self._edges_by_id
 
     def to_json(self) -> dict:
         return {
@@ -165,54 +161,54 @@ def canonical_point(g: SkeletonGraph, pt: GraphPoint) -> GraphPoint:
 
 @dataclass(frozen=True)
 class Refinement:
-    """Embedding of ``coarse`` into ``fine``: vertices map to vertices and
-    each coarse edge maps to a length-preserving fine edge-path.
+    """Embedding of ``coarse`` into ``fine``: ``vertex_map`` sends the coarse
+    vertices to fine vertices and ``edge_paths`` each coarse edge to a
+    length-preserving path of (fine edge, sign +-1) steps.
 
     Validation builds the two tables ``retract`` reads: ``edge_loc`` maps
     each embedded fine edge to (coarse edge, sign, arclength before it), and
     ``vertex_image`` maps every fine vertex to its retraction onto the
-    coarse graph."""
+    coarse graph.
+
+    Off the embedded arcs one rule holds.  Let H be the fine graph without
+    the embedded edges, and let the image points be the ``vertex_map``
+    images and the interior stops of the arcs.  Every connected component
+    of H must hold exactly one image point and have exactly (its vertex
+    count - 1) edges; being connected, it is then a tree, and it retracts
+    whole onto that point.  This accepts exactly the embeddings whose
+    complement is a union of trees each attached at a single image point:
+    a cycle, or two edges from one tree to its anchor, breaks the edge
+    count; a tree that touches two image points, or an off-image edge
+    between two image points, puts two image points in one component; and
+    a fine vertex cut off from the image leaves a component with none.
+    Conversely, removing the one image point of such a tree leaves subtrees
+    each joined to it by a single edge."""
 
     coarse: SkeletonGraph
     fine: SkeletonGraph
-    vertex_map: Tuple[Tuple[str, str], ...]
-    edge_paths: Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...]
+    vertex_map: Dict[str, str] = field(hash=False)
+    edge_paths: Dict[str, Tuple[Tuple[str, int], ...]] = field(hash=False)
     edge_loc: Dict[str, Tuple[str, int, Fraction]] = field(
         init=False, repr=False, compare=False)
     vertex_image: Dict[str, GraphPoint] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_map", tuple(sorted(self.vertex_map)))
+        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
         object.__setattr__(self, "edge_paths",
-                           tuple(sorted((e, tuple(p)) for e, p in self.edge_paths)))
+                           {e: tuple(p) for e, p in self.edge_paths.items()})
         edge_loc, vertex_image = self._validate()
         object.__setattr__(self, "edge_loc", edge_loc)
         object.__setattr__(self, "vertex_image", vertex_image)
 
-    @classmethod
-    def build(cls, coarse, fine, vertex_map: Dict[str, str],
-              edge_paths: Dict[str, Sequence[Tuple[str, int]]]) -> "Refinement":
-        return cls(coarse, fine, tuple(vertex_map.items()),
-                   tuple((e, tuple(p)) for e, p in edge_paths.items()))
-
-    @property
-    def vmap(self) -> Dict[str, str]:
-        return dict(self.vertex_map)
-
-    @property
-    def paths(self) -> Dict[str, Tuple[Tuple[str, int], ...]]:
-        return dict(self.edge_paths)
-
     def _validate(self):
-        vmap = self.vmap
-        paths = self.paths
+        vmap, paths = self.vertex_map, self.edge_paths
         fmap = self.fine.edge_map
         cmap = self.coarse.edge_map
         if set(vmap) != set(self.coarse.vertices):
             raise ValueError("vertex_map must cover exactly the coarse vertices")
         if len(set(vmap.values())) != len(vmap):
             raise ValueError("vertex_map must be injective")
-        for fv in vmap.values():
+        for _, fv in sorted(vmap.items()):
             if fv not in self.fine.vertices:
                 raise ValueError(f"image vertex {fv} missing in the fine graph")
         if set(paths) != set(cmap):
@@ -220,8 +216,8 @@ class Refinement:
 
         edge_loc: Dict[str, Tuple[str, int, Fraction]] = {}
         image = {fv: GraphPoint.at_vertex(cv) for cv, fv in vmap.items()}
-        for ceid, path in paths.items():
-            ce = cmap[ceid]
+        for ceid in sorted(paths):
+            path, ce = paths[ceid], cmap[ceid]
             if not path:
                 raise ValueError(f"empty path for coarse edge {ceid}")
             cur = vmap[ce.u]
@@ -254,49 +250,35 @@ class Refinement:
                 raise ValueError(
                     f"path of {ceid} has length {run}, expected {ce.length}")
 
-        # complement components must be trees hanging at a single image point;
-        # each retracts onto the image of that point
-        on_image = set(image)
-        adj: Dict[str, List[Tuple[str, str]]] = {w: [] for w in self.fine.vertices}
+        # the one rule of the class docstring, component by component in
+        # vertex order; an image point with no off-image edge passes alone
+        adj: Dict[str, List[str]] = {w: [] for w in self.fine.vertices}
         for fe in self.fine.edges:
             if fe.id not in edge_loc:
-                adj[fe.u].append((fe.id, fe.v))
-                adj[fe.v].append((fe.id, fe.u))
-        for start in self.fine.vertices:
-            if start in image or not adj[start]:
+                adj[fe.u].append(fe.v)
+                adj[fe.v].append(fe.u)
+        seen = set()
+        for start in sorted(w for w, nbs in adj.items() if nbs or w not in image):
+            if start in seen:
                 continue
-            comp_v, comp_e = {start}, set()
-            anchors = set()
-            stack = [start]
+            part, stack, ends = {start}, [start], 0
             while stack:
-                w = stack.pop()
-                for eid, nb in adj[w]:
-                    if eid in comp_e:
-                        continue
-                    comp_e.add(eid)
-                    if nb in on_image:
-                        anchors.add(nb)
-                    elif nb not in comp_v:
-                        comp_v.add(nb)
+                nbs = adj[stack.pop()]
+                ends += len(nbs)
+                for nb in nbs:
+                    if nb not in part:
+                        part.add(nb)
                         stack.append(nb)
-                    else:
-                        raise ValueError("complement component contains a cycle")
-            if len(anchors) != 1:
+            seen |= part
+            anchors = [w for w in part if w in image]
+            if len(anchors) != 1 or ends != 2 * (len(part) - 1):
                 raise ValueError(
-                    f"hanging component {sorted(comp_v)} attaches at "
-                    f"{len(anchors)} image points, expected 1")
-            if len(comp_e) != len(comp_v):
-                raise ValueError("complement component is not a tree")
-            anchor_image = image[anchors.pop()]
-            for w in comp_v:
+                    "the fine graph off the embedded arcs must be trees through "
+                    f"one image point each; its part on {sorted(part)} holds "
+                    f"{len(anchors)} image points and {ends // 2} edges")
+            anchor_image = image[anchors[0]]
+            for w in part:
                 image[w] = anchor_image
-        for w in self.fine.vertices:
-            if w not in image:
-                raise ValueError(f"fine vertex {w} is disconnected from the image")
-        # an untouched edge between two image points would close a cycle
-        for fe in self.fine.edges:
-            if fe.id not in edge_loc and fe.u in on_image and fe.v in on_image:
-                raise ValueError(f"complement edge {fe.id} joins two image points")
         return edge_loc, image
 
 
@@ -321,18 +303,17 @@ def compose(r12: Refinement, r23: Refinement) -> Refinement:
     (r12: G1 <- G2 embedding ... fine=G1, coarse=G2; r23: fine=G2, coarse=G3)."""
     if r12.coarse != r23.fine:
         raise ValueError("refinements do not chain: r12.coarse must be r23.fine")
-    vmap12, paths12 = r12.vmap, r12.paths
-    vmap = {cv: vmap12[fv2] for cv, fv2 in r23.vmap.items()}
+    vmap = {cv: r12.vertex_map[fv2] for cv, fv2 in r23.vertex_map.items()}
     paths: Dict[str, List[Tuple[str, int]]] = {}
-    for ceid, path2 in r23.paths.items():
+    for ceid, path2 in r23.edge_paths.items():
         out: List[Tuple[str, int]] = []
         for eid2, sign2 in path2:
-            sub = list(paths12[eid2])
+            sub = list(r12.edge_paths[eid2])
             if sign2 == -1:
                 sub = [(feid, -sign) for feid, sign in reversed(sub)]
             out.extend(sub)
         paths[ceid] = out
-    return Refinement.build(r23.coarse, r12.fine, vmap, paths)
+    return Refinement(r23.coarse, r12.fine, vmap, paths)
 
 
 @dataclass(frozen=True)

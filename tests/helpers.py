@@ -1,13 +1,14 @@
 """Shared seeded builders and independent oracles for the test suite."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
 
-from nonarch import (INF, BallPoint, Current, FactoredFunction, PadicNumber,
-                     RamifiedGerm, Refinement, SkeletonGraph, SkeletonTower,
-                     TailBound, alpha_germ, current_from_slopes, moebius,
-                     seminorm, splitting_logradius_numeric, valuation)
+from nonarch import (INF, BallPoint, Current, FactoredFunction, GraphPoint,
+                     PadicNumber, RamifiedGerm, Refinement, SkeletonGraph,
+                     SkeletonTower, TailBound, alpha_germ, current_from_slopes,
+                     moebius, seminorm, splitting_logradius_numeric, valuation)
 from nonarch.berkovich import product_at
 from nonarch.currents import EvalResult, _tate_valuation
 from nonarch.padic import vp_fraction
@@ -478,7 +479,7 @@ def random_tower(seed, depth):
                 vertices.add(w2)
                 edges.append((new_name("h"), w, w2, Fraction(1)))
         fine = SkeletonGraph.build(sorted(vertices), edges)
-        refs.append(Refinement.build(coarse, fine, vmap, paths))
+        refs.append(Refinement(coarse, fine, vmap, paths))
         graphs.append(fine)
     return SkeletonTower(tuple(graphs), tuple(refs))
 
@@ -488,10 +489,102 @@ def tower_json(tower):
     graphs[i + 1]."""
     return {"graphs": [g.to_json() for g in tower.graphs],
             "refinements": [{"coarse": i, "fine": i + 1,
-                             "vertex_map": dict(r.vertex_map),
+                             "vertex_map": r.vertex_map,
                              "edge_paths": {e: [list(s) for s in p]
-                                            for e, p in r.edge_paths}}
+                                            for e, p in r.edge_paths.items()}}
                             for i, r in enumerate(tower.refinements)]}
+
+
+def arclength_oracle(fine, vertex_map, edge_paths):
+    """Coarse positions read off ``edge_paths``: each path edge -> (coarse
+    edge, sign, arclength before it), and each image point -> its coarse
+    point (a vertex of the coarse graph or an interior stop of an arc)."""
+    edges = {}
+    stops = {fv: GraphPoint.at_vertex(cv) for cv, fv in vertex_map.items()}
+    for ceid, path in edge_paths.items():
+        run = Fraction(0)
+        for feid, sign in path:
+            fe = fine.edge_map[feid]
+            edges[feid] = (ceid, sign, run)
+            run += fe.length
+            stops.setdefault(fe.v if sign == 1 else fe.u, GraphPoint.on_edge(ceid, run))
+    return edges, stops
+
+
+def complement_walk_oracle(fine, edge_loc, image):
+    """The retraction of every fine vertex, checked the way ``Refinement``
+    once did: walk the complement of the embedded arcs from each vertex off
+    the image, stopping at image points, and require a tree that attaches
+    at one of them by one edge; then require that every vertex is reached
+    and that no off-image edge joins two image points.  ``edge_loc`` and
+    ``image`` are the embedded edges and the image points with their coarse
+    points.  Raises ValueError (with a text that may depend on the hash
+    seed) where the embedding is refused."""
+    image = dict(image)
+    on_image = set(image)
+    adj = {w: [] for w in fine.vertices}
+    for fe in fine.edges:
+        if fe.id not in edge_loc:
+            adj[fe.u].append((fe.id, fe.v))
+            adj[fe.v].append((fe.id, fe.u))
+    for start in fine.vertices:
+        if start in image or not adj[start]:
+            continue
+        comp_v, comp_e = {start}, set()
+        anchors = set()
+        stack = [start]
+        while stack:
+            w = stack.pop()
+            for eid, nb in adj[w]:
+                if eid in comp_e:
+                    continue
+                comp_e.add(eid)
+                if nb in on_image:
+                    anchors.add(nb)
+                elif nb not in comp_v:
+                    comp_v.add(nb)
+                    stack.append(nb)
+                else:
+                    raise ValueError("complement component contains a cycle")
+        if len(anchors) != 1:
+            raise ValueError(f"hanging component {sorted(comp_v)} attaches at "
+                             f"{len(anchors)} image points, expected 1")
+        if len(comp_e) != len(comp_v):
+            raise ValueError("complement component is not a tree")
+        anchor_image = image[anchors.pop()]
+        for w in comp_v:
+            image[w] = anchor_image
+    for w in fine.vertices:
+        if w not in image:
+            raise ValueError(f"fine vertex {w} is disconnected from the image")
+    for fe in fine.edges:
+        if fe.id not in edge_loc and fe.u in on_image and fe.v in on_image:
+            raise ValueError(f"complement edge {fe.id} joins two image points")
+    return image
+
+
+def off_image_mutation(fine, rng, kinds):
+    """``fine`` with, per entry of ``kinds``, an extra edge between two
+    random vertices ("edge"), a loop ("loop"), a second copy of a random
+    edge ("double") or a pendant chain of 1-3 new vertices ("chain")."""
+    vertices = set(fine.vertices)
+    edges = [(e.id, e.u, e.v, e.length) for e in fine.edges]
+    fresh = (f"z{i}" for i in itertools.count())
+    for kind in kinds:
+        w = rng.choice(sorted(vertices))
+        if kind == "edge":
+            edges.append((next(fresh), w, rng.choice(sorted(vertices)), Fraction(1)))
+        elif kind == "loop":
+            edges.append((next(fresh), w, w, Fraction(1)))
+        elif kind == "double":
+            edges.append((next(fresh), *rng.choice(edges)[1:]))
+        else:
+            for _ in range(rng.randint(1, 3)):
+                nxt = next(fresh)
+                vertices.add(nxt)
+                edges.append((next(fresh), w, nxt, Fraction(1)))
+                w = nxt
+    return SkeletonGraph.build(vertices, edges)
 
 
 JSON_KINDS = {"object": dict, "list": list, "integer": int, "string": str,

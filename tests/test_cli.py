@@ -231,6 +231,40 @@ def test_skeleton_tower_separation(tmp_path):
     assert payload["error"]["kind"] == "NotSeparatedError"
 
 
+# two faults, a tree touching two image points and a cycle at b: the refusal
+# must name the first in vertex order, whatever the hash seed
+TWO_FAULTS = {
+    "graphs": [{"vertices": ["a", "b"], "edges": [["e", "a", "b", "2"]]},
+               {"vertices": ["a", "b", "m", "u", "w", "x"],
+                "edges": [["e1", "a", "m", "1"], ["e2", "m", "b", "1"],
+                          ["k1", "b", "u", "1"], ["k2", "u", "w", "1"],
+                          ["k3", "w", "b", "1"], ["j1", "m", "x", "1"],
+                          ["j2", "x", "a", "1"]]}],
+    "refinements": [{"coarse": 0, "fine": 1, "vertex_map": {"a": "a", "b": "b"},
+                     "edge_paths": {"e": [["e1", 1], ["e2", 1]]}}]}
+
+
+def test_a_refused_tower_gives_one_report_under_every_hash_seed(tmp_path):
+    f = tmp_path / "tower.json"
+    f.write_text(json.dumps(TWO_FAULTS))
+    src = os.path.dirname(os.path.dirname(nonarch.__file__))
+    runs = set()
+    for seed in range(6):
+        done = subprocess.run(
+            [sys.executable, "-m", "nonarch.cli", "skeleton-tower", "--file", str(f),
+             "--check", "compose"], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src))
+        report = json.loads(done.stdout)
+        report.pop("wall_time_ms")
+        runs.add((done.returncode, json.dumps(report, sort_keys=True)))
+    assert len(runs) == 1
+    code, report = runs.pop()
+    assert code == 2
+    assert json.loads(report)["error"]["reason"] == (
+        "the fine graph off the embedded arcs must be trees through one image point "
+        "each; its part on ['a', 'm', 'x'] holds 2 image points and 2 edges")
+
+
 def test_reports_are_deterministic(tmp_path):
     f = tower_file(tmp_path)
     argv = ["skeleton-tower", "--file", str(f), "--check", "compose",
@@ -421,7 +455,7 @@ def test_theta_request_whose_bound_fails_only_at_q_l_z_exits_4():
     assert payload["error"] == {"kind": "TailCertificateError",
                                 "reason": "truncation M=1 cannot certify the tail (bound 0)"}
 
-@pytest.mark.parametrize("length", ["1/0", None])
+@pytest.mark.parametrize("length", ["1/0", None, True])
 @pytest.mark.parametrize("check", ["compose", "separation"])
 def test_bad_edge_length_in_a_tower_file_exits_2(tmp_path, capsys, check, length):
     f = tower_file(tmp_path)
@@ -498,6 +532,10 @@ def test_alpha_of_a_cusp_free_periodic_current_at_zero(tmp_path, capsys, ring, s
     ("refinements/0/vertex_map/a", ["a"],
      "a vertex or edge name must be a JSON string, not ['a']"),
     ("refinements/0/fine", True, '{f}: refinement "fine" must be a JSON integer, not True'),
+    ("refinements/0/edge_paths/e/0/1", True,
+     '{f}: refinement "edge_paths" step sign must be a JSON integer, not True'),
+    ("refinements/0/edge_paths/e/0/1", 1.0,
+     '{f}: refinement "edge_paths" step sign must be a JSON integer, not 1.0'),
 ])
 def test_wrong_json_type_in_a_tower_file_exits_2(tmp_path, capsys, where, value, reason):
     f = tower_file(tmp_path)
@@ -874,6 +912,14 @@ def test_a_json_number_with_a_fraction_part_is_read_as_its_decimal(tmp_path, pol
     code, payload = run(["find-order", "--poles", f])
     assert code == 0
     assert payload["result"]["coefficients"] == ["-1/4", "5", "0"]
+
+
+def test_a_bool_pole_exits_2(tmp_path, capsys):
+    # true was read as the pole 1
+    f = pole_file(tmp_path, {"p": 5, "x": 0, "poles": [{"rat": True}, 2, 3]})
+    assert main(["order-set", "--poles", f]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": "not a rational number: True"}
 
 
 def test_a_decimal_edge_length_in_a_tower_file_is_exact(tmp_path):

@@ -908,3 +908,9 @@ def test_parse_fraction_refuses_a_decimal_exponent_past_the_digit_limit(text):
 def test_parse_fraction_refuses_a_decimal_that_is_not_finite(text):
     with pytest.raises(ValueError, match=f"^not a rational number: {text}$"):
         parse_fraction(_JSONDecimal(text))
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_fraction_refuses_a_bool(value):
+    with pytest.raises(ValueError, match=f"^not a rational number: {value}$"):
+        parse_fraction(value)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -13,7 +14,8 @@ from nonarch import (EdgeEnd, GraphPoint, Refinement,
 from nonarch import skeleton
 from nonarch.errors import NotSeparatedError
 
-from helpers import random_tower
+from helpers import (arclength_oracle, complement_walk_oracle, off_image_mutation,
+                     random_tower)
 
 
 def path_graph():
@@ -28,9 +30,9 @@ def subdivided_with_tree():
 
 
 def base_refinement():
-    return Refinement.build(path_graph(), subdivided_with_tree(),
-                            {"a": "a", "b": "b"},
-                            {"e": [("e1", 1), ("e2", 1)]})
+    return Refinement(path_graph(), subdivided_with_tree(),
+                      {"a": "a", "b": "b"},
+                      {"e": [("e1", 1), ("e2", 1)]})
 
 
 # --------------------------------------------------------- oracles
@@ -38,8 +40,8 @@ def base_refinement():
 
 def attachment_oracle(ref, vertex):
     """Independent BFS from a hanging vertex to the nearest image point."""
-    used = {feid for path in ref.paths.values() for feid, _ in path}
-    image_v = set(ref.vmap.values())
+    used = {feid for path in ref.edge_paths.values() for feid, _ in path}
+    image_v = set(ref.vertex_map.values())
     for feid in used:
         e = ref.fine.edge_map[feid]
         image_v |= {e.u, e.v}
@@ -94,11 +96,11 @@ def test_retract_of_embedding_is_identity_on_samples():
         # push a coarse point into the fine graph along its edge path
         pt = canonical_point(ref.coarse, pt)
         if pt.vertex is not None:
-            fine_pt = GraphPoint.at_vertex(ref.vmap[pt.vertex])
+            fine_pt = GraphPoint.at_vertex(ref.vertex_map[pt.vertex])
         else:
             run = Fraction(0)
             fine_pt = None
-            for feid, sign in ref.paths[pt.edge]:
+            for feid, sign in ref.edge_paths[pt.edge]:
                 fe = ref.fine.edge_map[feid]
                 if run <= pt.offset <= run + fe.length:
                     t = pt.offset - run
@@ -110,31 +112,15 @@ def test_retract_of_embedding_is_identity_on_samples():
         assert retract(fine_pt, ref) == pt
 
 
-def arclength_oracle(ref):
-    """Coarse positions read off ``ref.paths``: each path edge -> (coarse
-    edge, arclength before it, sign), and each image vertex -> its coarse
-    point (a vertex of the coarse graph or an interior stop of an arc)."""
-    edges = {}
-    stops = {fv: GraphPoint.at_vertex(cv) for cv, fv in ref.vmap.items()}
-    for ceid, path in ref.paths.items():
-        run = Fraction(0)
-        for feid, sign in path:
-            fe = ref.fine.edge_map[feid]
-            edges[feid] = (ceid, run, sign)
-            run += fe.length
-            stops.setdefault(fe.v if sign == 1 else fe.u, GraphPoint.on_edge(ceid, run))
-    return edges, stops
-
-
 def expected_retraction(ref, pt):
-    edges, stops = arclength_oracle(ref)
+    edges, stops = arclength_oracle(ref.fine, ref.vertex_map, ref.edge_paths)
     if pt.vertex is not None:
         return stops[attachment_oracle(ref, pt.vertex)]
     fe = ref.fine.edge_map[pt.edge]
     if pt.edge not in edges:
         # every point of a hanging tree goes to the tree's attachment point
         return stops[attachment_oracle(ref, fe.u)]
-    ceid, run, sign = edges[pt.edge]
+    ceid, sign, run = edges[pt.edge]
     return GraphPoint.on_edge(ceid, run + (pt.offset if sign == 1 else fe.length - pt.offset))
 
 
@@ -147,8 +133,8 @@ def reoriented(ref):
         [(e.id, *((e.v, e.u) if e.id in flip else (e.u, e.v)), e.length)
          for e in ref.fine.edges])
     paths = {c: [(f, -sign if f in flip else sign) for f, sign in path]
-             for c, path in ref.paths.items()}
-    return Refinement.build(ref.coarse, fine, ref.vmap, paths)
+             for c, path in ref.edge_paths.items()}
+    return Refinement(ref.coarse, fine, ref.vertex_map, paths)
 
 
 def fine_points(ref, cuts):
@@ -173,20 +159,83 @@ def test_retract_matches_oracles_and_composes(seed, depth, cuts):
                 assert retract(retract(pt, r), r23) == retract(pt, r13), pt
 
 
+OFF_IMAGE = ("the fine graph off the embedded arcs must be trees through one "
+             "image point each; its part on {} holds {} image points and {} edges")
+
+
 def test_invalid_refinement_rejected():
     g0 = path_graph()
     bad_fine = SkeletonGraph.build(["a", "m", "b"],
                                    [("e1", "a", "m", 1), ("e2", "m", "b", 2)])
-    with pytest.raises(ValueError):
-        Refinement.build(g0, bad_fine, {"a": "a", "b": "b"},
-                         {"e": [("e1", 1), ("e2", 1)]})  # wrong total length
+    with pytest.raises(ValueError, match="^path of e has length 3, expected 2$"):
+        Refinement(g0, bad_fine, {"a": "a", "b": "b"},
+                   {"e": [("e1", 1), ("e2", 1)]})  # wrong total length
     # complement component touching the image twice (a cycle) is rejected
     loopy = SkeletonGraph.build(["a", "m", "b"],
                                 [("e1", "a", "m", 1), ("e2", "m", "b", 1),
                                  ("back", "a", "b", 5)])
-    with pytest.raises(ValueError):
-        Refinement.build(g0, loopy, {"a": "a", "b": "b"},
-                         {"e": [("e1", 1), ("e2", 1)]})
+    with pytest.raises(ValueError, match=re.escape(OFF_IMAGE.format(["a", "b"], 2, 1))):
+        Refinement(g0, loopy, {"a": "a", "b": "b"},
+                   {"e": [("e1", 1), ("e2", 1)]})
+
+
+@pytest.mark.parametrize("extra, part, points, edges", [
+    # a cycle hanging at one point
+    ([("h1", "m", "u", 1), ("h2", "u", "w", 1), ("h3", "w", "m", 1)],
+     ["m", "u", "w"], 1, 3),
+    # a tree touching two image points
+    ([("h1", "m", "x", 1), ("h2", "x", "a", 1)], ["a", "m", "x"], 2, 2),
+    # an off-image edge joining two image points
+    ([("h", "a", "b", 5)], ["a", "b"], 2, 1),
+    # a loop at an image vertex
+    ([("h", "m", "m", 1)], ["m"], 1, 1),
+    # a doubled fine edge: two edges from one tree to its anchor
+    ([("h1", "m", "t", 1), ("h2", "m", "t", 1)], ["m", "t"], 1, 2),
+])
+def test_off_image_refusals(extra, part, points, edges):
+    fine = SkeletonGraph.build(
+        {"a", "m", "b"} | {w for _, u, v, _ in extra for w in (u, v)},
+        [("e1", "a", "m", 1), ("e2", "m", "b", 1)] + extra)
+    with pytest.raises(ValueError) as exc:
+        Refinement(path_graph(), fine, {"a": "a", "b": "b"},
+                   {"e": [("e1", 1), ("e2", 1)]})
+    assert str(exc.value) == OFF_IMAGE.format(part, points, edges)
+
+
+def test_a_fine_graph_over_an_empty_coarse_graph_is_refused():
+    empty = SkeletonGraph.build([], [])
+    with pytest.raises(ValueError) as exc:
+        Refinement(empty, SkeletonGraph.build(["a"], []), {}, {})
+    assert str(exc.value) == OFF_IMAGE.format(["a"], 0, 0)
+
+
+def test_a_refinement_keeps_its_maps_and_hashes():
+    ref = base_refinement()
+    assert ref.vertex_map == {"a": "a", "b": "b"}
+    assert ref.edge_paths == {"e": (("e1", 1), ("e2", 1))}
+    assert ref == base_refinement() and hash(ref) == hash(base_refinement())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), depth=st.integers(1, 3),
+       kinds=st.lists(st.sampled_from(("edge", "loop", "double", "chain")), max_size=3))
+def test_off_image_rule_matches_the_complement_walk(seed, depth, kinds):
+    # the walk's texts depend on the hash seed, so only outcomes are compared
+    rng = random.Random(seed)
+    for ref in random_tower(seed, depth).refinements:
+        fine = off_image_mutation(ref.fine, rng, kinds)
+        edge_loc, stops = arclength_oracle(fine, ref.vertex_map, ref.edge_paths)
+        try:
+            expected = edge_loc, complement_walk_oracle(fine, edge_loc, stops)
+        except ValueError:
+            expected = None
+        try:
+            got = Refinement(ref.coarse, fine, ref.vertex_map, ref.edge_paths)
+            got = got.edge_loc, got.vertex_image
+        except ValueError as exc:
+            assert str(exc).startswith(OFF_IMAGE[:60])
+            got = None
+        assert got == expected
 
 
 # ------------------------------------------------------------- compose
@@ -194,7 +243,7 @@ def test_invalid_refinement_rejected():
 
 def test_compose_check_identity_refinements():
     g = path_graph()
-    ident = Refinement.build(g, g, {"a": "a", "b": "b"}, {"e": [("e", 1)]})
+    ident = Refinement(g, g, {"a": "a", "b": "b"}, {"e": [("e", 1)]})
     rep = compose_check(ident, ident, samples=20, seed=3)
     assert rep.ok
 
@@ -219,7 +268,7 @@ def test_compose_matches_stepwise_on_oriented_paths():
     tower = random_tower(42, 2)
     r13 = compose(tower.refinements[1], tower.refinements[0])
     # composite edge paths preserve total length
-    for ceid, path in r13.paths.items():
+    for ceid, path in r13.edge_paths.items():
         ce = r13.coarse.edge_map[ceid]
         total = sum(r13.fine.edge_map[f].length for f, _ in path)
         assert total == ce.length
@@ -228,9 +277,9 @@ def test_compose_matches_stepwise_on_oriented_paths():
 def test_compose_check_catches_a_reversed_loop_that_vertices_and_midpoints_miss():
     loop = SkeletonGraph.build(["a"], [("e", "a", "a", 2)])
     fine = SkeletonGraph.build(["a"], [("f", "a", "a", 2)])
-    r23 = Refinement.build(loop, loop, {"a": "a"}, {"e": [("e", 1)]})
-    r12 = Refinement.build(loop, fine, {"a": "a"}, {"e": [("f", 1)]})
-    reversed_r13 = Refinement.build(loop, fine, {"a": "a"}, {"e": [("f", -1)]})
+    r23 = Refinement(loop, loop, {"a": "a"}, {"e": [("e", 1)]})
+    r12 = Refinement(loop, fine, {"a": "a"}, {"e": [("f", 1)]})
+    reversed_r13 = Refinement(loop, fine, {"a": "a"}, {"e": [("f", -1)]})
     for pt in (GraphPoint.at_vertex("a"), GraphPoint.on_edge("f", 1)):
         assert retract(retract(pt, r12), r23) == retract(pt, reversed_r13)
     assert compose_check(r12, r23).ok
@@ -260,7 +309,7 @@ def subdivide(coarse, rng, fresh):
         edges.append((next(fresh), rng.choice(sorted(vertices)), w, Fraction(1)))
         vertices.add(w)
     fine = SkeletonGraph.build(vertices, edges)
-    return Refinement.build(coarse, fine, {w: w for w in coarse.vertices}, paths)
+    return Refinement(coarse, fine, {w: w for w in coarse.vertices}, paths)
 
 
 def sampled_compose_check(r12, r23, r13):
@@ -283,8 +332,8 @@ def test_compose_check_agrees_with_a_dense_sampled_check(seed, reverse):
     r12 = subdivide(r23.fine, rng, fresh)
     r13 = compose(r12, r23)
     if reverse:
-        r13 = Refinement.build(g0, r12.fine, r13.vmap, {
-            **r13.paths, "c": [(f, -s) for f, s in reversed(r13.paths["c"])]})
+        backwards = [(f, -s) for f, s in reversed(r13.edge_paths["c"])]
+        r13 = Refinement(g0, r12.fine, r13.vertex_map, {**r13.edge_paths, "c": backwards})
     with patch.object(skeleton, "compose", lambda r12, r23: r13):
         exact = compose_check(r12, r23, samples=1).ok
     assert exact == sampled_compose_check(r12, r23, r13) == (not reverse)
@@ -321,13 +370,13 @@ def test_separation_after_subdivision():
     g0 = path_graph()
     g1 = SkeletonGraph.build(["a", "m", "b"],
                              [("e1", "a", "m", 1), ("e2", "m", "b", 1)])
-    r = Refinement.build(g0, g1, {"a": "a", "b": "b"},
-                         {"e": [("e1", 1), ("e2", 1)]})
+    r = Refinement(g0, g1, {"a": "a", "b": "b"},
+                   {"e": [("e1", 1), ("e2", 1)]})
     g2 = SkeletonGraph.build(["a", "m", "b", "t", "s"],
                              [("f1", "a", "m", 1), ("f2", "m", "b", 1),
                               ("h1", "m", "t", 1), ("h2", "m", "s", 2)])
-    r2 = Refinement.build(g1, g2, {"a": "a", "m": "m", "b": "b"},
-                          {"e1": [("f1", 1)], "e2": [("f2", 1)]})
+    r2 = Refinement(g1, g2, {"a": "a", "m": "m", "b": "b"},
+                    {"e1": [("f1", 1)], "e2": [("f2", 1)]})
     tower = SkeletonTower((g0, g1, g2), (r, r2))
     # two hanging points retract to m at every proper level: not separated
     with pytest.raises(NotSeparatedError):
@@ -347,14 +396,14 @@ def test_separation_at_subdivision_level():
     g1 = SkeletonGraph.build(["a", "m", "b", "t"],
                              [("e1", "a", "m", 1), ("e2", "m", "b", 1),
                               ("h", "m", "t", 2)])
-    r01 = Refinement.build(g0, g1, {"a": "a", "b": "b"},
-                           {"e": [("e1", 1), ("e2", 1)]})
+    r01 = Refinement(g0, g1, {"a": "a", "b": "b"},
+                     {"e": [("e1", 1), ("e2", 1)]})
     g2 = SkeletonGraph.build(["a", "m", "b", "c", "t"],
                              [("f1", "a", "m", 1), ("f2", "m", "b", 1),
                               ("h1", "m", "c", 1), ("h2", "c", "t", 1)])
-    r12 = Refinement.build(g1, g2, {"a": "a", "m": "m", "b": "b", "t": "t"},
-                           {"e1": [("f1", 1)], "e2": [("f2", 1)],
-                            "h": [("h1", 1), ("h2", 1)]})
+    r12 = Refinement(g1, g2, {"a": "a", "m": "m", "b": "b", "t": "t"},
+                     {"e1": [("f1", 1)], "e2": [("f2", 1)],
+                      "h": [("h1", 1), ("h2", 1)]})
     tower = SkeletonTower((g0, g1, g2), (r01, r12))
     x = GraphPoint.on_edge("h1", Fraction(1, 2))
     y = GraphPoint.on_edge("h2", Fraction(1, 2))
