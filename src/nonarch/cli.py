@@ -416,7 +416,7 @@ def dispatch(argv=None):
         code, failure = PRECISION_ERROR, exc
     except NonarchError as exc:
         code, failure = MATH_FAILURE, exc
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         code, failure = USAGE_ERROR, exc
     if code:
         payload["error"] = {"kind": type(failure).__name__, "reason": str(failure)}

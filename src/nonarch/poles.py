@@ -114,17 +114,15 @@ def _coefficient_blocks(fam: PoleFamily,
 
 
 class _Echelon:
-    """Incremental echelon form of the span of integer vectors indexed by
-    pole, each entry i being a rational coordinate times scale[i].
+    """Incremental echelon form of the span of integer vectors of length n.
 
     Each stored vector has content 1 and is zero before its leading index
     and at the leading indices stored before it, so the leading indices are
     the pivot columns of the reduced row echelon form of the span.
     """
 
-    def __init__(self, scale: Sequence[int]):
-        self.scale = list(scale)
-        self.n = len(self.scale)
+    def __init__(self, n: int):
+        self.n = n
         self.leading = {}  # leading index -> stored vector
 
     def add(self, vec: Sequence[int]) -> bool:
@@ -146,22 +144,23 @@ class _Echelon:
                 return True
         return False
 
-    def kernel(self) -> List[List[Fraction]]:
-        """Basis of {a : sum_r a_r v_r = 0 for every adjoined v}, in the
-        unscaled coordinates (v_r = vec_r / scale[r]).
+    def kernel(self) -> Iterator[Tuple[int, List[int]]]:
+        """Lazy basis of {a : sum_r a_r v_r = 0 for every adjoined v}: one
+        pair (f, a) per non-leading index f, in increasing order, with a an
+        integer vector that is 0 at the other non-leading indices.
 
-        One vector per non-leading index f, in increasing order, equal to 1
-        at f and 0 at the other non-leading indices; the leading entries
-        follow by back-substitution from the largest leading index down,
-        over the integers with one common denominator.
+        The leading entries follow by back-substitution from the largest
+        leading index down, so a[f] != 0 and a / a[f] is the rational basis
+        vector equal to 1 at f.  A dot product of a with an integer vector
+        is nonzero exactly when that of a / a[f] is, so a caller pairs in
+        integers and divides only the vector it keeps.
         """
         leads = sorted(self.leading, reverse=True)
-        basis = []
         for f in range(self.n):
             if f in self.leading:
                 continue
-            a = [0] * self.n  # a / den solves the scaled system
-            a[f] = den = 1
+            a = [0] * self.n
+            a[f] = 1
             for lead in leads:
                 b = self.leading[lead]
                 t = -sum(a[r] * b[r] for r in range(lead + 1, self.n))
@@ -169,11 +168,8 @@ class _Echelon:
                 m = b[lead] // g
                 if m != 1:
                     a = [c * m for c in a]
-                    den *= m
                 a[lead] = t // g
-            den *= self.scale[f]
-            basis.append([Fraction(c * d, den) for c, d in zip(a, self.scale)])
-        return basis
+            yield f, a
 
 
 # -- operations --------------------------------------------------------
@@ -242,8 +238,8 @@ def order_set(fam: PoleFamily, nmax: int) -> OrderSetResult:
     C = fam.C
     # blocks 0..nmax give ranks[0..nmax + 1], all that n <= nmax reads; once
     # the rank is full no later block can raise it
-    scale, blocks = _coefficient_blocks(fam, nmax)
-    echelon = _Echelon(scale)
+    _, blocks = _coefficient_blocks(fam, nmax)
+    echelon = _Echelon(len(fam.poles))
     ranks = [0]  # ranks[n] = dim V_n
     for block in blocks:
         for vec in block:
@@ -293,15 +289,18 @@ def _find_witness(fam: PoleFamily, p: Optional[int],
     window = (len(fam.poles) - 1) if nmax is None else nmax
     require_window(window)
     scale, blocks = _coefficient_blocks(fam, window)
-    echelon = _Echelon(scale)
+    echelon = _Echelon(len(scale))
     achieved = []
     for k, block in enumerate(blocks):
         if not _is_p_power(k + 1, p):
-            # the first kernel vector of phi_k not killed by block k
-            witness = next((vec for vec in echelon.kernel()
-                            if any(sum(a * c / d for a, c, d in zip(vec, col, scale))
-                                   for col in block)), None)
-            if witness is not None:
+            # the first kernel vector of phi_k not killed by block k, mapped
+            # back through the column scales
+            hit = next(((f, a) for f, a in echelon.kernel()
+                        if any(sum(x * c for x, c in zip(a, col)) for col in block)),
+                       None)
+            if hit is not None:
+                f, a = hit
+                witness = [Fraction(x * d, a[f] * scale[f]) for x, d in zip(a, scale)]
                 shift = min(vp_fraction(c, p) for c in witness if c != 0)
                 if shift < 0:
                     witness = [c * Fraction(p) ** (-shift) for c in witness]

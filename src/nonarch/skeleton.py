@@ -36,7 +36,7 @@ class Edge:
 
     def __post_init__(self):
         if type(self.length) is not Fraction:
-            object.__setattr__(self, "length", Fraction(self.length))
+            object.__setattr__(self, "length", parse_fraction(self.length))
         if self.length <= 0:
             raise ValueError(f"edge {self.id}: length must be positive")
 
@@ -125,7 +125,7 @@ class GraphPoint:
         if (self.vertex is None) == (self.edge is None):
             raise ValueError("a point is either a vertex or an edge point")
         if self.edge is not None and type(self.offset) is not Fraction:
-            object.__setattr__(self, "offset", Fraction(self.offset))
+            object.__setattr__(self, "offset", parse_fraction(self.offset))
 
     @classmethod
     def at_vertex(cls, w: str) -> "GraphPoint":
@@ -223,7 +223,7 @@ class Refinement:
             cur = vmap[ce.u]
             run = _ZERO
             for idx, (feid, sign) in enumerate(path):
-                if sign not in (1, -1):
+                if type(sign) is not int or sign not in (1, -1):
                     raise ValueError("path orientations must be +-1")
                 if feid in edge_loc:
                     raise ValueError(f"fine edge {feid} used twice: not injective")
@@ -438,8 +438,8 @@ class SubdivisionSet:
     levels: Tuple[Tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "length", Fraction(self.length))
-        lv = tuple(tuple(Fraction(t) for t in level) for level in self.levels)
+        object.__setattr__(self, "length", parse_fraction(self.length))
+        lv = tuple(tuple(map(parse_fraction, level)) for level in self.levels)
         object.__setattr__(self, "levels", lv)
         if self.length <= 0:
             raise ValueError("edge length must be positive")
@@ -473,7 +473,7 @@ class CompletedSubdivision:
             return EdgeEnd.UPPER
         if point is EdgeEnd.UPPER:
             return EdgeEnd.LOWER
-        t = Fraction(point)
+        t = parse_fraction(point)
         if not 0 < t < self.length:
             raise ValueError("not a point of the completed edge")
         return self.length - t

@@ -408,12 +408,17 @@ def test_echelon_kernel_matches_rref_on_scaled_columns():
         scale = [lcm(*(r[i].denominator for r in rows)) * rng.randint(1, 6)
                  for i in range(n)]
         unequal += len(set(scale)) > 1
-        echelon = _Echelon(scale)
+        echelon = _Echelon(len(scale))
         for m, r in enumerate(rows, 1):
             grew = echelon.add([int(x * d) for x, d in zip(r, scale)])
             assert grew == (helpers.rank_oracle(rows[:m])
                             > helpers.rank_oracle(rows[:m - 1]))
-        assert echelon.kernel() == helpers.rref_nullspace(rows)
+        pairs = list(echelon.kernel())
+        assert all(type(x) is int for _, a in pairs for x in a)
+        # a pair is the kernel vector of the scaled columns; unscaled, it is
+        # a_r scale_r / (a_f scale_f), equal to 1 at f
+        assert [[Fraction(x * d, a[f] * scale[f]) for x, d in zip(a, scale)]
+                for f, a in pairs] == helpers.rref_nullspace(rows)
     assert unequal > 200
 
 
@@ -506,6 +511,58 @@ def test_find_order_builds_no_block_past_the_witness(block_count, seed, p, ramif
     assert block_count[0] == order + 1
     assert numerator_order_oracle(coeffs, fam) == order
     assert not is_p_power(order + 1, p)
+
+
+@pytest.fixture
+def kernel_draws(monkeypatch):
+    """[kernel dimension, pairs drawn] for each kernel the solver reads."""
+    draws = []
+    kernel = _Echelon.kernel
+
+    def counted(echelon):
+        draw = [echelon.n - len(echelon.leading), 0]
+        draws.append(draw)
+        for pair in kernel(echelon):
+            draw[1] += 1
+            yield pair
+
+    monkeypatch.setattr(_Echelon, "kernel", counted)
+    return draws
+
+
+def symmetric_ramified_family():
+    """p = 2, x = 0 and poles 2, -pi, +-(1 - pi), 1 + pi, +-(2 - pi): the
+    first two kernel vectors of phi_2 are killed by block 2."""
+    pi = PadicNumber.uniformizer(2)
+    return PoleFamily(tuple(Q(2, a) + pi * Q(2, b) for a, b in
+                            ((-2, 1), (2, -1), (2, 0), (-1, 1), (1, -1), (1, 1), (0, -1))),
+                      Q(2, 0))
+
+
+@pytest.mark.parametrize("fam", [
+    seeded_family(31, 2, False, 6), seeded_family(32, 3, True, 8),
+    seeded_family(33, 5, False, 12), seeded_family(34, 2, True, 10),
+    symmetric_ramified_family(),
+])
+def test_find_order_draws_no_kernel_pair_past_the_witness(kernel_draws, fam):
+    coeffs, order = poles_module._find_witness(fam, None, None)
+    C = fam.C
+    rows = family_rational_rows(fam, order + 1)
+    conditions = [[r[j] for r in rows] for j in range(len(rows[0]))]
+    kernel = helpers.rref_nullspace(conditions[: order * C])
+    block = conditions[order * C:]
+    killed = [not any(sum(a * c for a, c in zip(v, col)) for col in block)
+              for v in kernel]
+    # every kernel read before order's is killed whole and drawn whole; the
+    # witness's kernel is drawn up to its first vector that block k keeps
+    *before, last = kernel_draws
+    assert all(dim == drawn for dim, drawn in before)
+    assert last == [len(kernel), killed.index(False) + 1]
+
+
+def test_find_order_stops_inside_a_kernel_at_the_witness(kernel_draws):
+    coeffs, order = poles_module._find_witness(symmetric_ramified_family(), None, None)
+    assert order == 2 and kernel_draws == [[3, 2]]
 
 
 @pytest.mark.parametrize("p", [4, 6, -3, 0])

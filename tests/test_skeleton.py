@@ -487,3 +487,38 @@ def test_graph_point_keeps_a_fraction_offset_and_coerces_anything_else(given, of
     assert type(pt.offset) is Fraction and pt.offset == offset
     assert (pt.offset is given) == (type(given) is Fraction)
     assert GraphPoint.at_vertex("a").offset is None
+
+
+@pytest.mark.parametrize("sign", [True, 1.0])
+def test_a_step_sign_must_be_an_int(sign):
+    # True passed the +-1 test and was stored as the step's sign in edge_loc
+    with pytest.raises(ValueError, match="^path orientations must be \\+-1$"):
+        Refinement(path_graph(), path_graph(), {"a": "a", "b": "b"},
+                   {"e": [("e", sign)]})
+
+
+def test_an_edge_length_must_not_be_a_bool():
+    # True was read as the length 1
+    with pytest.raises(ValueError, match="^not a rational number: True$"):
+        skeleton.Edge("e", "a", "b", True)
+    with pytest.raises(ValueError, match="^not a rational number: True$"):
+        SkeletonGraph.build(["a", "b"], [("e", "a", "b", True)])
+
+
+def test_a_graph_point_offset_must_not_be_a_bool():
+    # True was read as the offset 1
+    with pytest.raises(ValueError, match="^not a rational number: True$"):
+        GraphPoint.on_edge("e", True)
+
+
+@pytest.mark.parametrize("length, levels", [(True, ()), (Fraction(2), ((True,),))])
+def test_a_subdivision_length_or_cut_must_not_be_a_bool(length, levels):
+    # True was read as the length or the cut 1
+    with pytest.raises(ValueError, match="^not a rational number: True$"):
+        SubdivisionSet(length, levels)
+
+
+def test_a_reversal_point_must_not_be_a_bool():
+    comp = subdivision_union(SubdivisionSet(Fraction(2), ((Fraction(1),),)))
+    with pytest.raises(ValueError, match="^not a rational number: True$"):
+        comp.reversal(True)
