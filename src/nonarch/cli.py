@@ -16,11 +16,16 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import currents, poles, skeleton, torsor
 from .errors import NonarchError, PrecisionExhaustedError, UndecidableSlopeError
 from .padic import (DEFAULT_PREC, INF, MAX_DIGITS, PadicNumber, exact_text,
                     json_shape, padic_digit_string, parse_fraction, require_prime)
+
+# each handler imports the modules it calls, so that a process imports
+# only those of its command
+if TYPE_CHECKING:
+    from . import currents, poles, skeleton
 
 USAGE_ERROR, PRECISION_ERROR, MATH_FAILURE = 2, 3, 4
 
@@ -106,6 +111,7 @@ def _padic_json(x: PadicNumber, err) -> dict:
 
 
 def _cmd_splitting_radius(args) -> dict:
+    from . import torsor
     exact = torsor.splitting_logradius_exact(args.N, args.n, args.p)
     cert = torsor.artin_schreier_certificate(args.N, args.p)
     out = {"logradius": exact_text(exact), "genus_flag": cert.forces_vertex}
@@ -118,10 +124,12 @@ def _cmd_splitting_radius(args) -> dict:
 
 
 def _cmd_as_genus(args) -> dict:
+    from . import torsor
     return torsor.artin_schreier_certificate(args.e, args.p).to_json()
 
 
 def _load_pole_family(args) -> poles.PoleFamily:
+    from . import poles
     data = _load_object(args.poles)
     p = json_shape(data.get("p"), "integer", f'{args.poles}: "p"')
     prec = args.prec
@@ -132,6 +140,7 @@ def _load_pole_family(args) -> poles.PoleFamily:
 
 
 def _cmd_order_set(args) -> dict:
+    from . import poles
     fam = _load_pole_family(args)
     result = poles.order_set(fam, args.nmax)
     out = result.to_json()
@@ -140,6 +149,7 @@ def _cmd_order_set(args) -> dict:
 
 
 def _cmd_find_order(args) -> dict:
+    from . import poles
     fam = _load_pole_family(args)
     # the search returns the order its one re-verification found
     coeffs, order = poles._find_witness(fam, args.p, args.nmax)
@@ -151,10 +161,12 @@ def _cmd_find_order(args) -> dict:
 
 
 def _load_current(path: str) -> currents.Current:
+    from . import currents
     return currents.Current.from_json(_load_object(path))
 
 
 def _cmd_current(args) -> dict:
+    from . import currents
     cur = _load_current(args.file)  # raises on an invalid current
     out = {"valid": True}
     if args.alpha_at is not None or args.delta_at is not None:
@@ -176,6 +188,7 @@ def _cmd_current(args) -> dict:
 
 
 def _cmd_moebius_check(args) -> dict:
+    from . import currents
     q = _parse_scalar(args.q, args.p, args.prec)
     res = currents.delta_at_one(args.n, q, args.J)
     target = q ** args.n
@@ -191,6 +204,7 @@ def _cmd_moebius_check(args) -> dict:
 
 
 def _cmd_poly_eval(args) -> dict:
+    from . import currents
     q = _parse_scalar(args.q, args.p, args.prec)
     coeffs = [parse_fraction(c) for c in args.coeffs.split(",")]
     res = currents.poly_current_eval(coeffs, q, args.J)
@@ -205,6 +219,7 @@ def _cmd_poly_eval(args) -> dict:
 
 
 def _parse_factored(args) -> currents.FactoredFunction:
+    from . import currents
     pairs = json_shape(_parse_json(json.loads, args.factors, "--factors"),
                        "list", "--factors")
     zeros = tuple(tuple(json_shape(n, "integer", "a --factors pair entry")
@@ -214,6 +229,7 @@ def _parse_factored(args) -> currents.FactoredFunction:
 
 
 def _cmd_theta(args) -> dict:
+    from . import currents
     q = _parse_scalar(args.q, args.p, args.prec)
     fd = _parse_factored(args)
     z = _parse_scalar(args.z, args.p, args.prec)
@@ -230,6 +246,7 @@ def _cmd_theta(args) -> dict:
 
 
 def _cmd_ladder_ord(args) -> dict:
+    from . import currents
     cur = _load_current(args.file)
     q = _parse_scalar(args.q, args.p, args.prec)
     z = _parse_scalar(args.z, args.p, args.prec)
@@ -242,6 +259,7 @@ def _cmd_ladder_ord(args) -> dict:
 
 
 def _load_tower(path: str) -> skeleton.SkeletonTower:
+    from . import skeleton
     data = _load_object(path)
     graphs = [skeleton.SkeletonGraph.from_json(g)
               for g in json_shape(data.get("graphs"), "list", f'{path}: "graphs"')]
@@ -273,6 +291,7 @@ def _load_tower(path: str) -> skeleton.SkeletonTower:
 
 
 def _parse_point(s: str) -> skeleton.GraphPoint:
+    from . import skeleton
     t = s.strip()
     if "@" in t:
         eid, off = t.split("@", 1)
@@ -281,6 +300,7 @@ def _parse_point(s: str) -> skeleton.GraphPoint:
 
 
 def _cmd_skeleton_tower(args) -> dict:
+    from . import skeleton
     tower = _load_tower(args.file)
     if args.check == "compose":
         if tower.depth < 2:

@@ -23,6 +23,11 @@ def test_record_adds_a_label_and_keeps_the_others(tmp_path):
     assert written["probe"]["env"]["repeat"] == 3 and written["probe"]["env"]["seed"] == 1
 
 
+def test_alternating_reverses_the_order_of_the_sides_every_other_round():
+    assert list(_bench.alternating(3, ("base", "src"))) == \
+        ["base", "src", "src", "base", "base", "src"]
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in TOOLS.glob("bench_*.py")))
 def test_bench_script_help_exits_0(script):
     done = subprocess.run([sys.executable, str(TOOLS / script), "--help"],

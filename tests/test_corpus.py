@@ -3,7 +3,9 @@ recorded report: ``perfbench/oracle.golden_digest`` of the exit code and
 the report (without ``wall_time_ms``) must equal the digest in
 ``perfbench/corpus/seed-1/expected.json``.  The jobs run through
 ``cli.main`` from the repository root, against which their paths are
-written; the corpus is only read."""
+written; the corpus is only read.  One cycle of every workload for seeds
+2 and 3, generated under a temporary directory, must pass
+``perfbench/oracle.check``."""
 
 import contextlib
 import glob
@@ -21,12 +23,20 @@ CORPUS = os.path.join(ROOT, "perfbench", "corpus", "seed-1")
 JOB_FILES = sorted(glob.glob(os.path.join(CORPUS, "*", "jobs.json")))
 
 
-def _oracle():
+def _perfbench(name):
+    """The module ``perfbench/<name>.py``, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_oracle", os.path.join(ROOT, "perfbench", "oracle.py"))
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return {"code": code, "out": out.getvalue()}
 
 
 def test_the_corpus_holds_every_workload():
@@ -37,7 +47,7 @@ def test_the_corpus_holds_every_workload():
 @pytest.mark.parametrize("jobs_file", JOB_FILES,
                          ids=[os.path.basename(os.path.dirname(f)) for f in JOB_FILES])
 def test_every_cli_job_gives_its_recorded_report(monkeypatch, jobs_file):
-    oracle = _oracle()
+    oracle = _perfbench("oracle")
     with open(os.path.join(CORPUS, "expected.json"), encoding="utf-8") as fh:
         golden = json.load(fh)
     with open(jobs_file, encoding="utf-8") as fh:
@@ -46,10 +56,24 @@ def test_every_cli_job_gives_its_recorded_report(monkeypatch, jobs_file):
     monkeypatch.chdir(ROOT)
     drifted = []
     for job in jobs:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(job["argv"])
-        record = {"code": code, "out": out.getvalue()}
-        if oracle.golden_digest(job, record) != golden[job["id"]]:
+        if oracle.golden_digest(job, _run_cli(job["argv"])) != golden[job["id"]]:
             drifted.append(job["id"])
     assert drifted == []
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_one_cycle_of_other_seeds_passes_the_oracle(monkeypatch, tmp_path, seed):
+    # the digests above pin seed 1 only; other seeds draw other inputs of
+    # the same shapes, which the oracle recomputes without nonarch
+    workloads, oracle = _perfbench("workloads"), _perfbench("oracle")
+    monkeypatch.chdir(tmp_path)
+    problems = {}
+    for workload in workloads.WORKLOADS:
+        jobs = workloads.generate(workload, seed, 1, str(tmp_path), workload)
+        cli_jobs = [job for job in jobs if job["kind"] == "cli"]
+        assert cli_jobs
+        for job in cli_jobs:
+            found = oracle.check(job, _run_cli(job["argv"]))
+            if found:
+                problems[job["id"]] = found
+    assert problems == {}

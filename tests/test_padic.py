@@ -12,11 +12,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import nonarch
-from nonarch import (BoundedSeries, INF, NEG_INF, PadicNumber, RamifiedGerm, TailBound,
-                     binom_fractional, convergence_logradius, series_p_power_root,
-                     splitting_logradius_numeric, valuation, vp_factorial)
+from nonarch import (BoundedSeries, Current, INF, NEG_INF, PadicNumber, RamifiedGerm,
+                     TailBound, alpha_germ, binom_fractional, convergence_logradius,
+                     series_p_power_root, splitting_logradius_numeric, valuation,
+                     vp_factorial)
 from nonarch.currents import _binomial_factor
-from nonarch.errors import PrecisionExhaustedError, UndecidableSlopeError
+from nonarch.errors import PoleCollisionError, PrecisionExhaustedError, UndecidableSlopeError
 from nonarch.cli import _JSONDecimal
 from nonarch.padic import (exact_text, is_prime, json_shape, padic_digit_string,
                            parse_extended, parse_fraction, vp_int)
@@ -682,10 +683,73 @@ def test_tails_bound_coefficients_of_the_longer_expansion(data, op_name):
     long = op(f)
     assert short.degree == D and long.degree == 4 * D
     assert_coeffs_equal(short, long, D)
-    for k in range(D + 1, 4 * D + 1):
+    assert_tail_bounds(short, long)
+
+
+def assert_tail_bounds(short, long):
+    """Every explicit coefficient of ``long`` past the degree of ``short``
+    meets the tail of ``short``; returns the degrees where it meets it with
+    equality."""
+    attained = []
+    for k in range(short.degree + 1, long.degree + 1):
         c = long.coeffs[k]
         if not c.is_exact_zero:
             assert c.exact_valuation >= short.tail.at(k), (k, short.tail)
+            if c.exact_valuation == short.tail.at(k):
+                attained.append(k)
+    return attained
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(p=st.sampled_from((2, 3, 5)), rat=coeff_part.filter(bool),
+       pi_part=st.one_of(st.just(Fraction(0)), coeff_part), D=st.integers(1, 6),
+       past=st.integers(1, 30), negative=st.booleans())
+def test_binomial_factor_tail_bounds_the_longer_expansion(p, rat, pi_part, D, past,
+                                                          negative):
+    # (1 + uT)^m keeps a tail for m < 0 and for m > D; checked against the
+    # degree-4D factor, which is exact when m <= 4D
+    u = PadicNumber(p, rat, pi_part)
+    mexp = -past if negative else D + past
+    short = _binomial_factor(p, u, mexp, D)
+    long = _binomial_factor(p, u, mexp, 4 * D)
+    assert_coeffs_equal(short, long, D)
+    assert_tail_bounds(short, long)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(p=st.sampled_from((2, 3, 5)),
+       cusp=st.dictionaries(st.integers(-2, 3), st.integers(-2, 2), min_size=1, max_size=3),
+       left_spine=st.integers(-2, 2), e=st.integers(1, 2), z=coeff_part.filter(bool),
+       D=st.integers(1, 6))
+def test_alpha_germ_tail_bounds_the_longer_expansion(p, cusp, left_spine, e, z, D):
+    c = Current.windowed(cusp, left_spine)
+    q, z = PadicNumber(p, Fraction(p) ** e), PadicNumber(p, z)
+    try:
+        short = alpha_germ(c, q, z, degree=D)
+    except PoleCollisionError:
+        assume(False)
+    long = alpha_germ(c, q, z, degree=4 * D)
+    assert_coeffs_equal(short, long, D)
+    if short.tail is not None:
+        assert_tail_bounds(short, long)
+
+
+def test_binomial_and_germ_tails_are_attained():
+    # C(-1, k) = (-1)^k is a unit: v of the k-th coefficient of (1 + uT)^-1
+    # is k v(u) exactly, the tail's claim; a tail offset above 0 is false
+    D = 3
+    for p, u in ((2, Fraction(1, 2)), (3, Fraction(3)), (5, Fraction(7, 5))):
+        u = PadicNumber(p, u)
+        short = _binomial_factor(p, u, -1, D)
+        long = _binomial_factor(p, u, -1, 4 * D)
+        assert assert_tail_bounds(short, long) == list(range(D + 1, 4 * D + 1))
+    # alpha(c) = x^-1 (x - 1)^-1 at z = 5, p = 3: the germ is
+    # (1 + T/5)^-1 (1 + T/4)^-1, whose even-degree coefficients are units,
+    # as low as its tail TailBound(0, 0) allows
+    c, q, z = Current.windowed({0: -1}), PadicNumber(3, 3), PadicNumber(3, 5)
+    short, long = alpha_germ(c, q, z, degree=D), alpha_germ(c, q, z, degree=4 * D)
+    assert short.tail == TailBound(0, 0)
+    assert assert_tail_bounds(short, long) == list(range(D + 1, 4 * D + 1, 2))
 
 
 # op name -> (the operation on degree-D inputs, its exact value on the

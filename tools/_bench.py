@@ -13,14 +13,19 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def parse_args(doc, argv=None):
-    """The ``--src`` and ``--label`` every script takes, with the first
-    paragraph of its docstring as the description.  ``--src`` goes first on
-    ``sys.path``, so ``nonarch`` is imported from that tree."""
+def parser(doc):
+    """A parser of the ``--src`` and ``--label`` every script takes, with
+    the first paragraph of its docstring as the description."""
     ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
     ap.add_argument("--label", required=True)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def parse_args(doc, argv=None):
+    """``parser(doc)``'s arguments; ``--src`` goes first on ``sys.path``, so
+    ``nonarch`` is imported from that tree."""
+    args = parser(doc).parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     return args
 
@@ -53,6 +58,14 @@ def best_of(fn, repeat):
         out = fn()
         times.append(time.perf_counter() - t0)
     return min(times), out
+
+
+def alternating(rounds, sides):
+    """Every side once in each of ``rounds`` rounds, the order of the sides
+    reversed every other round (A B, B A, A B, ...), so that load drifting
+    over a recording falls on every side alike."""
+    for r in range(rounds):
+        yield from (sides if r % 2 == 0 else sides[::-1])
 
 
 def report_digest(payload):
