@@ -29,11 +29,10 @@ _EXPORTS = {
               "finite_product_eval", "integer_approximation", "moebius_orbit",
               "order_of_combination", "order_set"),
     "currents": ("Current", "EvalResult", "FactoredFunction", "LadderResult",
-                 "TateCurve", "ThetaRequest", "alpha_eval", "alpha_germ",
-                 "current_from_slopes", "current_x", "delta_at_one", "delta_eval",
-                 "factored_alpha", "ladder_ord", "moebius", "moebius_current",
-                 "poly_current_eval", "theta_automorphy_constant",
-                 "theta_automorphy_ratio", "theta_product"),
+                 "ThetaRequest", "alpha_eval", "alpha_germ", "current_from_slopes",
+                 "current_x", "delta_at_one", "delta_eval", "factored_alpha",
+                 "ladder_ord", "moebius", "moebius_current", "poly_current_eval",
+                 "theta_automorphy_constant", "theta_product"),
     "skeleton": ("CompletedSubdivision", "Edge", "EdgeEnd", "GraphPoint",
                  "Refinement", "SkeletonGraph", "SkeletonTower", "SubdivisionSet",
                  "canonical_point", "compose", "compose_check", "retract",

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 from .errors import PoleCollisionError
-from .padic import INF, PadicNumber, exact_text, parse_extended, valuation
+from .padic import INF, PadicNumber, parse_extended, valuation
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,16 +49,6 @@ class BallPoint:
 
     def __repr__(self):
         return f"b({self.center!r}, rho={self.logradius})"
-
-    def to_json(self) -> dict:
-        return {
-            "center": self.center.to_json(),
-            "logradius": exact_text(self.logradius),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BallPoint":
-        return cls(PadicNumber.from_json(data["center"]), data["logradius"])
 
 
 def same_point(b1: BallPoint, b2: BallPoint) -> bool:

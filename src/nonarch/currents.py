@@ -52,23 +52,6 @@ def _tate_valuation(q: PadicNumber):
     return v
 
 
-@dataclass(frozen=True)
-class TateCurve:
-    """G_m / q^Z with |q| < 1."""
-
-    q: PadicNumber
-
-    def __post_init__(self):
-        _tate_valuation(self.q)
-
-    @property
-    def p(self) -> int:
-        return self.q.p
-
-    def grid(self, j: int) -> PadicNumber:
-        return self.q ** j
-
-
 def _congruent(a: Value, b: Value, n: Optional[int]) -> bool:
     """a = b, modulo n when n is not None."""
     return a == b if n is None else (a - b) % n == 0
@@ -97,7 +80,8 @@ class Current:
         zero period sum, modulo n over Z/nZ, and integer values over Z/nZ.
         It then builds the cusp and spine tables the accessors read, the
         spine from ``base`` by c(e'_j) = c(e'_{j-1}) + c(e_j); with the zero
-        sum, j = 1..period-1 cover a whole period."""
+        sum, j = 1..period-1 cover a whole period.  A window wider than
+        ``require_window`` allows is refused before the spine is built."""
         (jmin, jmax), period = self.window, self.period
         if period is not None:
             if period < 1:
@@ -107,6 +91,7 @@ class Current:
                     f"a periodic current needs the window [0, {period - 1}]")
         elif jmin > jmax:
             raise ValueError("the window needs jmin <= jmax")
+        require_window(jmax - jmin)
         cusp = dict(self.cusp)
         if not all(jmin <= j <= jmax for j in cusp):
             raise ValueError(f"cusp keys must lie in {jmin}..{jmax}")
@@ -136,10 +121,6 @@ class Current:
                  modulus: Optional[int] = None) -> "Current":
         return cls((0, period - 1), tuple((j, cusp.get(j, 0)) for j in range(period)),
                    spine0, period, modulus)
-
-    @classmethod
-    def zero(cls) -> "Current":
-        return cls.windowed({})
 
     # -- access ----------------------------------------------------------
 
@@ -212,24 +193,14 @@ class Current:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> dict:
-        def enc(v):  # "a/1" for an integral Fraction keeps it a Fraction, and "Zp"
-            return v if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
-        return {
-            "ring": self.ring,
-            "period": self.period,
-            "window": list(self.window),
-            "cusp": {str(j): enc(v) for j, v in self.cusp},
-            "spine": {str(j): enc(v) for j, v in self.spine},
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "Current":
         """The current a file describes.  Beyond the constructor's rules the
         file's spine must have exactly the keys of ``spine``, agree with the
         spine derived from its first value (modulo n over Z/nZ), and a "Z"
         or "Z/nZ" file must hold integers only.  A window wider than
-        ``require_window`` allows is refused before the spine is built."""
+        ``require_window`` allows is refused first, with that check's own
+        text rather than an "invalid current" one."""
         ring = json_shape(data.get("ring"), "string", '"ring"')
         window = [json_shape(j, "integer", 'a "window" entry')
                   for j in json_shape(data.get("window"), "list", '"window"', 2)]
@@ -657,12 +628,6 @@ def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
                   z: PadicNumber, z0: PadicNumber, M: int) -> EvalResult:
     """The truncated theta product: ``ThetaRequest(...).product()``."""
     return ThetaRequest(fd, q, l, z, z0, M).product()
-
-
-def theta_automorphy_ratio(fd: FactoredFunction, q: PadicNumber, l: int,
-                           z: PadicNumber, z0: PadicNumber, M: int) -> EvalResult:
-    """theta(q^l z) / theta(z): ``ThetaRequest(...).automorphy_ratio()``."""
-    return ThetaRequest(fd, q, l, z, z0, M).automorphy_ratio()
 
 
 @dataclass(frozen=True)

@@ -351,23 +351,6 @@ class PadicNumber:
             out["ext"] = True
         return out
 
-    @classmethod
-    def from_json(cls, data: dict) -> "PadicNumber":
-        p = int(data["p"])
-        prec = int(data["prec"])
-        v = parse_extended(data["val"])
-        if v == INF:
-            return cls.zero(p, prec)
-        unit = int(data["unit"])
-        if not data.get("ext", False) and v.denominator == 1:
-            return cls(p, Fraction(unit) * Fraction(p) ** v, Fraction(0), prec)
-        a, b = _deinterleave(unit, p)
-        t, odd = divmod(int(2 * v), 2)
-        pt = Fraction(p) ** t
-        if odd == 0:
-            return cls(p, a * pt, b * pt, prec)
-        return cls(p, b * pt * p, a * pt, prec)
-
 
 def _interleave(a: int, b: int, p: int) -> int:
     """The integer whose base-p digits alternate those of a, b >= 0: digit
@@ -377,15 +360,6 @@ def _interleave(a: int, b: int, p: int) -> int:
         (a, da), (b, db) = divmod(a, p), divmod(b, p)
         out, w = out + (da + db * p) * w, w * p * p
     return out
-
-
-def _deinterleave(u: int, p: int) -> tuple:
-    """(a, b) with ``_interleave(a, b, p) == u``."""
-    a, b, w = 0, 0, 1
-    while u:
-        u, (db, da) = u // (p * p), divmod(u % (p * p), p)
-        a, b, w = a + da * w, b + db * w, w * p
-    return a, b
 
 
 _set_p = PadicNumber.p.__set__

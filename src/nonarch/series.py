@@ -33,13 +33,6 @@ class TailBound:
     def at(self, k) -> Fraction:
         return self.alpha * k + self.beta
 
-    def to_json(self) -> dict:
-        return {"alpha": str(self.alpha), "beta": str(self.beta)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TailBound":
-        return cls(Fraction(data["alpha"]), Fraction(data["beta"]))
-
 
 def _as_coeff(p: int, c, prec: Optional[int]) -> PadicNumber:
     """c over p; a rational at ``prec`` (None: the PadicNumber default)."""
@@ -77,14 +70,6 @@ class BoundedSeries:
     def prec(self) -> int:
         """The least coefficient prec, which a rational scalar takes."""
         return min(c.prec for c in self.coeffs)
-
-    def coeff(self, j: int) -> PadicNumber:
-        if j <= self.degree:
-            return self.coeffs[j]
-        if self.tail is None:
-            return PadicNumber.zero(self.p, self.prec)
-        raise PrecisionExhaustedError(
-            f"coefficient {j} lies beyond the certified degree {self.degree}")
 
     def ord(self) -> Optional[int]:
         """Index of the first nonzero coefficient; None for the zero polynomial."""
@@ -132,34 +117,6 @@ class BoundedSeries:
                                                         self.tail.beta + vc)
         return BoundedSeries(self.p, tuple(c * a for a in self.coeffs), tail)
 
-    def scalar_add(self, c) -> "BoundedSeries":
-        c = _as_coeff(self.p, c, self.prec)
-        coeffs = (self.coeffs[0] + c,) + self.coeffs[1:]
-        return BoundedSeries(self.p, coeffs, self.tail)
-
-    def __add__(self, other: "BoundedSeries") -> "BoundedSeries":
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        f, g = self, other
-        d_out = min((s.degree for s in (f, g) if s.tail is not None),
-                    default=max(f.degree, g.degree))
-        coeffs = tuple(f.coeff(j) + g.coeff(j) for j in range(d_out + 1))
-        if f.tail is None and g.tail is None:
-            return BoundedSeries(self.p, coeffs, None)
-        alpha = min(t.alpha for t in (f.tail, g.tail) if t is not None)
-        beta = INF
-        for s in (f, g):
-            if s.tail is not None:
-                beta = min(beta, s.tail.beta + (s.tail.alpha - alpha) * (s.degree + 1))
-            for j, v in s.explicit_points():
-                # explicit coefficients beyond the common explicit degree
-                if j > d_out:
-                    beta = min(beta, v - alpha * j)
-        return BoundedSeries(self.p, coeffs, TailBound(alpha, beta))
-
-    def __sub__(self, other: "BoundedSeries") -> "BoundedSeries":
-        return self + other.scalar_mul(-1)
-
     def mul(self, other: "BoundedSeries", trunc: Optional[int] = None) -> "BoundedSeries":
         if self.p != other.p:
             raise ValueError("mixed primes")
@@ -191,23 +148,6 @@ class BoundedSeries:
                     out[i + j] = out[i + j] + ci * cj
         return BoundedSeries(self.p, tuple(out), tail)
 
-    def __mul__(self, other):
-        if isinstance(other, BoundedSeries):
-            return self.mul(other)
-        return self.scalar_mul(other)
-
-    def truncate(self, d: int) -> "BoundedSeries":
-        if d >= self.degree:
-            return self
-        dropped = [(j, v) for j, v in self.explicit_points() if j > d]
-        if self.tail is None and not dropped:
-            return BoundedSeries(self.p, self.coeffs[: d + 1], None)
-        alpha = Fraction(0) if self.tail is None else self.tail.alpha
-        betas = [v - alpha * j for j, v in dropped]
-        if self.tail is not None:
-            betas.append(self.tail.beta)
-        return BoundedSeries(self.p, self.coeffs[: d + 1], TailBound(alpha, min(betas)))
-
     def rescale(self, c) -> "BoundedSeries":
         """Substitution X -> c*X."""
         c = _as_coeff(self.p, c, self.prec)
@@ -218,46 +158,6 @@ class BoundedSeries:
         tail = None if self.tail is None else TailBound(self.tail.alpha + vc,
                                                         self.tail.beta)
         return BoundedSeries(self.p, coeffs, tail)
-
-    def derivative(self) -> "BoundedSeries":
-        # j c_j for j >= 1; a constant's derivative is c_0 * 0, at c_0's prec
-        coeffs = tuple(c * j for j, c in enumerate(self.coeffs))
-        tail = None if self.tail is None else TailBound(
-            self.tail.alpha, self.tail.alpha + self.tail.beta)
-        return BoundedSeries(self.p, coeffs[1:] or coeffs, tail)
-
-    def inverse(self, trunc: Optional[int] = None) -> "BoundedSeries":
-        """Multiplicative inverse of a unit series (nonzero constant term)."""
-        c0 = self.coeffs[0]
-        if c0.is_exact_zero:
-            raise ZeroDivisionError("inverse of a series with zero constant term")
-        d = self.degree if trunc is None else min(trunc, self.degree)
-        inv0 = c0.inverse()
-        out = _power_coeffs(self.coeffs, Fraction(-1), inv0, d)
-        tail = None
-        if self.tail is not None or any(not c.is_exact_zero for c in self.coeffs[1:]):
-            # 1/f = (1/c0) * sum h^k with h = 1 - f/c0, ord(h) >= 1
-            h = self.scalar_mul(inv0).scalar_add(-1).scalar_mul(-1)
-            oh = max(1, _ord_or_zero(h))
-            a = h.tail.alpha if h.tail is not None else Fraction(0)
-            b = h.minorant_at(a)
-            if b >= 0:
-                tail = TailBound(a, b - c0.exact_valuation)
-            else:
-                tail = TailBound(a + b / oh, -c0.exact_valuation)
-        return BoundedSeries(self.p, tuple(out), tail)
-
-    def to_json(self) -> dict:
-        return {
-            "coeffs": [c.to_json() for c in self.coeffs],
-            "tail": None if self.tail is None else self.tail.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BoundedSeries":
-        coeffs = tuple(PadicNumber.from_json(c) for c in data["coeffs"])
-        tail = None if data.get("tail") is None else TailBound.from_json(data["tail"])
-        return cls(coeffs[0].p, coeffs, tail)
 
 
 def _ord_or_zero(f: BoundedSeries) -> int:

@@ -91,13 +91,6 @@ class SkeletonGraph:
                    tuple(Edge(i, u, v, L) for i, u, v, L in edges),
                    tuple(cusps))
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": sorted(self.vertices),
-            "edges": [[e.id, e.u, e.v, str(e.length)] for e in self.edges],
-            "cusps": [list(c) for c in self.cusps],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "SkeletonGraph":
         data = json_shape(data, "object", "a graph")
@@ -477,10 +470,6 @@ class CompletedSubdivision:
         if not 0 < t < self.length:
             raise ValueError("not a point of the completed edge")
         return self.length - t
-
-    def reverse(self) -> "CompletedSubdivision":
-        return CompletedSubdivision(
-            self.length, tuple(self.length - t for t in reversed(self.cuts)))
 
 
 def subdivision_union(s: SubdivisionSet) -> CompletedSubdivision:

@@ -36,10 +36,6 @@ class RamifiedGerm:
             object.__setattr__(self, "series", self.series.scalar_mul(c0.inverse()))
         object.__setattr__(self, "e0", ramification_index(self.series))
 
-    @property
-    def p(self) -> int:
-        return self.series.p
-
     @classmethod
     def model(cls, p: int, n_index: int, prec: Optional[int] = None) -> "RamifiedGerm":
         """The model germ 1 + X^N, at ``prec`` as ``BoundedSeries.build``."""

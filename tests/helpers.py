@@ -5,13 +5,14 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from nonarch import (INF, BallPoint, Current, FactoredFunction, GraphPoint,
-                     PadicNumber, RamifiedGerm, Refinement, SkeletonGraph,
-                     SkeletonTower, TailBound, alpha_germ, current_from_slopes,
-                     moebius, seminorm, splitting_logradius_numeric, valuation)
+from nonarch import (INF, BallPoint, BoundedSeries, Current, FactoredFunction,
+                     GraphPoint, PadicNumber, RamifiedGerm, Refinement,
+                     SkeletonGraph, SkeletonTower, TailBound, alpha_germ,
+                     current_from_slopes, moebius, seminorm,
+                     splitting_logradius_numeric, valuation)
 from nonarch.berkovich import product_at
 from nonarch.currents import EvalResult, _tate_valuation
-from nonarch.padic import vp_fraction
+from nonarch.padic import parse_extended, vp_fraction
 from nonarch.errors import (NonStabilizedError, PoleCollisionError,
                             PrecisionExhaustedError, TailCertificateError)
 
@@ -109,7 +110,7 @@ def ladder_walk_oracle(germ, vz, nmax):
     ``splitting_logradius_numeric`` each, until the log-radius reaches
     t_n = vz + n + 1/(p-1) for every depth n <= nmax; NonStabilizedError
     with ``ladder_ord``'s text past level 16(nmax + 4)."""
-    offset = Fraction(1, germ.p - 1)
+    offset = Fraction(1, germ.series.p - 1)
     cap = 16 * (nmax + 4)
     table = []
     m = 1
@@ -142,6 +143,85 @@ def power_coeffs_oracle(v, a, w0, d):
             acc = acc + v[k] * w[n - k] * ((a + 1) * k - n)
         w.append(acc * (inv0 / n))
     return w
+
+
+def truncated(f, d):
+    """f cut to degree d (f itself when d >= its degree), with a tail that
+    bounds every dropped explicit coefficient and f's own tail, at f's
+    tail slope (0 for a polynomial)."""
+    if d >= f.degree:
+        return f
+    dropped = [(j, v) for j, v in f.explicit_points() if j > d]
+    if f.tail is None and not dropped:
+        return BoundedSeries(f.p, f.coeffs[:d + 1], None)
+    alpha = Fraction(0) if f.tail is None else f.tail.alpha
+    betas = [v - alpha * j for j, v in dropped]
+    if f.tail is not None:
+        betas.append(f.tail.beta)
+    return BoundedSeries(f.p, f.coeffs[:d + 1], TailBound(alpha, min(betas)))
+
+
+def dlog_coeffs(f, n):
+    """Coefficients 0..n of f'/f for a polynomial f with rational
+    coefficients and f(0) != 0, by long division of f' by f in exact
+    rationals: f(0) q_k = (k + 1) a_(k+1) - sum_(i=1..k) a_i q_(k-i)."""
+    a = [c.rat for c in f.coeffs] + [Fraction(0)] * (n + 1)
+    if f.tail is not None or any(c.pi_part for c in f.coeffs) or not a[0]:
+        raise ValueError("needs a rational polynomial with f(0) != 0")
+    q = []
+    for k in range(n + 1):
+        q.append(((k + 1) * a[k + 1] - sum(a[i] * q[k - i] for i in range(1, k + 1)))
+                 / a[0])
+    return q
+
+
+def deinterleave(u, p):
+    """(a, b) whose base-p digits are the even and the odd digits of u:
+    the inverse of ``padic._interleave``."""
+    a, b, w = 0, 0, 1
+    while u:
+        u, (db, da) = u // (p * p), divmod(u % (p * p), p)
+        a, b, w = a + da * w, b + db * w, w * p
+    return a, b
+
+
+def padic_from_json(data):
+    """The element that ``PadicNumber.to_json`` wrote, read back: v and the
+    unit digits (interleaved for Q_p(pi)) give p^v * unit, to the unit's
+    prec digits."""
+    p, prec = int(data["p"]), int(data["prec"])
+    v = parse_extended(data["val"])
+    if v == INF:
+        return PadicNumber.zero(p, prec)
+    unit = int(data["unit"])
+    if not data.get("ext", False) and v.denominator == 1:
+        return PadicNumber(p, Fraction(unit) * Fraction(p) ** v, Fraction(0), prec)
+    a, b = deinterleave(unit, p)
+    t, odd = divmod(int(2 * v), 2)
+    pt = Fraction(p) ** t
+    if odd == 0:
+        return PadicNumber(p, a * pt, b * pt, prec)
+    return PadicNumber(p, b * pt * p, a * pt, prec)
+
+
+def current_json(c):
+    """The current file of ``c``, as ``cli`` reads it with
+    ``Current.from_json``: an int value is a JSON integer and any other
+    value the string "a/b" ("a/1" for an integral Fraction, so the file
+    stays "Zp")."""
+    def enc(v):
+        return v if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
+    return {"ring": c.ring, "period": c.period, "window": list(c.window),
+            "cusp": {str(j): enc(v) for j, v in c.cusp},
+            "spine": {str(j): enc(v) for j, v in c.spine}}
+
+
+def graph_json(g):
+    """The graph entry of a tower file, as ``SkeletonGraph.from_json``
+    reads it."""
+    return {"vertices": sorted(g.vertices),
+            "edges": [[e.id, e.u, e.v, str(e.length)] for e in g.edges],
+            "cusps": [list(c) for c in g.cusps]}
 
 
 # -- the split-loop evaluators that ``berkovich.product_at`` replaced -----
@@ -487,7 +567,7 @@ def random_tower(seed, depth):
 def tower_json(tower):
     """The tower file of ``tower``: refinement i embeds graphs[i] into
     graphs[i + 1]."""
-    return {"graphs": [g.to_json() for g in tower.graphs],
+    return {"graphs": [graph_json(g) for g in tower.graphs],
             "refinements": [{"coarse": i, "fine": i + 1,
                              "vertex_map": r.vertex_map,
                              "edge_paths": {e: [list(s) for s in p]

@@ -156,13 +156,6 @@ def test_segment_contains():
     assert not seg.contains(BallPoint(far, Fraction(3)))
 
 
-def test_ballpoint_json_roundtrip():
-    b = BallPoint(Q(3, 7, prec=10), Fraction(5, 2))
-    assert BallPoint.from_json(b.to_json()) == b
-    t1 = BallPoint(Q(3, 7, prec=10), INF)
-    assert BallPoint.from_json(t1.to_json()) == t1
-
-
 def _element(draw, p, ramified):
     rat = Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from((1, 2, 3, 4, 25))))
     pi = draw(st.integers(-3, 3)) if ramified else 0

@@ -9,6 +9,8 @@ import pytest
 import nonarch
 from nonarch.cli import dispatch, main
 
+from helpers import current_json, graph_json
+
 
 def run(argv):
     return dispatch(argv)
@@ -104,7 +106,7 @@ def test_current_validate_and_delta(tmp_path):
     from nonarch import Current
     cur = Current.windowed({1: 1, 2: -1})
     f = tmp_path / "current.json"
-    f.write_text(json.dumps(cur.to_json()))
+    f.write_text(json.dumps(current_json(cur)))
     for prec in PRECS:
         code, payload = run(["current", "--file", str(f), "--p", "3", "--q", "p",
                              "--delta-at", "1", "--alpha-at", "5"] + prec)
@@ -155,7 +157,7 @@ def test_ladder_ord_cli(tmp_path):
     from nonarch import Current
     cur = Current.windowed({1: 1})
     f = tmp_path / "current.json"
-    f.write_text(json.dumps(cur.to_json()))
+    f.write_text(json.dumps(current_json(cur)))
     code, payload = run(["ladder-ord", "--file", str(f), "--p", "3",
                          "--q", "p", "--z", "5", "--nmax", "4"])
     assert code == 0
@@ -195,7 +197,7 @@ def tower_file(tmp_path):
                              [("f1", "a", "m", 1), ("f2", "m", "b", 1),
                               ("h", "m", "t", 1)])
     data = {
-        "graphs": [g.to_json() for g in (g0, g1, g2)],
+        "graphs": [graph_json(g) for g in (g0, g1, g2)],
         "refinements": [
             {"coarse": 0, "fine": 1,
              "vertex_map": {"a": "a", "b": "b"},
@@ -472,7 +474,7 @@ def test_bad_edge_length_in_a_tower_file_exits_2(tmp_path, capsys, check, length
 def _windowed_current_file(tmp_path):
     from nonarch import Current
     f = tmp_path / "current.json"
-    f.write_text(json.dumps(Current.windowed({1: 1}).to_json()))
+    f.write_text(json.dumps(current_json(Current.windowed({1: 1}))))
     return f
 
 
@@ -794,7 +796,7 @@ def test_current_with_a_negative_J_exits_2(tmp_path, capsys, current, flag):
 def test_current_delta_at_a_zero_cusp_under_a_covering_J(tmp_path):
     from nonarch import Current
     f = tmp_path / "current.json"
-    f.write_text(json.dumps(Current.periodic(3, {0: 0, 1: 1, 2: -1}).to_json()))
+    f.write_text(json.dumps(current_json(Current.periodic(3, {0: 0, 1: 1, 2: -1}))))
     code, payload = run(["current", "--file", str(f), "--p", "3", "--q", "p",
                          "--delta-at", "1", "--J", "0"])
     assert code == 0
@@ -871,6 +873,20 @@ def test_current_window_beyond_the_supported_size_exits_2(tmp_path, capsys, argv
         "kind": "ValueError", "reason": "input beyond the supported window size"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["moebius-check", "--n", str(10 ** 12), "--J", "3"],
+    ["moebius-check", "--n", str(10 ** 6 + 1), "--J", "2"],
+    ["moebius-check", "--n", str(10 ** 30), "--J", "5"],
+    ["poly-eval", "--coeffs", "0," * 2000 + "1", "--J", "1000"],
+])
+def test_a_moebius_current_beyond_the_supported_window_exits_2(capsys, argv):
+    # the Moebius current of n and J has the window [n, J n]; its spine was
+    # built entry by entry, a MemoryError traceback at n = 10^12
+    assert main(argv + ["--p", "3", "--q", "p"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError", "reason": "input beyond the supported window size"}
+
+
 def test_splitting_radius_without_numeric_takes_any_N():
     code, payload = run(["splitting-radius", "--p", "3", "--N", str(10 ** 28), "--n", "2"])
     assert code == 0
@@ -894,7 +910,7 @@ def test_missing_key_exits_2_with_the_shape_text(tmp_path, capsys, kind, key, re
         f, argv = tmp_path / "input.json", {"current": ["current"],
                                             "poles": ["order-set"]}[kind]
         f.write_text(json.dumps(
-            nonarch.Current.windowed({1: 1}).to_json() if kind == "current"
+            current_json(nonarch.Current.windowed({1: 1})) if kind == "current"
             else {"p": 5, "x": "0", "poles": ["1", "2"]}))
     data = json.loads(f.read_text())
     del data[key]

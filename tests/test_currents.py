@@ -9,19 +9,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nonarch import (BallPoint, Current, FactoredFunction, INF, PadicNumber,
-                     TateCurve, ThetaRequest, alpha_eval, alpha_germ,
-                     current_from_slopes, current_x, delta_at_one, delta_eval,
-                     dlog_ord, factored_alpha, ladder_ord, moebius,
-                     moebius_current, poly_current_eval,
-                     theta_automorphy_constant, theta_automorphy_ratio,
-                     theta_product, valuation)
+                     ThetaRequest, alpha_eval, alpha_germ, current_from_slopes,
+                     current_x, delta_at_one, delta_eval, dlog_ord,
+                     factored_alpha, ladder_ord, moebius, moebius_current,
+                     poly_current_eval, theta_automorphy_constant, theta_product,
+                     valuation)
 from nonarch.cli import dispatch
-from nonarch.currents import EvalResult, _theta_exponents
+from nonarch.currents import EvalResult, _tate_valuation, _theta_exponents
 from nonarch.errors import (IndeterminateGermError, NonStabilizedError,
                             PoleCollisionError, TailCertificateError)
 
-from helpers import (delta_at_one_oracle, ladder_germ, ladder_walk_oracle,
-                     seed_current_with_ord, seeded_window_current,
+from helpers import (current_json, delta_at_one_oracle, ladder_germ,
+                     ladder_walk_oracle, seed_current_with_ord, seeded_window_current,
                      spine_at_oracle, spine_oracle,
                      theta_automorphy_constant_oracle,
                      theta_automorphy_ratio_oracle, theta_exponents_oracle,
@@ -30,6 +29,11 @@ from helpers import (delta_at_one_oracle, ladder_germ, ladder_walk_oracle,
 
 def Q(p, r, prec=64):
     return PadicNumber.from_rational(p, Fraction(r), prec)
+
+
+def automorphy_ratio(*args):
+    """theta(q^l z) / theta(z) of the theta request ``args``."""
+    return ThetaRequest(*args).automorphy_ratio()
 
 
 # ------------------------------------------------------------ validation
@@ -48,7 +52,7 @@ def test_validate_moebius_grid():
 
 
 def test_from_json_rejects_a_broken_relation():
-    data = Current.windowed({1: 2, 3: -1}, left_spine=1).to_json()
+    data = current_json(Current.windowed({1: 2, 3: -1}, left_spine=1))
     data["spine"]["1"] += 1
     with pytest.raises(ValueError, match="^invalid current: defining relation fails$"):
         Current.from_json(data)
@@ -86,7 +90,7 @@ P = Current.periodic(2, {0: 1, 1: -1})             # window [0, 1], spine 0..1
 def test_constructor_enforces_the_current_rules(base, change, message):
     """Each row breaks one rule in a file, which from_json refuses; the
     constructor takes no spine, so it refuses the rows without one."""
-    data = base.to_json()
+    data = current_json(base)
     for key, value in change.items():
         if key in ("cusp", "spine"):
             value = {str(j): v for j, v in value}
@@ -128,7 +132,7 @@ def test_scale_over_z_mod_n_refuses_a_rational_without_a_residue():
 
 @st.composite
 def _edited_current_files(draw):
-    """to_json of a valid current over Z or Z_p, sometimes retagged Z/nZ,
+    """The file of a valid current over Z or Z_p, sometimes retagged Z/nZ,
     with one edit: a period of -1 or 0, a shifted or reversed window, an
     added or dropped key, or one changed value."""
     if draw(st.booleans()):
@@ -140,7 +144,7 @@ def _edited_current_files(draw):
                              max_size=period - 1))
         c = Current.periodic(period, dict(enumerate(vals + [-sum(vals)])),
                              spine0=draw(st.integers(-3, 3)))
-    data = c.scale(draw(st.sampled_from((1, Fraction(1, 2))))).to_json()
+    data = current_json(c.scale(draw(st.sampled_from((1, Fraction(1, 2))))))
     modulus = draw(st.sampled_from((None, None, 2, 3)))
     if modulus:
         data["ring"] = f"Z/{modulus}Z"
@@ -175,7 +179,7 @@ def test_edited_current_files_round_trip_or_raise(data):
     except ValueError as exc:
         assert str(exc).startswith("invalid current: ")
     else:
-        assert Current.from_json(c.to_json()) == c
+        assert Current.from_json(current_json(c)) == c
         # the relation, read through the accessors, holds past the window too
         lo, hi = c.window if c.period is None else (-c.period, 2 * c.period)
         for j in range(lo - 3, hi + 2):
@@ -221,10 +225,10 @@ def _built_currents(draw):
 @settings(max_examples=300, deadline=None)
 @given(_built_currents())
 def test_built_currents_round_trip_with_a_ring_that_matches_their_values(c):
-    data = c.to_json()
+    data = current_json(c)
     back = Current.from_json(data)
     assert back == c and back.ring == c.ring == data["ring"]
-    # to_json writes an int as a JSON integer and anything else as a string
+    # current_json writes an int as a JSON integer and anything else as a string
     values = [*data["cusp"].values(), *data["spine"].values()]
     assert (c.ring == "Zp") == any(isinstance(v, str) for v in values)
 
@@ -266,9 +270,9 @@ def test_moebius_values():
 
 def test_current_json_roundtrip():
     c = seeded_window_current(random.Random(4))
-    assert Current.from_json(c.to_json()) == c
+    assert Current.from_json(current_json(c)) == c
     c2 = Current.periodic(2, {0: 1, 1: -1}, spine0=3)
-    assert Current.from_json(c2.to_json()) == c2
+    assert Current.from_json(current_json(c2)) == c2
 
 
 # ------------------------------------------------------------ alpha
@@ -283,7 +287,7 @@ def test_alpha_of_x_current_is_identity():
 
 def test_alpha_of_zero_current_is_one():
     q = Q(3, 3)
-    res = alpha_eval(Current.zero(), q, Q(3, 11))
+    res = alpha_eval(Current.windowed({}), q, Q(3, 11))
     assert (res.value - 1).is_exact_zero
     assert res.error_valuation is INF
 
@@ -362,7 +366,7 @@ def test_round_trip_via_seminorm_slope_extraction():
 def test_current_from_slopes_of_constant():
     # alpha kills scalars: a constant function maps to the zero current
     fd = FactoredFunction(x_exponent=0, zeros=())
-    assert current_from_slopes(fd, Q(3, 3)) == Current.zero()
+    assert current_from_slopes(fd, Q(3, 3)) == Current.windowed({})
 
 
 def test_current_from_slopes_of_x():
@@ -398,7 +402,7 @@ def test_delta_of_x_current_at_one():
 
 
 def test_delta_zero_current():
-    res = delta_eval(Current.zero(), Q(3, 3), Q(3, 5))
+    res = delta_eval(Current.windowed({}), Q(3, 3), Q(3, 5))
     assert res.value.is_exact_zero
 
 
@@ -503,7 +507,7 @@ def test_theta_constant_function():
     res = theta_product(fd, q, 1, Q(3, 5), Q(3, 2), 6)
     assert (res.value - 1).is_exact_zero
     assert res.error_valuation == INF
-    assert theta_automorphy_ratio(fd, q, 1, Q(3, 5), Q(3, 2), 6).error_valuation == INF
+    assert automorphy_ratio(fd, q, 1, Q(3, 5), Q(3, 2), 6).error_valuation == INF
 
 
 def test_theta_normalization_at_base_point():
@@ -621,7 +625,7 @@ def _theta_requests(draw):
 @given(_theta_requests())
 def test_telescoped_automorphy_ratio_matches_two_products(args):
     # value, prec, error valuation, or exception type and message
-    assert _outcome(theta_automorphy_ratio, *args) == \
+    assert _outcome(automorphy_ratio, *args) == \
         _outcome(_ratio_from_two_products, *args)
 
 
@@ -653,7 +657,7 @@ def test_automorphy_ratio_reports_a_failing_shifted_bound():
     fd = FactoredFunction(0, ((0, 1), (1, -1)))
     z, z0 = Q(3, 15), Q(3, 2)
     assert theta_product(fd, q, 1, z, z0, 1).error_valuation is not INF
-    for fn in (theta_automorphy_ratio, _ratio_from_two_products,
+    for fn in (automorphy_ratio, _ratio_from_two_products,
                theta_automorphy_ratio_oracle):
         with pytest.raises(TailCertificateError,
                            match=r"^truncation M=1 cannot certify the tail \(bound 0\)$"):
@@ -694,7 +698,7 @@ def test_a_request_differing_in_one_argument_is_checked_afresh(i, other):
     base = (FactoredFunction(0, ((1, 1), (2, -1))), Q(3, 3), 1, Q(3, 5), Q(3, 2), 8)
     args = base[:i] + (other,) + base[i + 1:]
     for fn, oracle in ((theta_product, theta_product_oracle),
-                       (theta_automorphy_ratio, theta_automorphy_ratio_oracle)):
+                       (automorphy_ratio, theta_automorphy_ratio_oracle)):
         theta_product(*base)
         got = _outcome(fn, *args)
         assert got == _outcome(oracle, *args) and got[0] == "raised"
@@ -796,7 +800,8 @@ def test_ladder_ord_cusp_short_circuit():
 
 
 def test_tate_curve_validation():
-    with pytest.raises(ValueError):
-        TateCurve(Q(3, 1))
-    E = TateCurve(Q(3, 9))
-    assert E.p == 3 and (E.grid(2) - Q(3, 81)).is_exact_zero
+    # a Tate parameter needs 0 < v(q) < inf
+    for q in (Q(3, 1), Q(3, Fraction(1, 3)), Q(3, 0)):
+        with pytest.raises(ValueError, match="^Tate parameter needs 0 < v\\(q\\) < inf$"):
+            _tate_valuation(q)
+    assert _tate_valuation(Q(3, 9)) == 2

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from nonarch import Current, cli
 from nonarch.cli import dispatch
 
-from helpers import random_tower, seeded_window_current, tower_json
+from helpers import current_json, random_tower, seeded_window_current, tower_json
 
 # every JSON type, a zero denominator, a negative and a huge integer, and
 # containers where a scalar belongs
@@ -32,8 +32,8 @@ def _files():
     tower = random_tower(3, 3)
     top = sorted(tower.graphs[-1].edge_map)
     return {
-        "window": seeded_window_current(random.Random(5)).to_json(),
-        "periodic": Current.periodic(3, {0: 1, 1: 1, 2: -2}, spine0=1).to_json(),
+        "window": current_json(seeded_window_current(random.Random(5))),
+        "periodic": current_json(Current.periodic(3, {0: 1, 1: 1, 2: -2}, spine0=1)),
         "poles": {"p": 5, "x": "0", "poles": ["1", "2", {"rat": "3", "pi": "1"}]},
         "tower": tower_json(tower),
     }, f"{top[0]}@1/2", f"{top[-1]}@1/3"

@@ -17,7 +17,7 @@ ALL = [
     "Current", "Edge", "EdgeEnd", "EvalResult", "FactoredFunction", "GraphPoint",
     "INF", "LadderResult", "NEG_INF", "OrderSetResult", "PadicNumber", "PoleFamily",
     "RamifiedGerm", "Refinement", "Segment", "SkeletonGraph", "SkeletonTower",
-    "SubdivisionSet", "TailBound", "TateCurve", "ThetaRequest", "alpha_eval",
+    "SubdivisionSet", "TailBound", "ThetaRequest", "alpha_eval",
     "alpha_germ", "artin_schreier_certificate", "berkovich", "binom_fractional",
     "canonical_point", "classify_type", "compose", "compose_check",
     "convergence_logradius", "current_from_slopes", "current_x", "currents",
@@ -28,7 +28,7 @@ ALL = [
     "poly_current_eval", "product_at", "ramification_index", "retract", "same_point",
     "sample_points", "seminorm", "series", "series_p_power_root", "skeleton",
     "splitting_logradius_exact", "splitting_logradius_numeric", "subdivision_union",
-    "theta_automorphy_constant", "theta_automorphy_ratio", "theta_product", "torsor",
+    "theta_automorphy_constant", "theta_product", "torsor",
     "tower_separation", "valuation", "vp_factorial",
 ]
 
@@ -104,7 +104,7 @@ print(json.dumps([nonarch.__version__, nonarch.__all__]))
 """
     version, names = json.loads(_run(code))
     assert version == "0.1.0"
-    assert names == ALL and len(ALL) == 77
+    assert names == ALL and len(ALL) == 75
 
 
 def test_an_unknown_name_raises_attribute_error():

@@ -23,7 +23,8 @@ from nonarch.padic import (exact_text, is_prime, json_shape, padic_digit_string,
                            parse_extended, parse_fraction, vp_int)
 from nonarch.series import _least_root_level, _power_coeffs, _root_tail, _unit_points
 
-from helpers import JSON_KINDS, json_shape_oracle, power_coeffs_oracle, root_tail_oracle
+from helpers import (JSON_KINDS, dlog_coeffs, json_shape_oracle, padic_from_json,
+                     power_coeffs_oracle, root_tail_oracle, truncated)
 
 
 def Q(p, r, prec=64):
@@ -122,14 +123,14 @@ def test_binomial_valuation_law(p, n):
 
 def test_serialization_roundtrip_qp():
     x = Q(3, Fraction(-22, 7), prec=16)
-    back = PadicNumber.from_json(x.to_json())
+    back = padic_from_json(x.to_json())
     assert valuation(back - x) is INF  # agreement to the serialized precision
 
 
 def test_serialization_roundtrip_ramified():
     pi = PadicNumber.uniformizer(3, prec=12)
     x = Q(3, 5, prec=12) + pi * Fraction(7, 2)
-    back = PadicNumber.from_json(x.to_json())
+    back = padic_from_json(x.to_json())
     assert valuation(back - x) is INF
 
 
@@ -169,18 +170,6 @@ def test_digit_string_cutoffs(x, cutoff, text):
     assert padic_digit_string(x, cutoff) == text
 
 
-def test_series_json_format_and_roundtrip():
-    f = BoundedSeries.build(3, [1, 0, Fraction(1, 2)],
-                            TailBound(Fraction(1, 3), Fraction(-2)))
-    data = f.to_json()
-    assert set(data) == {"coeffs", "tail"}
-    assert data["tail"] == {"alpha": "1/3", "beta": "-2"}
-    back = BoundedSeries.from_json(data)
-    assert back.tail == f.tail
-    # serialization truncates to prec digits: agreement at working precision
-    assert all(valuation(a - b) is INF for a, b in zip(back.coeffs, f.coeffs))
-
-
 def test_unit_digits_coprime_to_p():
     for r in (5, Fraction(9, 7), Fraction(-3, 4)):
         x = Q(3, r)
@@ -196,7 +185,7 @@ def test_serialization_roundtrip_pure_pi_multiples(p, pi_part):
     x = PadicNumber.uniformizer(p, prec=12) * pi_part
     data = x.to_json()
     assert data["ext"] is True
-    back = PadicNumber.from_json(data)
+    back = padic_from_json(data)
     assert (back - x).exact_valuation >= x.prec + x.exact_valuation
     if x.exact_valuation >= 0:
         assert valuation(back - x) is INF
@@ -351,7 +340,7 @@ def test_arithmetic_matches_textbook_oracle(p, xs, n, k):
     if not x.is_exact_zero:
         assert x * x.inverse() == PadicNumber.one(p)
         assert (y / x) * x == y
-    back = PadicNumber.from_json(x.to_json())
+    back = padic_from_json(x.to_json())
     assert (back - x).exact_valuation >= x.prec + x.exact_valuation
 
 
@@ -488,32 +477,14 @@ def test_convergence_flag_on_inconsistent_series():
         convergence_logradius(f)
 
 
-def test_coefficient_beyond_certified_degree_raises():
-    f = BoundedSeries.build(3, [1, 1], TailBound(0, 0))
-    with pytest.raises(PrecisionExhaustedError):
-        f.coeff(5)
-
-
-def test_add_and_tail_folding():
-    p = 3
-    f = BoundedSeries.build(p, [1, 1, 1, 1, 1])          # polynomial
-    g = BoundedSeries.build(p, [0, 1], TailBound(1, 0))  # short, tailed
-    s = f + g
-    assert s.degree == 1
-    assert [c.rat for c in s.coeffs] == [1, 2]
-    # folded bound stays below the exact dropped coefficients (v = 0 at j = 2..4)
-    assert s.tail.at(2) <= 0 and s.tail.at(4) <= 0
-
-
 def test_derivative_and_inverse():
+    # f = 1 + X^2: the dlog oracle's f'/f is 2X/(1 + X^2) = 2X - 2X^3 + ...,
+    # and Miller's recurrence at a = -1 gives 1/f = 1 - X^2 + X^4 - ...
     p = 5
-    f = BoundedSeries.build(p, [1, 0, 1, 0, 0, 0, 0])  # 1 + X^2
-    df = f.derivative()
-    assert [c.rat for c in df.coeffs[:3]] == [0, 2, 0]
-    inv = f.inverse()
-    prod = f.mul(inv, trunc=4)
-    assert (prod.coeffs[0] - 1).is_exact_zero
-    assert all(prod.coeffs[j].is_exact_zero for j in range(1, 5))
+    f = BoundedSeries.build(p, [1, 0, 1])
+    assert dlog_coeffs(f, 5) == [0, 2, 0, -2, 0, 2]
+    inv = _power_coeffs(f.coeffs, Fraction(-1), PadicNumber.one(p), 6)
+    assert [c.rat for c in inv] == [1, 0, -1, 0, 1, 0, -1]
 
 
 def test_monotone_radius_under_high_valuation_perturbation():
@@ -548,9 +519,17 @@ def unit_series(draw, degrees=st.integers(1, 24), tailed=True):
     return p, BoundedSeries(p, tuple(coeffs), tail)
 
 
+def coeff(f, j):
+    """a_j of f; zero past the degree of a polynomial."""
+    if j <= f.degree:
+        return f.coeffs[j]
+    assert f.tail is None, j
+    return PadicNumber.zero(f.p)
+
+
 def assert_coeffs_equal(got, want, degree):
     for j in range(degree + 1):
-        assert got.coeff(j) == want.coeff(j), j
+        assert coeff(got, j) == coeff(want, j), j
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -567,9 +546,11 @@ def test_root_power_and_inverse_match_multiplication(data, m):
         for _ in range(p ** m - 1):
             power = power.mul(root, trunc=D)
         assert_coeffs_equal(power, f, D)
-    # a non-unit constant term exercises w0 = 1/c0
+    # the recurrence at a = -1 inverts g; a non-unit constant term
+    # exercises w0 = 1/c0
     g = f.scalar_mul(PadicNumber(p, Fraction(p, 7), Fraction(1)))
-    product = g.mul(g.inverse(), trunc=D)
+    inverse = _power_coeffs(g.coeffs, Fraction(-1), g.coeffs[0].inverse(), D)
+    product = g.mul(BoundedSeries(p, tuple(inverse)), trunc=D)
     assert_coeffs_equal(product, BoundedSeries.build(p, [1]), D)
 
 
@@ -664,7 +645,6 @@ POWER_OPS = {
     "root1": lambda f: series_p_power_root(f, 1),
     "root2": lambda f: series_p_power_root(f, 2),
     "root3": lambda f: series_p_power_root(f, 3),
-    "inverse": BoundedSeries.inverse,
 }
 
 
@@ -678,8 +658,8 @@ def test_tails_bound_coefficients_of_the_longer_expansion(data, op_name):
     D = f.degree // 4
     op = POWER_OPS[op_name]
     # a root needs a certified order of f - 1 within degree D
-    assume(op_name == "inverse" or any(not c.is_exact_zero for c in f.coeffs[1:D + 1]))
-    short = op(f.truncate(D))
+    assume(any(not c.is_exact_zero for c in f.coeffs[1:D + 1]))
+    short = op(truncated(f, D))
     long = op(f)
     assert short.degree == D and long.degree == 4 * D
     assert_coeffs_equal(short, long, D)
@@ -753,15 +733,11 @@ def test_binomial_and_germ_tails_are_attained():
 
 
 # op name -> (the operation on degree-D inputs, its exact value on the
-# degree-4D polynomials); a truncation is compared with its input
+# degree-4D polynomials)
 TAIL_OPS = {
-    "add": lambda f, g, c, D: (f.truncate(D) + g.truncate(2 * D), f + g),
-    "scalar_mul": lambda f, g, c, D: (f.truncate(D).scalar_mul(c), f.scalar_mul(c)),
-    "scalar_add": lambda f, g, c, D: (f.truncate(D).scalar_add(c), f.scalar_add(c)),
-    "mul": lambda f, g, c, D: (f.truncate(D).mul(g.truncate(D)), f.mul(g)),
-    "truncate": lambda f, g, c, D: (f.truncate(D).truncate(D // 2), f),
-    "rescale": lambda f, g, c, D: (f.truncate(D).rescale(c), f.rescale(c)),
-    "derivative": lambda f, g, c, D: (f.truncate(D).derivative(), f.derivative()),
+    "scalar_mul": lambda f, g, c, D: (truncated(f, D).scalar_mul(c), f.scalar_mul(c)),
+    "mul": lambda f, g, c, D: (truncated(f, D).mul(truncated(g, D)), f.mul(g)),
+    "rescale": lambda f, g, c, D: (truncated(f, D).rescale(c), f.rescale(c)),
 }
 
 
@@ -881,24 +857,6 @@ def test_root_tail_capped_by_a_strong_input_tail(p, m):
 def test_minorant_of_the_zero_series_raises():
     with pytest.raises(ValueError, match="^zero series has no affine minorant$"):
         BoundedSeries.build(3, [0, 0]).minorant_at(0)
-
-
-@settings(max_examples=150, deadline=None, database=None)
-@given(data=unit_series(tailed=False), tail_f=tails, tail_g=tails,
-       g_coeffs=st.lists(coeff_part, min_size=1, max_size=25))
-def test_sum_tail_is_the_minimum_over_the_points_past_the_sum(data, tail_f, tail_g,
-                                                              g_coeffs):
-    p, f = data
-    f = BoundedSeries(p, f.coeffs, tail_f)
-    g = BoundedSeries.build(p, g_coeffs, tail_g)
-    h = f + g
-    if tail_f is None and tail_g is None:
-        assert h.tail is None
-        return
-    alpha = min(t.alpha for t in (tail_f, tail_g) if t is not None)
-    beta = min(w - alpha * j for s in (f, g) for j, w in constraint_points(s)
-               if j > h.degree)
-    assert h.tail == TailBound(alpha, beta)
 
 
 @settings(max_examples=150, deadline=None, database=None)

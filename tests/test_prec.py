@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nonarch import (BoundedSeries, Current, FactoredFunction, PadicNumber,
                      PoleFamily, RamifiedGerm, alpha_germ, binom_fractional,
-                     delta_at_one, moebius_orbit, order_of_combination,
+                     delta_at_one, delta_eval, moebius_orbit, order_of_combination,
                      padic_digit_string, poly_current_eval, series_p_power_root,
                      theta_product)
 from nonarch.errors import NonarchError
@@ -171,6 +171,30 @@ def test_delta_at_one_agrees_with_a_longer_sum_at_prec_400(data):
     n, J = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 12))
     res = delta_at_one(n, q, J)
     again = delta_at_one(n, _at_400(q), J + 6)
+    assert res.value.prec == prec
+    assert _agree_to(res, again, min(res.error_valuation, prec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_delta_eval_agrees_with_a_longer_window_at_prec_400(data):
+    # a periodic current with cusps, truncated to |j| <= J and to J + 6
+    p, prec = data.draw(PRIMES), data.draw(PRECS)
+    q = data.draw(_scalars(p, prec, 1, 2))
+    z = data.draw(_scalars(p, prec, -2, 3))
+    period = data.draw(st.integers(1, 3))
+    vals = data.draw(st.lists(st.integers(-3, 3), min_size=period - 1,
+                              max_size=period - 1))
+    assume(any(vals))
+    c = Current.periodic(period, dict(enumerate(vals + [-sum(vals)])),
+                         data.draw(st.integers(-3, 3)))
+    J = data.draw(st.integers(0, 8))
+    try:
+        res = delta_eval(c, q, z, J)
+    except NonarchError:
+        assume(False)
+    assume(not res.is_pole)
+    again = delta_eval(c, _at_400(q), _at_400(z), J + 6)
     assert res.value.prec == prec
     assert _agree_to(res, again, min(res.error_valuation, prec))
 

@@ -14,8 +14,8 @@ from nonarch import (EdgeEnd, GraphPoint, Refinement,
 from nonarch import skeleton
 from nonarch.errors import NotSeparatedError
 
-from helpers import (arclength_oracle, complement_walk_oracle, off_image_mutation,
-                     random_tower)
+from helpers import (arclength_oracle, complement_walk_oracle, graph_json,
+                     off_image_mutation, random_tower)
 
 
 def path_graph():
@@ -435,8 +435,6 @@ def test_subdivision_dyadic_merge_and_reversal():
     lv2 = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     comp = subdivision_union(SubdivisionSet(L, (lv1, lv2)))
     assert comp.cuts == (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    rev = comp.reverse()
-    assert rev.cuts == (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     # reversal is order-reversing on points and involutive
     pts = comp.points
     mapped = [comp.reversal(t) for t in pts]
@@ -462,7 +460,7 @@ def test_subdivision_strictly_increasing_output():
 
 def test_graph_json_roundtrip():
     g = subdivided_with_tree()
-    assert SkeletonGraph.from_json(g.to_json()).to_json() == g.to_json()
+    assert graph_json(SkeletonGraph.from_json(graph_json(g))) == graph_json(g)
 
 
 @pytest.mark.parametrize("given, length", [(Fraction(3, 2), Fraction(3, 2)),

@@ -1,12 +1,15 @@
-"""Times the pole jobs of the benchmark one request at a time.
+"""Times the pole jobs of the benchmark on two trees, in alternating rounds.
 
 The inputs are the 21 pole-orders shapes of ``perfbench/workloads.py``
 (``POLE_SHAPES``, families from its ``_pole_family`` with one fixed seed, the
 same ``--nmax`` rule for ``order-set``) plus the 45-pole ramified
 ``order-set`` at nmax 45 (p = 3, poles 100-199, pi parts 1-4 on every other
-pole, x = 0).  For each it times ``cli.dispatch`` (best of ``REPEAT`` runs,
+pole, x = 0).  Each round runs one fresh process against ``--base`` and one
+against ``--src``, the order of the two sides reversed every other round
+(``_bench.alternating``).  A process imports ``nonarch`` from its tree and,
+for each request, times ``cli.dispatch`` (best of ``REPEAT`` runs,
 ``time.perf_counter``), then runs the request once more instrumented and
-records:
+counts:
 
 - ``columns_built``: integer coefficient blocks built for the elimination
   (the column count handed to ``_integer_blocks``, or the blocks drawn from
@@ -15,16 +18,18 @@ records:
 - ``entry_bits_max``: the largest bit-length of an integer entry adjoined to
   ``_Echelon``;
 - ``report_sha256``: a sha256 of the report without ``wall_time_ms`` (and
-  with the input file's directory dropped), so a before and an after run can
-  be checked for identical output.
+  with the input file's directory dropped), so the two sides can be checked
+  for identical output (``same_report``).
 
-Results go under ``--label`` into ``BENCH_poles.json`` at the repository
-root, next to the labels already there::
+Per request and side the tool records the ``ROUNDS`` times with their
+median and quartiles, the exit code and the counts above; a side whose
+counts or report change between rounds stops the tool.  Results go under
+``--label`` into ``BENCH_poles.json`` at the repository root, next to the
+labels already there::
 
-    python3 tools/bench_poles.py --src ../old-checkout/src --label before
-    python3 tools/bench_poles.py --label after
+    python3 tools/bench_poles.py --base ../old-checkout/src --label alternating
 
-Stdlib only; ``--src`` picks the ``nonarch`` source tree to import.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -32,14 +37,24 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
+import subprocess
 import sys
 import tempfile
 
-from _bench import ROOT, best_of, env, parse_args, record, report_digest
+from _bench import ROOT, alternating, best_of, env, parser, record, report_digest
 
 OUT = os.path.join(ROOT, "BENCH_poles.json")
+TOOLS = os.path.dirname(os.path.abspath(__file__))
 REPEAT = 5
+ROUNDS = 10
 SEED = 1
+SIDES = ("base", "src")
+COUNTS = ("exit_code", "columns_built", "verify_calls", "entry_bits_max",
+          "report_sha256")
+# one side of a round: ``measure`` in a fresh process on the tree argv[2]
+CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import bench_poles; " \
+    "bench_poles.measure(sys.argv[2])"
 
 sys.path.insert(0, ROOT)
 from perfbench.workloads import POLE_SHAPES, _pole_family  # noqa: E402
@@ -110,10 +125,15 @@ def poles_digest(payload):
     return report_digest(dict(payload, inputs=inputs))
 
 
-def main(argv=None):
-    args = parse_args(__doc__, argv)
+def measure(tree):
+    """Time and count every request against the ``nonarch`` of ``tree``;
+    prints one JSON row per request."""
+    sys.path.insert(0, tree)
     from nonarch import cli, poles
 
+    home = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    if home != tree:
+        raise SystemExit(f"nonarch imported from {home}, not {tree}")
     rng = random.Random(SEED)
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -128,8 +148,6 @@ def main(argv=None):
             with PoleCount(poles) as count:
                 cli.dispatch(argv_)
             rows.append({
-                "command": cmd, "p": p, "poles": n, "C": C,
-                "nmax": nmax if cmd == "order-set" else None,
                 "exit_code": code,
                 "request_ms": round(t_req * 1e3, 3),
                 "columns_built": count.columns,
@@ -137,16 +155,55 @@ def main(argv=None):
                 "entry_bits_max": count.bits_max,
                 "report_sha256": poles_digest(payload),
             })
+    json.dump(rows, sys.stdout)
 
-    record(OUT, args.label, {
-        "env": env(REPEAT, seed=SEED),
-        "rows": rows,
-    })
-    for r in rows:
-        print(f"{r['command']:>10} p={r['p']} n={r['poles']:>2} C={r['C']} "
-              f"request {r['request_ms']:8.3f} ms  columns {r['columns_built']:>3}  "
-              f"verify {r['verify_calls']}  bits {r['entry_bits_max']:>5}  "
-              f"{r['report_sha256'][:12]}")
+
+def run(tree):
+    """The rows ``measure`` prints for ``tree``, from a fresh process."""
+    done = subprocess.run([sys.executable, "-c", CHILD, TOOLS, tree],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    if done.returncode:
+        raise RuntimeError(f"measuring {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None):
+    ap = parser(__doc__)
+    ap.add_argument("--base", required=True, help="the tree to compare --src against")
+    args = ap.parse_args(argv)
+    trees = {"base": os.path.abspath(args.base), "src": os.path.abspath(args.src)}
+    runs = {side: [] for side in SIDES}
+    for side in alternating(ROUNDS, SIDES):
+        runs[side].append(run(trees[side]))
+
+    rows = []
+    for idx, (cmd, p, n, C, nmax) in enumerate(SHAPES):
+        row = {"command": cmd, "p": p, "poles": n, "C": C,
+               "nmax": nmax if cmd == "order-set" else None}
+        for side in SIDES:
+            counts = [{k: r[idx][k] for k in COUNTS} for r in runs[side]]
+            if any(c != counts[0] for c in counts):
+                raise RuntimeError(f"{cmd} n={n} on {side}: the counts or the report "
+                                   "changed between rounds")
+            times = [r[idx]["request_ms"] for r in runs[side]]
+            q1, median, q3 = statistics.quantiles(times, n=4)
+            row[side] = dict(counts[0], request_ms=times, median_ms=round(median, 3),
+                             q1_ms=round(q1, 3), q3_ms=round(q3, 3))
+        row["same_report"] = row["base"]["report_sha256"] == row["src"]["report_sha256"]
+        rows.append(row)
+
+    total = {side: round(sum(row[side]["median_ms"] for row in rows), 3) for side in SIDES}
+    record(OUT, args.label, {"env": env(REPEAT, seed=SEED, rounds=ROUNDS),
+                             "sum_of_medians_ms": total, "rows": rows})
+    for row in rows:
+        base, src = row["base"], row["src"]
+        print(f"{row['command']:>10} p={row['p']} n={row['poles']:>2} C={row['C']} "
+              f"{base['median_ms']:8.3f} -> {src['median_ms']:8.3f} ms  "
+              f"columns {base['columns_built']:>3} -> {src['columns_built']:>3}  "
+              f"verify {base['verify_calls']} -> {src['verify_calls']}  "
+              f"bits {base['entry_bits_max']:>5} -> {src['entry_bits_max']:>5}"
+              f"{'' if row['same_report'] else '  REPORTS DIFFER'}")
+    print(f"{'sum of medians':>25} {total['base']:8.3f} -> {total['src']:8.3f} ms")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 For each input (explicit degree 8, 32 or 64; p, m; with or without a tail)
 it times the root tail (``series._root_tail(f, m)``, or in older trees
 ``series._root_tail(u, e, m, p)`` on a prebuilt u = f - 1),
-``series_p_power_root``, ``BoundedSeries.inverse`` (the other caller of
-the power recurrence ``series._power_coeffs``) and
+``series_p_power_root``, the coefficients of 1/f from the power recurrence
+``series._power_coeffs`` at exponent -1 (the exponents the binomial factors
+of ``currents.alpha_germ`` use when negative) and
 ``torsor.splitting_logradius_numeric`` (best of ``REPEAT`` runs,
 ``time.perf_counter``), and records the number of constraint points of
 f - 1 and the largest operand bit-length (numerator or denominator) of
@@ -68,7 +69,8 @@ def main(argv=None):
         else:
             t_tail, tail = best_of(lambda: series._root_tail(u, u.ord(), m, p), REPEAT)
         t_root, root = best_of(lambda: series.series_p_power_root(f, m), REPEAT)
-        t_inverse, _ = best_of(f.inverse, REPEAT)
+        t_inverse, _ = best_of(lambda: series._power_coeffs(
+            f.coeffs, Fraction(-1), f.coeffs[0].inverse(), D), REPEAT)
         t_radius, radius = best_of(lambda: torsor.splitting_logradius_numeric(germ, m), REPEAT)
         rows.append({
             "p": p, "degree": D, "m": m, "tail": tailed,
@@ -79,7 +81,7 @@ def main(argv=None):
             "radius": str(radius),
             "root_tail_ms": round(t_tail * 1e3, 3),
             "series_p_power_root_ms": round(t_root * 1e3, 3),
-            "inverse_ms": round(t_inverse * 1e3, 3),
+            "power_inverse_ms": round(t_inverse * 1e3, 3),
             "splitting_logradius_numeric_ms": round(t_radius * 1e3, 3),
         })
 
@@ -91,7 +93,7 @@ def main(argv=None):
         print(f"p={r['p']} D={r['degree']:>2} m={r['m']} tail={r['tail']!s:5} "
               f"points={r['constraint_points']:>2} tail {r['root_tail_ms']:8.3f} ms  "
               f"root {r['series_p_power_root_ms']:8.3f} ms  "
-              f"inverse {r['inverse_ms']:8.3f} ms  "
+              f"1/f {r['power_inverse_ms']:8.3f} ms  "
               f"radius {r['splitting_logradius_numeric_ms']:8.3f} ms")
 
 
