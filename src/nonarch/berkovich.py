@@ -10,16 +10,14 @@ kinds of point by ``product_at``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 from .errors import PoleCollisionError
-from .padic import INF, PadicNumber, parse_extended, valuation
+from .padic import INF, PadicNumber, _Record, _set_field, parse_extended, valuation
 
 
-@dataclass(frozen=True, eq=False)
-class BallPoint:
+class BallPoint(_Record):
     """b_{a, rho}; type 1 when rho = INF, type 2 otherwise.  ``logradius``
     is a Fraction or INF; the constructor also takes its ``exact_text``.
 
@@ -28,12 +26,13 @@ class BallPoint:
     agree at working precision.
     """
 
-    center: PadicNumber
-    logradius: Union[Fraction, float]
-    degenerate: bool = field(default=False, compare=False)
+    __slots__ = _fields = ("center", "logradius", "degenerate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "logradius", parse_extended(self.logradius))
+    def __init__(self, center: PadicNumber, logradius: Union[Fraction, float],
+                 degenerate: bool = False):
+        _set_field(self, "center", center)
+        _set_field(self, "logradius", parse_extended(logradius))
+        _set_field(self, "degenerate", degenerate)
 
     @property
     def p(self) -> int:
@@ -148,20 +147,20 @@ def ladder_point(z: PadicNumber, n: int) -> BallPoint:
     return BallPoint(z, vz + n + Fraction(1, z.p - 1))
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Record):
     """Center-anchored ray of ball points b_{anchor, rho},
     rho decreasing from rho_start (closest to the anchor) to rho_end."""
 
-    anchor: PadicNumber
-    rho_start: Union[Fraction, float]
-    rho_end: Union[Fraction, float]
+    __slots__ = _fields = ("anchor", "rho_start", "rho_end")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho_start", parse_extended(self.rho_start))
-        object.__setattr__(self, "rho_end", parse_extended(self.rho_end))
-        if self.rho_start < self.rho_end:
+    def __init__(self, anchor: PadicNumber, rho_start: Union[Fraction, float],
+                 rho_end: Union[Fraction, float]):
+        rho_start, rho_end = parse_extended(rho_start), parse_extended(rho_end)
+        if rho_start < rho_end:
             raise ValueError("rho_start must be >= rho_end")
+        _set_field(self, "anchor", anchor)
+        _set_field(self, "rho_start", rho_start)
+        _set_field(self, "rho_end", rho_end)
 
     def contains(self, b: BallPoint) -> bool:
         if not self.rho_end <= b.logradius <= self.rho_start:

@@ -27,7 +27,6 @@ of the discarded tail.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -37,6 +36,7 @@ from .errors import (NonStabilizedError, PoleCollisionError,
 # binom_fractional is re-exported (public name of this module), not called here
 from .padic import (INF, PadicNumber, binom_fractional, json_shape,  # noqa: F401
                     parse_fraction, require_window, valuation, vp_fraction)
+from .padic import _Record, _set_field
 from .series import (BoundedSeries, TailBound, _least_root_level, _power_coeffs,
                      _unit_points)
 from .torsor import RamifiedGerm
@@ -57,8 +57,7 @@ def _congruent(a: Value, b: Value, n: Optional[int]) -> bool:
     return a == b if n is None else (a - b) % n == 0
 
 
-@dataclass(frozen=True)
-class Current:
+class Current(_Record):
     """A current stored as the data its definition leaves free: the window
     [jmin, jmax] (the window [0, period - 1] when periodic), the cusp values
     on it, one spine value ``base`` and the modulus n over Z/nZ (None over Z
@@ -66,15 +65,12 @@ class Current:
     for a periodic one; the defining relation fixes every other spine
     value, so ``spine`` and ``ring`` are derived."""
 
-    window: Tuple[int, int]
-    cusp: Tuple[Tuple[int, Value], ...]
-    base: Value = 0
-    period: Optional[int] = None
-    modulus: Optional[int] = None
-    _cusp: Dict[int, Value] = field(init=False, repr=False, compare=False)
-    _spine: Dict[int, Value] = field(init=False, repr=False, compare=False)
+    _fields = ("window", "cusp", "base", "period", "modulus")
+    __slots__ = _fields + ("_cusp", "_spine")
 
-    def __post_init__(self):
+    def __init__(self, window: Tuple[int, int], cusp: Tuple[Tuple[int, Value], ...],
+                 base: Value = 0, period: Optional[int] = None,
+                 modulus: Optional[int] = None):
         """The one check of a current, so that no invalid one exists: the
         rules on window, period and cusp keys (README design notes), the
         zero period sum, modulo n over Z/nZ, and integer values over Z/nZ.
@@ -82,30 +78,35 @@ class Current:
         spine from ``base`` by c(e'_j) = c(e'_{j-1}) + c(e_j); with the zero
         sum, j = 1..period-1 cover a whole period.  A window wider than
         ``require_window`` allows is refused before the spine is built."""
-        (jmin, jmax), period = self.window, self.period
+        jmin, jmax = window
         if period is not None:
             if period < 1:
                 raise ValueError("period must be positive")
-            if self.window != (0, period - 1):
+            if window != (0, period - 1):
                 raise ValueError(
                     f"a periodic current needs the window [0, {period - 1}]")
         elif jmin > jmax:
             raise ValueError("the window needs jmin <= jmax")
         require_window(jmax - jmin)
-        cusp = dict(self.cusp)
-        if not all(jmin <= j <= jmax for j in cusp):
+        by_j = dict(cusp)
+        if not all(jmin <= j <= jmax for j in by_j):
             raise ValueError(f"cusp keys must lie in {jmin}..{jmax}")
-        if period is not None and not _congruent(sum(cusp.values()), 0, self.modulus):
+        if period is not None and not _congruent(sum(by_j.values()), 0, modulus):
             raise ValueError("cusp values do not sum to 0 over a period")
-        if self.modulus is not None and \
-                not all(isinstance(v, int) for v in (self.base, *cusp.values())):
-            raise ValueError(f"a current over {self.ring} needs integer values")
+        if modulus is not None and \
+                not all(isinstance(v, int) for v in (base, *by_j.values())):
+            raise ValueError(f"a current over Z/{modulus}Z needs integer values")
         first = jmin - 1 if period is None else 0
-        spine = {first: self.base}
+        spine = {first: base}
         for j in range(first + 1, jmax + 1):
-            spine[j] = spine[j - 1] + cusp.get(j, 0)
-        object.__setattr__(self, "_cusp", cusp)
-        object.__setattr__(self, "_spine", spine)
+            spine[j] = spine[j - 1] + by_j.get(j, 0)
+        _set_field(self, "window", window)
+        _set_field(self, "cusp", cusp)
+        _set_field(self, "base", base)
+        _set_field(self, "period", period)
+        _set_field(self, "modulus", modulus)
+        _set_field(self, "_cusp", by_j)
+        _set_field(self, "_spine", spine)
 
     # -- constructors ---------------------------------------------------
 
@@ -167,8 +168,8 @@ class Current:
             scl = lambda v: (v * c) % self.modulus
         else:
             scl = lambda v: v * c
-        return replace(self, cusp=tuple((j, scl(v)) for j, v in self.cusp),
-                       base=scl(self.base))
+        return Current(self.window, tuple((j, scl(v)) for j, v in self.cusp),
+                       scl(self.base), self.period, self.modulus)
 
     def __add__(self, other: "Current") -> "Current":
         """The sum; a window current's base is its spine value everywhere
@@ -243,15 +244,18 @@ def current_x() -> Current:
     return Current.periodic(1, {0: 0}, spine0=1)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(_Record):
     """A computed value together with a certified error valuation: the true
     quantity differs from ``value`` by something of valuation >= error_valuation.
     ``pole_ord`` = -1 marks evaluation at a cusp of the current."""
 
-    value: Union[PadicNumber, Fraction, None]
-    error_valuation: Union[Fraction, float]
-    pole_ord: Optional[int] = None
+    __slots__ = _fields = ("value", "error_valuation", "pole_ord")
+
+    def __init__(self, value: Union[PadicNumber, Fraction, None],
+                 error_valuation: Union[Fraction, float], pole_ord: Optional[int] = None):
+        _set_field(self, "value", value)
+        _set_field(self, "error_valuation", error_valuation)
+        _set_field(self, "pole_ord", pole_ord)
 
     @property
     def is_pole(self) -> bool:
@@ -313,16 +317,14 @@ def alpha_eval(c: Current, q: PadicNumber, z: Union[PadicNumber, BallPoint],
     return EvalResult(value * q ** N, INF)
 
 
-@dataclass(frozen=True)
-class FactoredFunction:
+class FactoredFunction(_Record):
     """f = x^m * prod_j (x - q^j)^(k_j) over a finite set of grid indices."""
 
-    x_exponent: int
-    zeros: Tuple[Tuple[int, int], ...]
+    __slots__ = _fields = ("x_exponent", "zeros")
 
-    def __post_init__(self):
-        object.__setattr__(self, "zeros",
-                           tuple(sorted((j, k) for j, k in self.zeros if k != 0)))
+    def __init__(self, x_exponent: int, zeros: Tuple[Tuple[int, int], ...]):
+        _set_field(self, "x_exponent", x_exponent)
+        _set_field(self, "zeros", tuple(sorted((j, k) for j, k in zeros if k != 0)))
 
     @property
     def total_degree(self) -> int:
@@ -428,11 +430,20 @@ def moebius(n: int) -> int:
 
 def moebius_current(n: int, J: int) -> Current:
     """Truncation of the current with cusp values mu(j/n) at j = n, 2n, ...
-    (up to J*n) and spine values the Moebius partial sums; zero for j <= 0."""
+    (up to J*n) and spine values the Moebius partial sums; zero for j <= 0.
+
+    Its window is [n, kn], k the largest squarefree number <= J (k = 1
+    when J = 0).  The two refusals that building it would meet, mu of a
+    number beyond ``require_window`` and the constructor's check of that
+    window, run before mu(1..J) is computed; finding k costs J - k + 1
+    values of mu."""
     if n < 1:
         raise ValueError("n must be positive")
     if J < 0:
         raise ValueError("J must be nonnegative")
+    require_window(J)
+    top = next((k for k in range(J, 0, -1) if moebius(k)), 1)
+    require_window((top - 1) * n)
     cusp = {k * n: moebius(k) for k in range(1, J + 1)}
     return Current.windowed(cusp, left_spine=0)
 
@@ -504,8 +515,7 @@ def _theta_exponents(zeros: Sequence[Tuple[int, int]], l: int,
     return out
 
 
-@dataclass(frozen=True)
-class ThetaRequest:
+class ThetaRequest(_Record):
     """A theta request, checked once on construction so that no invalid one
     exists: f, q, l, z, z0 and M as ``theta_product`` takes them, with
     v(q), v(z0) and the relative tail bound ``rel`` of the product at z.
@@ -520,19 +530,12 @@ class ThetaRequest:
     exact comparison run only then.
     """
 
-    fd: FactoredFunction
-    q: PadicNumber
-    l: int
-    z: PadicNumber
-    z0: PadicNumber
-    M: int
-    vq: Fraction = field(init=False, repr=False, compare=False)
-    vz0: Fraction = field(init=False, repr=False, compare=False)
-    rel: Union[Fraction, float] = field(init=False, repr=False, compare=False)
+    _fields = ("fd", "q", "l", "z", "z0", "M")
+    __slots__ = _fields + ("vq", "vz0", "rel")
 
-    def __post_init__(self):
-        fd, q, l, z, z0 = self.fd, self.q, self.l, self.z, self.z0
-        if l < 1 or self.M < 0:
+    def __init__(self, fd: FactoredFunction, q: PadicNumber, l: int,
+                 z: PadicNumber, z0: PadicNumber, M: int):
+        if l < 1 or M < 0:
             raise ValueError("l must be positive, M nonnegative")
         _require_theta_degree(fd)
         if z.is_exact_zero or z0.is_exact_zero:
@@ -546,9 +549,15 @@ class ThetaRequest:
                     (w - q ** t.numerator).is_exact_zero:
                 raise PoleCollisionError(
                     f"{name} meets a zero/pole of a Gamma'-translate of f")
-        object.__setattr__(self, "vq", vq)
-        object.__setattr__(self, "vz0", vz0)
-        object.__setattr__(self, "rel", self._tail_bound(vz))
+        _set_field(self, "fd", fd)
+        _set_field(self, "q", q)
+        _set_field(self, "l", l)
+        _set_field(self, "z", z)
+        _set_field(self, "z0", z0)
+        _set_field(self, "M", M)
+        _set_field(self, "vq", vq)
+        _set_field(self, "vz0", vz0)
+        _set_field(self, "rel", self._tail_bound(vz))
 
     def _tail_bound(self, vz):
         """Relative tail bound of the theta product at a point of valuation
@@ -630,8 +639,7 @@ def theta_product(fd: FactoredFunction, q: PadicNumber, l: int,
     return ThetaRequest(fd, q, l, z, z0, M).product()
 
 
-@dataclass(frozen=True)
-class LadderResult:
+class LadderResult(_Record):
     """Certified ladder value of ord_z(delta(c)) + 1.
 
     ``table`` records, for each canonical ladder depth n, the least torsor
@@ -639,9 +647,12 @@ class LadderResult:
     consecutive difference is the estimate.
     """
 
-    value: int
-    pole: bool
-    table: Tuple[Tuple[int, int], ...] = ()
+    __slots__ = _fields = ("value", "pole", "table")
+
+    def __init__(self, value: int, pole: bool, table: Tuple[Tuple[int, int], ...] = ()):
+        _set_field(self, "value", value)
+        _set_field(self, "pole", pole)
+        _set_field(self, "table", table)
 
 
 def _binomial_factor(p: int, u: PadicNumber, mexp: int, degree: int) -> BoundedSeries:

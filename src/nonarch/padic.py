@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -130,7 +131,53 @@ def vp_factorial(k: int, p: int) -> int:
     return total
 
 
-class PadicNumber:
+# sets a slot of a _Record from its __init__, past the immutability guard
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value classes, on ``__slots__``.
+
+    A subclass names its fields in ``_fields``, in constructor order;
+    equality (same class, equal fields), the hash and the repr
+    ``Name(field=value, ...)`` read them.  ``_args``, the constructor's
+    parameters, and ``_hashed``, the fields the hash reads, default to
+    ``_fields``.  Other slots hold what ``__init__`` derives.  ``__init__``
+    sets every slot with ``_set_field``; afterwards none can be assigned or
+    deleted.  ``copy`` and ``pickle`` rebuild an instance through the
+    constructor from its ``_args`` (``__reduce__``).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._fields)
+        cls._hash_key = operator.attrgetter(*getattr(cls, "_hashed", cls._fields))
+        cls._args = getattr(cls, "_args", cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._hash_key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self._args))
+
+
+class PadicNumber(_Record):
     """Element of Q_p (pi_part = 0) or Q_p(pi), held exactly.
 
     ``val`` applies the precision cutoff mandated by the data model: it is
@@ -142,7 +189,7 @@ class PadicNumber:
     validates ``p`` and ``prec``.
     """
 
-    __slots__ = ("p", "rat", "pi_part", "prec")
+    __slots__ = _fields = ("p", "rat", "pi_part", "prec")
 
     def __init__(self, p: int, rat, pi_part=_ZERO, prec: int = DEFAULT_PREC):
         if not is_prime(p):
@@ -154,12 +201,6 @@ class PadicNumber:
         _set_pi(self, pi_part if type(pi_part) is Fraction else Fraction(pi_part))
         _set_prec(self, prec)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PadicNumber is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PadicNumber is immutable: cannot delete {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is not PadicNumber:
             return NotImplemented
@@ -168,9 +209,6 @@ class PadicNumber:
 
     def __hash__(self):
         return hash((self.p, self.rat, self.pi_part))
-
-    def __reduce__(self):
-        return (PadicNumber, (self.p, self.rat, self.pi_part, self.prec))
 
     # -- constructors -------------------------------------------------
 

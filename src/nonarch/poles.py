@@ -9,7 +9,6 @@ determine which orders are achieved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -17,33 +16,33 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 # seminorm is re-exported (public name of this module), not called here
 from .berkovich import BallPoint, product_at, seminorm  # noqa: F401
 from .errors import NoAdmissibleOrderError, PoleCollisionError, PrecisionExhaustedError
-from .padic import (PadicNumber, integer_lift_mod, require_prime, require_window,
-                    vp_fraction, vp_int)
+from .padic import (PadicNumber, _Record, _set_field, integer_lift_mod, require_prime,
+                    require_window, vp_fraction, vp_int)
 
 
-@dataclass(frozen=True)
-class PoleFamily:
+class PoleFamily(_Record):
     """Finite truncation of a pole set I in K_0, with the base point x not in I."""
 
-    poles: Tuple[PadicNumber, ...]
-    x: PadicNumber
+    __slots__ = _fields = ("poles", "x")
 
-    def __post_init__(self):
-        object.__setattr__(self, "poles", tuple(self.poles))
-        if not self.poles:
+    def __init__(self, poles: Tuple[PadicNumber, ...], x: PadicNumber):
+        poles = tuple(poles)
+        if not poles:
             raise ValueError("pole family must be nonempty")
-        p = self.x.p
-        for i in self.poles:
+        p = x.p
+        for i in poles:
             if i.p != p:
                 raise ValueError("mixed primes in pole family")
         # the first pole equal to x or to a later pole raises; x is checked first
-        keys = [(i.rat, i.pi_part) for i in self.poles]
+        keys = [(i.rat, i.pi_part) for i in poles]
         last = {key: a for a, key in enumerate(keys)}
         for a, key in enumerate(keys):
-            if key == (self.x.rat, self.x.pi_part):
+            if key == (x.rat, x.pi_part):
                 raise ValueError("x collides with a pole")
             if last[key] != a:
                 raise ValueError("poles must be distinct")
+        _set_field(self, "poles", poles)
+        _set_field(self, "x", x)
 
     @property
     def p(self) -> int:
@@ -200,16 +199,19 @@ def order_of_combination(a: Sequence, fam: PoleFamily,
         f"order exceeds the certified window {kmax}")
 
 
-@dataclass(frozen=True)
-class OrderSetResult:
+class OrderSetResult(_Record):
     """Achieved orders E in [0, nmax], the counts u_n = #(E cap [0,n]) and
     the dimension table dim_{Q_p} V_n."""
 
-    nmax: int
-    C: int
-    E_window: Tuple[int, ...]
-    u: Tuple[int, ...]
-    dims: Tuple[int, ...]
+    __slots__ = _fields = ("nmax", "C", "E_window", "u", "dims")
+
+    def __init__(self, nmax: int, C: int, E_window: Tuple[int, ...],
+                 u: Tuple[int, ...], dims: Tuple[int, ...]):
+        _set_field(self, "nmax", nmax)
+        _set_field(self, "C", C)
+        _set_field(self, "E_window", E_window)
+        _set_field(self, "u", u)
+        _set_field(self, "dims", dims)
 
     def check_inequality(self) -> bool:
         """dim V_n <= C * u_n, the proof inequality of the density lemma."""

@@ -10,25 +10,23 @@ operation may weaken a tail but never claim more than it can prove.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import PrecisionExhaustedError, UndecidableSlopeError
 # binom_fractional is re-exported (public name of this module), not called here
 from .padic import INF, NEG_INF, PadicNumber, binom_fractional  # noqa: F401
+from .padic import _Record, _set_field
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class TailBound:
-    alpha: Fraction
-    beta: Fraction
+class TailBound(_Record):
+    __slots__ = _fields = ("alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+    def __init__(self, alpha: Fraction, beta: Fraction):
+        _set_field(self, "alpha", Fraction(alpha))
+        _set_field(self, "beta", Fraction(beta))
 
     def at(self, k) -> Fraction:
         return self.alpha * k + self.beta
@@ -43,19 +41,19 @@ def _as_coeff(p: int, c, prec: Optional[int]) -> PadicNumber:
     return PadicNumber(p, c) if prec is None else PadicNumber(p, c, _ZERO, prec)
 
 
-@dataclass(frozen=True)
-class BoundedSeries:
-    p: int
-    coeffs: tuple
-    tail: Optional[TailBound] = None
+class BoundedSeries(_Record):
+    __slots__ = _fields = ("p", "coeffs", "tail")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, p: int, coeffs: tuple, tail: Optional[TailBound] = None):
+        if not coeffs:
             raise ValueError("series needs at least the degree-0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        for c in self.coeffs:
-            if not isinstance(c, PadicNumber) or c.p != self.p:
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, PadicNumber) or c.p != p:
                 raise ValueError("coefficients must be PadicNumbers over the same p")
+        _set_field(self, "p", p)
+        _set_field(self, "coeffs", coeffs)
+        _set_field(self, "tail", tail)
 
     @classmethod
     def build(cls, p: int, coeffs: Sequence, tail: Optional[TailBound] = None,

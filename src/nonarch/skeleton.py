@@ -11,13 +11,12 @@ retraction well defined and unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotSeparatedError
-from .padic import json_shape, parse_fraction
+from .padic import _Record, _set_field, json_shape, parse_fraction
 
 _ZERO = Fraction(0)
 
@@ -27,31 +26,31 @@ def json_name(value) -> str:
     return json_shape(value, "string", "a vertex or edge name")
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    u: str
-    v: str
-    length: Fraction
+class Edge(_Record):
+    __slots__ = _fields = ("id", "u", "v", "length")
 
-    def __post_init__(self):
-        if type(self.length) is not Fraction:
-            object.__setattr__(self, "length", parse_fraction(self.length))
-        if self.length <= 0:
-            raise ValueError(f"edge {self.id}: length must be positive")
+    def __init__(self, id: str, u: str, v: str, length: Fraction):
+        if type(length) is not Fraction:
+            length = parse_fraction(length)
+        if length <= 0:
+            raise ValueError(f"edge {id}: length must be positive")
+        _set_field(self, "id", id)
+        _set_field(self, "u", u)
+        _set_field(self, "v", v)
+        _set_field(self, "length", length)
 
 
-@dataclass(frozen=True)
-class SkeletonGraph:
-    vertices: frozenset
-    edges: Tuple[Edge, ...]
-    cusps: Tuple[Tuple[str, str], ...] = ()  # (half-edge id, vertex)
-    # edges by id, built once per graph; callers must not mutate it
-    edge_map: Dict[str, Edge] = field(init=False, repr=False, compare=False)
+class SkeletonGraph(_Record):
+    # cusps are (half-edge id, vertex) pairs; edge_map holds the edges by
+    # id, built once per graph, and callers must not mutate it
+    _fields = ("vertices", "edges", "cusps")
+    __slots__ = _fields + ("edge_map",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __init__(self, vertices: frozenset, edges: Tuple[Edge, ...],
+                 cusps: Tuple[Tuple[str, str], ...] = ()):
+        _set_field(self, "vertices", frozenset(vertices))
+        _set_field(self, "edges", tuple(edges))
+        _set_field(self, "cusps", cusps)
         by_id = {}
         for e in self.edges:
             if e.id in by_id:
@@ -64,7 +63,7 @@ class SkeletonGraph:
                 raise ValueError(f"cusp {hid} attached to unknown vertex {w}")
         if self.vertices and not self._connected():
             raise ValueError("graph must be connected")
-        object.__setattr__(self, "edge_map", by_id)
+        _set_field(self, "edge_map", by_id)
 
     def _connected(self) -> bool:
         verts = set(self.vertices)
@@ -105,20 +104,21 @@ class SkeletonGraph:
                          [tuple(map(json_name, c)) for c in cusps])
 
 
-@dataclass(frozen=True)
-class GraphPoint:
+class GraphPoint(_Record):
     """A vertex (edge=None) or an interior edge point at a rational offset
     measured from the edge's first endpoint."""
 
-    vertex: Optional[str] = None
-    edge: Optional[str] = None
-    offset: Optional[Fraction] = None
+    __slots__ = _fields = ("vertex", "edge", "offset")
 
-    def __post_init__(self):
-        if (self.vertex is None) == (self.edge is None):
+    def __init__(self, vertex: Optional[str] = None, edge: Optional[str] = None,
+                 offset: Optional[Fraction] = None):
+        if (vertex is None) == (edge is None):
             raise ValueError("a point is either a vertex or an edge point")
-        if self.edge is not None and type(self.offset) is not Fraction:
-            object.__setattr__(self, "offset", parse_fraction(self.offset))
+        if edge is not None and type(offset) is not Fraction:
+            offset = parse_fraction(offset)
+        _set_field(self, "vertex", vertex)
+        _set_field(self, "edge", edge)
+        _set_field(self, "offset", offset)
 
     @classmethod
     def at_vertex(cls, w: str) -> "GraphPoint":
@@ -152,8 +152,7 @@ def canonical_point(g: SkeletonGraph, pt: GraphPoint) -> GraphPoint:
     return pt
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(_Record):
     """Embedding of ``coarse`` into ``fine``: ``vertex_map`` sends the coarse
     vertices to fine vertices and ``edge_paths`` each coarse edge to a
     length-preserving path of (fine edge, sign +-1) steps.
@@ -177,21 +176,20 @@ class Refinement:
     Conversely, removing the one image point of such a tree leaves subtrees
     each joined to it by a single edge."""
 
-    coarse: SkeletonGraph
-    fine: SkeletonGraph
-    vertex_map: Dict[str, str] = field(hash=False)
-    edge_paths: Dict[str, Tuple[Tuple[str, int], ...]] = field(hash=False)
-    edge_loc: Dict[str, Tuple[str, int, Fraction]] = field(
-        init=False, repr=False, compare=False)
-    vertex_image: Dict[str, GraphPoint] = field(init=False, repr=False, compare=False)
+    _fields = ("coarse", "fine", "vertex_map", "edge_paths")
+    _hashed = ("coarse", "fine")
+    __slots__ = _fields + ("edge_loc", "vertex_image")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
-        object.__setattr__(self, "edge_paths",
-                           {e: tuple(p) for e, p in self.edge_paths.items()})
+    def __init__(self, coarse: SkeletonGraph, fine: SkeletonGraph,
+                 vertex_map: Dict[str, str],
+                 edge_paths: Dict[str, Tuple[Tuple[str, int], ...]]):
+        _set_field(self, "coarse", coarse)
+        _set_field(self, "fine", fine)
+        _set_field(self, "vertex_map", dict(vertex_map))
+        _set_field(self, "edge_paths", {e: tuple(p) for e, p in edge_paths.items()})
         edge_loc, vertex_image = self._validate()
-        object.__setattr__(self, "edge_loc", edge_loc)
-        object.__setattr__(self, "vertex_image", vertex_image)
+        _set_field(self, "edge_loc", edge_loc)
+        _set_field(self, "vertex_image", vertex_image)
 
     def _validate(self):
         vmap, paths = self.vertex_map, self.edge_paths
@@ -309,11 +307,13 @@ def compose(r12: Refinement, r23: Refinement) -> Refinement:
     return Refinement(r23.coarse, r12.fine, vmap, paths)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    sample: Optional[GraphPoint] = None
-    message: str = ""
+class CheckReport(_Record):
+    __slots__ = _fields = ("ok", "sample", "message")
+
+    def __init__(self, ok: bool, sample: Optional[GraphPoint] = None, message: str = ""):
+        _set_field(self, "ok", ok)
+        _set_field(self, "sample", sample)
+        _set_field(self, "message", message)
 
 
 def sample_points(g: SkeletonGraph, count: int, rng) -> List[GraphPoint]:
@@ -369,20 +369,21 @@ def compose_check(r12: Refinement, r23: Refinement, samples: int = 100,
     return CheckReport(True)
 
 
-@dataclass(frozen=True)
-class SkeletonTower:
+class SkeletonTower(_Record):
     """graphs[0] is the coarsest; refinements[i] embeds graphs[i] into
     graphs[i+1] (fine = graphs[i+1], coarse = graphs[i])."""
 
-    graphs: Tuple[SkeletonGraph, ...]
-    refinements: Tuple[Refinement, ...]
+    __slots__ = _fields = ("graphs", "refinements")
 
-    def __post_init__(self):
-        if len(self.refinements) != len(self.graphs) - 1:
+    def __init__(self, graphs: Tuple[SkeletonGraph, ...],
+                 refinements: Tuple[Refinement, ...]):
+        if len(refinements) != len(graphs) - 1:
             raise ValueError("a tower of d+1 graphs needs d refinements")
-        for i, r in enumerate(self.refinements):
-            if r.coarse != self.graphs[i] or r.fine != self.graphs[i + 1]:
+        for i, r in enumerate(refinements):
+            if r.coarse != graphs[i] or r.fine != graphs[i + 1]:
                 raise ValueError(f"refinement {i} does not match the tower graphs")
+        _set_field(self, "graphs", graphs)
+        _set_field(self, "refinements", refinements)
 
     @property
     def depth(self) -> int:
@@ -422,38 +423,39 @@ class EdgeEnd(Enum):
     UPPER = "1_e"
 
 
-@dataclass(frozen=True)
-class SubdivisionSet:
+class SubdivisionSet(_Record):
     """Per-level strictly increasing rational cut positions in (0, L) on a
     host edge, with level-to-level inclusion."""
 
-    length: Fraction
-    levels: Tuple[Tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("length", "levels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "length", parse_fraction(self.length))
-        lv = tuple(tuple(map(parse_fraction, level)) for level in self.levels)
-        object.__setattr__(self, "levels", lv)
-        if self.length <= 0:
+    def __init__(self, length: Fraction, levels: Tuple[Tuple[Fraction, ...], ...]):
+        length = parse_fraction(length)
+        lv = tuple(tuple(map(parse_fraction, level)) for level in levels)
+        if length <= 0:
             raise ValueError("edge length must be positive")
         prev = None
         for level in lv:
             for t in level:
-                if not 0 < t < self.length:
+                if not 0 < t < length:
                     raise ValueError("cut positions must lie strictly inside the edge")
             if list(level) != sorted(set(level)):
                 raise ValueError("cut positions must be strictly increasing")
             if prev is not None and not set(prev) <= set(level):
                 raise ValueError("levels must be nested (coarse included in fine)")
             prev = level
+        _set_field(self, "length", length)
+        _set_field(self, "levels", lv)
 
 
-@dataclass(frozen=True)
-class CompletedSubdivision:
+class CompletedSubdivision(_Record):
     """Merged ordered cut set with formal endpoints 0_e, 1_e adjoined."""
 
-    length: Fraction
-    cuts: Tuple[Fraction, ...]
+    __slots__ = _fields = ("length", "cuts")
+
+    def __init__(self, length: Fraction, cuts: Tuple[Fraction, ...]):
+        _set_field(self, "length", length)
+        _set_field(self, "cuts", cuts)
 
     @property
     def points(self) -> Tuple:

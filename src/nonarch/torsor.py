@@ -8,33 +8,33 @@ germ 1 + X^N the certified log-radius is exactly (n + 1/(p-1))/N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .berkovich import _recenter
 from .errors import IndeterminateGermError, PrecisionExhaustedError
-from .padic import NEG_INF, PadicNumber, require_prime, require_window, vp_int
+from .padic import (NEG_INF, PadicNumber, _Record, _set_field, require_prime,
+                    require_window, vp_int)
 from .series import BoundedSeries, _root_tail
 
 
-@dataclass(frozen=True)
-class RamifiedGerm:
+class RamifiedGerm(_Record):
     """A unit germ at 0, normalized to f(0) = 1, with its ramification index.
 
     e0 = min{k >= 1 : a_k != 0} = ord_0(df/f) + 1.
     """
 
-    series: BoundedSeries
-    e0: int = field(init=False)
+    __slots__ = _fields = ("series", "e0")
+    _args = ("series",)
 
-    def __post_init__(self):
-        c0 = self.series.coeffs[0]
+    def __init__(self, series: BoundedSeries):
+        c0 = series.coeffs[0]
         if c0.is_exact_zero:
             raise ValueError("germ must not vanish at 0")
-        if c0 != PadicNumber.one(self.series.p, c0.prec):
-            object.__setattr__(self, "series", self.series.scalar_mul(c0.inverse()))
-        object.__setattr__(self, "e0", ramification_index(self.series))
+        if c0 != PadicNumber.one(series.p, c0.prec):
+            series = series.scalar_mul(c0.inverse())
+        _set_field(self, "series", series)
+        _set_field(self, "e0", ramification_index(series))
 
     @classmethod
     def model(cls, p: int, n_index: int, prec: Optional[int] = None) -> "RamifiedGerm":
@@ -94,8 +94,7 @@ def splitting_logradius_numeric(germ: RamifiedGerm, n: int):
     return -_root_tail(germ.series, n).alpha
 
 
-@dataclass(frozen=True)
-class ArtinSchreierData:
+class ArtinSchreierData(_Record):
     """Certificate for the residue curve T^p - T = X^e.
 
     e = p^m * d with gcd(d, p) = 1 and genus g = (d-1)(p-1)/2; the torsor
@@ -103,13 +102,18 @@ class ArtinSchreierData:
     not a power of p.
     """
 
-    e: int
-    p: int
-    m: int
-    d: int
-    genus: int
-    forces_vertex: bool
-    residue_equation: str
+    __slots__ = _fields = ("e", "p", "m", "d", "genus", "forces_vertex",
+                           "residue_equation")
+
+    def __init__(self, e: int, p: int, m: int, d: int, genus: int,
+                 forces_vertex: bool, residue_equation: str):
+        _set_field(self, "e", e)
+        _set_field(self, "p", p)
+        _set_field(self, "m", m)
+        _set_field(self, "d", d)
+        _set_field(self, "genus", genus)
+        _set_field(self, "forces_vertex", forces_vertex)
+        _set_field(self, "residue_equation", residue_equation)
 
     def to_json(self) -> dict:
         return {

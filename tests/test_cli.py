@@ -435,8 +435,9 @@ def test_theta_request_builds_one_product(monkeypatch):
     # one ThetaRequest is built, so checked, and its product is built once
     built, products = [], []
     cls = nonarch.currents.ThetaRequest
-    check, product = cls.__post_init__, cls.product
-    monkeypatch.setattr(cls, "__post_init__", lambda req: built.append(req) or check(req))
+    check, product = cls.__init__, cls.product
+    monkeypatch.setattr(cls, "__init__", lambda req, *args, **kwargs:
+                        built.append(req) or check(req, *args, **kwargs))
     monkeypatch.setattr(cls, "product", lambda req: products.append(req) or product(req))
     code, payload = run(THETA + ["--q", "p", "--z", "5", "--z0", "2"])
     assert code == 0 and len(built) == 1 and products == built

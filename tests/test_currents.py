@@ -1,7 +1,6 @@
 import json
 import random
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +13,7 @@ from nonarch import (BallPoint, Current, FactoredFunction, INF, PadicNumber,
                      factored_alpha, ladder_ord, moebius, moebius_current,
                      poly_current_eval, theta_automorphy_constant, theta_product,
                      valuation)
+from nonarch import currents as currents_module
 from nonarch.cli import dispatch
 from nonarch.currents import EvalResult, _tate_valuation, _theta_exponents
 from nonarch.errors import (IndeterminateGermError, NonStabilizedError,
@@ -36,19 +36,27 @@ def automorphy_ratio(*args):
     return ThetaRequest(*args).automorphy_ratio()
 
 
+def rebuild(c, **change):
+    """The current the constructor builds from the fields of ``c``, with
+    ``change`` applied to them; the constructor checks every one."""
+    fields = {"window": c.window, "cusp": c.cusp, "base": c.base,
+              "period": c.period, "modulus": c.modulus}
+    return Current(**{**fields, **change})
+
+
 # ------------------------------------------------------------ validation
 
 
 def test_validate_x_current():
     c = current_x()
-    assert replace(c) == c  # the fields rebuild it through the check
+    assert rebuild(c) == c  # the fields rebuild it through the check
 
 
 def test_validate_moebius_grid():
     for n in (1, 2, 3):
         for J in (0, 1, 4, 9):
             c = moebius_current(n, J)
-            assert replace(c) == c
+            assert rebuild(c) == c
 
 
 def test_from_json_rejects_a_broken_relation():
@@ -60,7 +68,7 @@ def test_from_json_rejects_a_broken_relation():
 
 def test_validate_periodic_sum():
     c = Current.periodic(3, {0: 1, 1: -1, 2: 0}, spine0=2)
-    assert replace(c) == c
+    assert rebuild(c) == c
     with pytest.raises(ValueError, match="^cusp values do not sum to 0 over a period$"):
         Current.periodic(3, {0: 1, 1: 1, 2: 1})
     for period in (0, -2):
@@ -100,7 +108,7 @@ def test_constructor_enforces_the_current_rules(base, change, message):
     assert str(exc.value) == f"invalid current: {message}"
     if "spine" not in change:
         with pytest.raises(ValueError) as exc:
-            replace(base, **change)
+            rebuild(base, **change)
         assert str(exc.value) == message
 
 
@@ -496,6 +504,49 @@ def test_poly_current_eval_monomials():
     res = poly_current_eval([0, -1, 1], q, 12)  # P = X^2 - X
     target = q ** 2 - q
     assert (res.value - target).exact_valuation >= res.error_valuation
+
+
+def _count_moebius(monkeypatch):
+    """The arguments of every call of ``currents.moebius`` from now on."""
+    calls, mu = [], currents_module.moebius
+    monkeypatch.setattr(currents_module, "moebius", lambda k: calls.append(k) or mu(k))
+    return calls
+
+
+@pytest.mark.parametrize("argv, scanned", [
+    # mu(k) refuses k > 10^6 itself
+    (["moebius-check", "--n", "1", "--J", "2000000"], []),
+    (["moebius-check", "--n", "1", "--J", "1000001"], []),
+    (["poly-eval", "--coeffs", "0,1", "--J", "2000000"], []),
+    # the window [n, Jn] is wider than 10^6 (500003 is squarefree)
+    (["moebius-check", "--n", "2", "--J", "500003"], [500003]),
+    (["poly-eval", "--coeffs", "0,0,1", "--J", "500003"], [500003]),
+    (["moebius-check", "--n", "500001", "--J", "3"], [3]),
+])
+def test_a_moebius_current_beyond_the_window_is_refused_first(monkeypatch, argv, scanned):
+    """Only the values of mu that find the window's end are computed, none
+    of the mu(1..J), before the request exits 2 with the window's text."""
+    calls = _count_moebius(monkeypatch)
+    code, payload = dispatch(argv + ["--p", "3", "--q", "p"])
+    assert code == 2
+    assert payload["error"] == {"kind": "ValueError",
+                                "reason": "input beyond the supported window size"}
+    assert calls == scanned
+
+
+@pytest.mark.parametrize("n, J, scanned", [
+    (500000, 3, [3]),        # the window [n, 3n] is 10^6 wide
+    (500000, 4, [4, 3]),     # mu(4) = 0, so the window is [n, 3n] too
+    (2, 0, []),              # no cusp: the window [0, 0]
+])
+def test_a_moebius_current_at_the_window_edge_is_built(monkeypatch, n, J, scanned):
+    # the current itself, with a spine of 10^6 values, is not needed here
+    monkeypatch.setattr(currents_module.Current, "windowed",
+                        lambda cusp, left_spine=0: (cusp, left_spine))
+    calls = _count_moebius(monkeypatch)
+    cusp, left = moebius_current(n, J)
+    assert left == 0 and cusp == {k * n: moebius(k) for k in range(1, J + 1)}
+    assert calls == scanned + list(range(1, J + 1))
 
 
 # ------------------------------------------------------------ theta

@@ -1,6 +1,7 @@
 """``import nonarch`` imports no submodule, and a command imports only the
-modules it calls.  Each check runs in a fresh interpreter, since this
-process has long imported every module."""
+modules it calls and none of the standard library's code-inspection
+modules.  Each check runs in a fresh interpreter, since this process has
+long imported every module."""
 
 import json
 import os
@@ -44,6 +45,12 @@ MODULES = {"order-set": POLES, "find-order": POLES, "skeleton-tower": SKELETON,
 
 LOADED = 'sorted(m for m in sys.modules if m.split(".")[0] == "nonarch")'
 
+# what ``dataclasses`` imports, about 7 ms and 1.2 MB of a process; a
+# module in ``before`` (taken ahead of ``import nonarch``, so also one a
+# site hook loads) does not count
+HEAVY = ("ast", "dataclasses", "dis", "inspect", "tokenize")
+ADDED = f"sorted(m for m in {HEAVY!r} if m in sys.modules and m not in before)"
+
 
 def _run(code, *args):
     """stdout of ``code`` in a fresh interpreter importing from src/, run
@@ -65,8 +72,9 @@ def _first_requests():
 
 
 def test_import_nonarch_loads_no_submodule():
-    out = _run(f"import json, sys, nonarch; print(json.dumps({LOADED}))")
-    assert json.loads(out) == ["nonarch"]
+    out = _run("import json, sys\nbefore = set(sys.modules)\nimport nonarch\n"
+               f"print(json.dumps([{LOADED}, {ADDED}]))")
+    assert json.loads(out) == [["nonarch"], []]
 
 
 def test_the_corpus_has_a_request_of_every_command():
@@ -76,13 +84,16 @@ def test_the_corpus_has_a_request_of_every_command():
 @pytest.mark.parametrize("command", sorted(MODULES))
 def test_a_command_loads_only_its_modules(command):
     code = ("import contextlib, io, json, sys\n"
+            "before = set(sys.modules)\n"
             "from nonarch import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.main(json.loads(sys.argv[1]))\n"
-            f"print(json.dumps([code, {LOADED}]))")
-    exit_code, loaded = json.loads(_run(code, json.dumps(_first_requests()[command])))
+            f"print(json.dumps([code, {LOADED}, {ADDED}]))")
+    argv = json.dumps(_first_requests()[command])
+    exit_code, loaded, added = json.loads(_run(code, argv))
     assert exit_code == 0
     assert loaded == sorted(MODULES[command])
+    assert added == []
 
 
 def test_all_is_the_pinned_list_and_each_name_is_its_modules_object():

@@ -14,7 +14,10 @@ of ``ROUNDS`` times, the exit code, the report's sha256 without
 the sides agree, and a side whose report changes between runs stops the
 tool), and, from one more process run through ``runpy`` as ``-m`` does,
 the sorted ``nonarch`` modules loaded (the command's module runs as
-``__main__``, so ``nonarch.cli`` is not among them) and
+``__main__``, so ``nonarch.cli`` is not among them), the other modules
+it holds beyond those of a bare interpreter on the same tree
+(``added_modules``: the standard library the command pulls in, so a
+heavy import such as ``dataclasses`` shows up) and
 ``sys.dont_write_bytecode``.  Results go under ``--label`` into
 ``BENCH_startup.json`` at the repository root::
 
@@ -53,8 +56,13 @@ if home != tree:
     raise SystemExit(f"nonarch imported from {home}, not {tree}")
 sys.stderr.write(json.dumps({
     "exit_code": code, "dont_write_bytecode": sys.dont_write_bytecode,
-    "modules": sorted(m for m in sys.modules if m.split(".")[0] == "nonarch")}))
+    "modules": sorted(m for m in sys.modules if m.split(".")[0] == "nonarch"),
+    "others": sorted(m for m in sys.modules if m.split(".")[0] != "nonarch")}))
 """
+
+# lists the modules of an interpreter that has run nothing, without
+# importing json, which would add its own
+BARE = "import sys; sys.stderr.write(' '.join(sys.modules))"
 
 
 def first_requests():
@@ -77,12 +85,21 @@ def run(tree, args):
     return wall, done.returncode, report_digest(json.loads(done.stdout)), done.stderr
 
 
+def bare_modules(tree):
+    """The names in ``sys.modules`` of a bare ``python -c`` process."""
+    done = subprocess.run([sys.executable, "-c", BARE], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=tree),
+                          capture_output=True, text=True, timeout=300, check=True)
+    return set(done.stderr.split())
+
+
 def main(argv=None):
     ap = parser(__doc__)
     ap.add_argument("--base", required=True, help="the tree to compare --src against")
     args = ap.parse_args(argv)
     trees = {"base": os.path.abspath(args.base), "src": os.path.abspath(args.src)}
     requests = first_requests()
+    bare = {side: bare_modules(tree) for side, tree in trees.items()}
 
     rows = []
     for command, argv in requests.items():
@@ -92,6 +109,7 @@ def main(argv=None):
             probe = json.loads(stderr)
             row[side] = {"exit_code": code, "report_sha256": digest,
                          "modules": probe["modules"],
+                         "added_modules": sorted(set(probe["others"]) - bare[side]),
                          "dont_write_bytecode": probe["dont_write_bytecode"], "wall_ms": []}
         row["same_report"] = row["base"]["report_sha256"] == row["src"]["report_sha256"]
         rows.append(row)
@@ -116,6 +134,7 @@ def main(argv=None):
         base, src = row["base"], row["src"]
         print(f"{row['command']:<17} {base['median_ms']:8.1f} -> {src['median_ms']:8.1f} ms"
               f"  modules {len(base['modules'])} -> {len(src['modules'])}"
+              f"  added {len(base['added_modules'])} -> {len(src['added_modules'])}"
               f"{'' if row['same_report'] else '  REPORTS DIFFER'}")
     print(f"{'sum of medians':<17} {total['base']:8.1f} -> {total['src']:8.1f} ms")
 
