@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .berkovich import BallPoint, product_at
@@ -60,13 +61,13 @@ def _congruent(a: Value, b: Value, n: Optional[int]) -> bool:
 class Current(_Record):
     """A current stored as the data its definition leaves free: the window
     [jmin, jmax] (the window [0, period - 1] when periodic), the cusp values
-    on it, one spine value ``base`` and the modulus n over Z/nZ (None over Z
-    or Z_p).  ``base`` is c(e'_{jmin-1}) for a window current and c(e'_0)
-    for a periodic one; the defining relation fixes every other spine
-    value, so ``spine`` and ``ring`` are derived."""
+    on it as pairs sorted by key, one spine value ``base`` and the modulus n
+    over Z/nZ (None over Z or Z_p).  ``base`` is c(e'_{jmin-1}) for a window
+    current and c(e'_0) for a periodic one; the defining relation fixes
+    every other spine value, so ``spine_at``, ``spine`` and ``ring`` are derived."""
 
     _fields = ("window", "cusp", "base", "period", "modulus")
-    __slots__ = _fields + ("_cusp", "_spine")
+    __slots__ = _fields + ("_cusp",)
 
     def __init__(self, window: Tuple[int, int], cusp: Tuple[Tuple[int, Value], ...],
                  base: Value = 0, period: Optional[int] = None,
@@ -74,10 +75,9 @@ class Current(_Record):
         """The one check of a current, so that no invalid one exists: the
         rules on window, period and cusp keys (README design notes), the
         zero period sum, modulo n over Z/nZ, and integer values over Z/nZ.
-        It then builds the cusp and spine tables the accessors read, the
-        spine from ``base`` by c(e'_j) = c(e'_{j-1}) + c(e_j); with the zero
-        sum, j = 1..period-1 cover a whole period.  A window wider than
-        ``require_window`` allows is refused before the spine is built."""
+        It stores the cusp pairs sorted by key, zero values as given.  A
+        window wider than ``require_window`` allows is refused: the work on
+        a current, such as the powers q^j of its keys, grows with it."""
         jmin, jmax = window
         if period is not None:
             if period < 1:
@@ -88,7 +88,11 @@ class Current(_Record):
         elif jmin > jmax:
             raise ValueError("the window needs jmin <= jmax")
         require_window(jmax - jmin)
+        cusp = tuple(sorted(cusp, key=lambda jv: jv[0]))
         by_j = dict(cusp)
+        if len(by_j) < len(cusp):
+            j = next(j for (j, _), (k, _) in zip(cusp, cusp[1:]) if j == k)
+            raise ValueError(f"cusp key {j} is repeated")
         if not all(jmin <= j <= jmax for j in by_j):
             raise ValueError(f"cusp keys must lie in {jmin}..{jmax}")
         if period is not None and not _congruent(sum(by_j.values()), 0, modulus):
@@ -96,17 +100,12 @@ class Current(_Record):
         if modulus is not None and \
                 not all(isinstance(v, int) for v in (base, *by_j.values())):
             raise ValueError(f"a current over Z/{modulus}Z needs integer values")
-        first = jmin - 1 if period is None else 0
-        spine = {first: base}
-        for j in range(first + 1, jmax + 1):
-            spine[j] = spine[j - 1] + by_j.get(j, 0)
         _set_field(self, "window", window)
         _set_field(self, "cusp", cusp)
         _set_field(self, "base", base)
         _set_field(self, "period", period)
         _set_field(self, "modulus", modulus)
         _set_field(self, "_cusp", by_j)
-        _set_field(self, "_spine", spine)
 
     # -- constructors ---------------------------------------------------
 
@@ -115,7 +114,7 @@ class Current(_Record):
                  modulus: Optional[int] = None) -> "Current":
         cusp = {j: v for j, v in cusp.items() if v != 0}
         window = (min(cusp), max(cusp)) if cusp else (0, 0)
-        return cls(window, tuple(sorted(cusp.items())), left_spine, modulus=modulus)
+        return cls(window, tuple(cusp.items()), left_spine, modulus=modulus)
 
     @classmethod
     def periodic(cls, period: int, cusp: Dict[int, Value], spine0: Value = 0,
@@ -127,9 +126,10 @@ class Current(_Record):
 
     @property
     def spine(self) -> Tuple[Tuple[int, Value], ...]:
-        """The spine values on the window, keys jmin - 1..jmax (0..period - 1
-        when periodic)."""
-        return tuple(self._spine.items())
+        """The spine on the window: keys jmin - 1..jmax, or 0..period - 1 if periodic."""
+        keys = range(self.window[0] - 1 if self.period is None else 0, self.window[1] + 1)
+        return tuple(zip(keys, accumulate((self._cusp.get(j, 0) for j in keys[1:]),
+                                          initial=self.base)))
 
     @property
     def ring(self) -> str:
@@ -150,10 +150,9 @@ class Current(_Record):
         return self._cusp.get(j, 0)
 
     def spine_at(self, j: int) -> Value:
-        if self.period is not None:
-            return self._spine[j % self.period]
-        jmin, jmax = self.window
-        return self._spine[min(max(j, jmin - 1), jmax)]
+        """``base`` plus the cusp values at keys in (jmin - 1, j] or (0, j mod period]."""
+        lo, j = (0, j % self.period) if self.period else (self.window[0] - 1, j)
+        return self.base + sum(v for k, v in self.cusp if lo < k <= j)
 
     def support(self) -> Tuple[int, ...]:
         return tuple(j for j, v in self.cusp if v != 0)
@@ -196,7 +195,8 @@ class Current(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "Current":
-        """The current a file describes.  Beyond the constructor's rules the
+        """The current a file describes.  Beyond the constructor's rules each
+        key must be canonical integer text ("01" cannot alias "1"), the
         file's spine must have exactly the keys of ``spine``, agree with the
         spine derived from its first value (modulo n over Z/nZ), and a "Z"
         or "Z/nZ" file must hold integers only.  A window wider than
@@ -221,13 +221,15 @@ class Current(_Record):
                 return v
             return int(v) if "/" not in v else parse_fraction(v)
 
-        cusp = {int(j): dec(v) for j, v in cusp.items()}
-        spine = {int(j): dec(v) for j, v in spine.items()}
+        for j in (*cusp, *spine):
+            if not re.fullmatch(r"-?[1-9][0-9]*|0", j):
+                raise ValueError(f"invalid current: key {j!r} is not a canonical integer")
+        cusp, spine = ({int(j): dec(v) for j, v in d.items()} for d in (cusp, spine))
         first = window[0] - 1 if period is None else 0
         try:
-            c = cls(tuple(window), tuple(sorted(cusp.items())), spine.get(first, 0),
+            c = cls(tuple(window), tuple(cusp.items()), spine.get(first, 0),
                     period, modulus)
-            if sorted(spine) != list(c._spine):
+            if sorted(spine) != list(range(first, window[1] + 1)):
                 raise ValueError(f"spine keys must be exactly {first}..{window[1]}")
             if not all(_congruent(spine[j], v, modulus) for j, v in c.spine):
                 raise ValueError("defining relation fails")
@@ -347,12 +349,9 @@ def current_from_slopes(fd: FactoredFunction, q: PadicNumber) -> Current:
     """Current with cusp values the multiplicities k_j and spine values fixed
     by the defining relation from c(e'_0) = m + sum_{j>=1} k_j; alpha of the
     result equals f up to a nonzero scalar."""
-    cusp = {j: k for j, k in fd.zeros}
+    cusp = dict(fd.zeros)
     s0 = fd.x_exponent + sum(k for j, k in fd.zeros if j >= 1)
-    if not cusp:
-        return Current.windowed({}, left_spine=s0)
-    jmin = min(cusp)
-    left = s0 - sum(v for j, v in cusp.items() if jmin <= j <= 0)
+    left = s0 - sum(v for j, v in cusp.items() if j <= 0)
     return Current.windowed(cusp, left_spine=left)
 
 
@@ -414,8 +413,7 @@ def moebius(n: int) -> int:
     if n < 1:
         raise ValueError("moebius needs a positive integer")
     require_window(n)
-    out = 1
-    d = 2
+    out, d = 1, 2
     while d * d <= n:
         if n % d == 0:
             n //= d
@@ -423,29 +421,30 @@ def moebius(n: int) -> int:
                 return 0
             out = -out
         d += 1
-    if n > 1:
-        out = -out
-    return out
+    return -out if n > 1 else out
+
+
+def _moebius_values(J: int, nlo: int, nhi: int) -> list:
+    """mu(1..J) for the Moebius currents of nlo..nhi, after the refusals
+    that building them and their sum meet: J, then the sum's window
+    [nlo, k*nhi], k the largest squarefree number <= J (README "Sizes");
+    finding k costs J - k + 1 values of mu.  J = 0 gives no cusps."""
+    if J < 0:
+        raise ValueError("J must be nonnegative")
+    require_window(J)
+    top = next((k for k in range(J, 0, -1) if moebius(k)), 0)
+    require_window(top * nhi - nlo)
+    return [moebius(k) for k in range(1, J + 1)]
 
 
 def moebius_current(n: int, J: int) -> Current:
     """Truncation of the current with cusp values mu(j/n) at j = n, 2n, ...
     (up to J*n) and spine values the Moebius partial sums; zero for j <= 0.
-
-    Its window is [n, kn], k the largest squarefree number <= J (k = 1
-    when J = 0).  The two refusals that building it would meet, mu of a
-    number beyond ``require_window`` and the constructor's check of that
-    window, run before mu(1..J) is computed; finding k costs J - k + 1
-    values of mu."""
+    Its window is [n, kn], k the largest squarefree number <= J."""
     if n < 1:
         raise ValueError("n must be positive")
-    if J < 0:
-        raise ValueError("J must be nonnegative")
-    require_window(J)
-    top = next((k for k in range(J, 0, -1) if moebius(k)), 1)
-    require_window((top - 1) * n)
-    cusp = {k * n: moebius(k) for k in range(1, J + 1)}
-    return Current.windowed(cusp, left_spine=0)
+    mu = _moebius_values(J, n, n)
+    return Current.windowed({k * n: m for k, m in enumerate(mu, 1)}, left_spine=0)
 
 
 def delta_at_one(n: int, q: PadicNumber, J: int) -> EvalResult:
@@ -458,21 +457,21 @@ def delta_at_one(n: int, q: PadicNumber, J: int) -> EvalResult:
 
 def poly_current_eval(P: Sequence[Value], q: PadicNumber, J: int) -> EvalResult:
     """delta(c_P)(1) for c_P = a_0 c_0 + sum_{n>=1} a_n c_n with P = sum a_n X^n;
-    equals P(q) within the certified truncation error."""
+    equals P(q) within the certified truncation error.  The c_n share one
+    table of mu(1..J)."""
     vq = _tate_valuation(q)
     coeffs = list(P)
-    total = current_x().scale(coeffs[0]) if coeffs else current_x().scale(0)
-    for n, a in enumerate(coeffs[1:], start=1):
-        if a != 0:
-            total = total + moebius_current(n, J).scale(a)
+    ns = [n for n, a in enumerate(coeffs) if n and a != 0]
+    mu = _moebius_values(J, ns[0], ns[-1]) if ns else []
+    total = current_x().scale(coeffs[0] if coeffs else 0)
+    for n in ns:
+        c_n = Current.windowed({k * n: m for k, m in enumerate(mu, 1)})
+        total = total + c_n.scale(coeffs[n])
     res = delta_eval(total, q, PadicNumber.one(q.p, q.prec))
-    err = INF
-    for n, a in enumerate(coeffs[1:], start=1):
-        if a != 0:
-            va = vp_fraction(Fraction(a), q.p)
-            if va < 0:
-                raise ValueError("polynomial coefficients must lie in Z_p")
-            err = min(err, va + Fraction(n) * (J + 1) * vq)
+    vas = [vp_fraction(Fraction(coeffs[n]), q.p) for n in ns]
+    if any(va < 0 for va in vas):
+        raise ValueError("polynomial coefficients must lie in Z_p")
+    err = min((va + Fraction(n) * (J + 1) * vq for n, va in zip(ns, vas)), default=INF)
     return EvalResult(res.value, err)
 
 
@@ -660,10 +659,7 @@ def _binomial_factor(p: int, u: PadicNumber, mexp: int, degree: int) -> BoundedS
     top = degree if mexp < 0 else min(mexp, degree)
     one = PadicNumber.one(p, u.prec)
     coeffs = _power_coeffs((one, u), Fraction(mexp), one, top)
-    if 0 <= mexp <= degree:
-        tail = None
-    else:
-        tail = TailBound(u.exact_valuation, Fraction(0))
+    tail = None if 0 <= mexp <= degree else TailBound(u.exact_valuation, Fraction(0))
     return BoundedSeries(p, tuple(coeffs), tail)
 
 
@@ -687,11 +683,15 @@ def ladder_ord(c: Current, q: PadicNumber, z: PadicNumber, nmax: int) -> LadderR
     Row n of the table is m_min(n), the least torsor level whose splitting
     log-radius for the germ f of alpha(c) about z reaches the ladder point
     z'_n = b_{z, t_n}, t_n = v(z) + n + 1/(p-1) (``series._least_root_level``).
-    Row n is settled when t_n > -(tail slope of f - 1), the point (e0, w_e0)
-    of f - 1 attains min (t_n*j + w_j) and x_n = t_n*e0 + w_e0 - 1/(p-1) > 0:
-    then m_min(n) = ceil(x_n), and x_{n+1} = x_n + e0, so settled rows differ
-    by e0 = ord_z(delta(c)) + 1.  The value needs the last min(3, nmax - 1)
-    + 1 rows settled and no level above 16(nmax + 4), else
+    Row n is settled when the point (e0, w_e0) of f - 1 attains
+    min (t_n*j + w_j) and x_n = t_n*e0 + w_e0 - 1/(p-1) > 0: then
+    m_min(n) = ceil(x_n), and x_{n+1} = x_n + e0, so settled rows differ by
+    e0 = ord_z(delta(c)) + 1.  Such a row has t_n > -alpha_u, alpha_u the
+    tail slope of f - 1: the line alpha_u*j + beta of an alpha germ's tail
+    minorises the points, meets the tail point at D + 1 > e0, and has
+    beta <= 0 (README design notes), so t_n <= -alpha_u would force
+    t_n = -alpha_u and x_n = beta - 1/(p-1) < 0.  The value needs the last
+    min(3, nmax - 1) + 1 rows settled and no level above 16(nmax + 4), else
     NonStabilizedError.  A cusp short-circuits to 0 (= ord(-1) + 1).
     """
     if nmax < 2:
@@ -724,7 +724,7 @@ def ladder_ord(c: Current, q: PadicNumber, z: PadicNumber, nmax: int) -> LadderR
             raise NonStabilizedError(
                 f"no torsor level below {cap} reaches ladder depth {n}")
         table.append((n, m))
-        settled.append(tn > -alpha_u and 0 < x == tn * e0 + w0 - offset)
+        settled.append(0 < x == tn * e0 + w0 - offset)
     if not all(settled[-min(3, nmax - 1) - 1:]):
         diffs = [table[i + 1][1] - table[i][1] for i in range(nmax - 1)]
         raise NonStabilizedError(f"ladder differences not certified within "

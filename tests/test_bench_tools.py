@@ -34,3 +34,13 @@ def test_bench_script_help_exits_0(script):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "--label" in done.stdout and "--src" in done.stdout
+
+
+def test_each_bound_mutant_names_a_text_that_occurs_once_in_its_file():
+    # the mutants themselves run in tools/mutate_bounds.py, not here
+    import mutate_bounds
+    names = [name for name, *_ in mutate_bounds.MUTANTS]
+    assert len(set(names)) == len(names)
+    for name, path, text, replacement in mutate_bounds.MUTANTS:
+        source = (mutate_bounds.ROOT / path).read_text(encoding="utf-8")
+        assert source.count(text) == 1 and replacement != text, name

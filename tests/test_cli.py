@@ -755,6 +755,26 @@ def test_current_file_with_a_non_integer_under_an_integer_ring_exits_2(tmp_path,
         "reason": f"invalid current: a current over {ring} needs integer values"}
 
 
+@pytest.mark.parametrize("part, alias", [
+    ("cusp", "01"), ("cusp", " 1"), ("cusp", "+1"), ("cusp", "1_0"), ("cusp", "-0"),
+    ("cusp", "1 "), ("cusp", "\u0661"), ("cusp", "x"), ("spine", "00"), ("spine", "+1"),
+])
+def test_current_file_with_a_key_that_is_not_canonical_integer_text_exits_2(
+        tmp_path, capsys, part, alias):
+    # int() reads "01", " 1", "+1" and "\u0661" as 1 and "1_0" as 10, so
+    # "01" next to "1" silently dropped one of the two cusp values
+    data = {"ring": "Z", "period": None, "window": [1, 1], "cusp": {"1": 1},
+            "spine": {"0": 0, "1": 1}}
+    data[part][alias] = 2
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps(data))
+    argv = ["current", "--file", str(f), "--p", "3", "--q", "p", "--alpha-at", "5"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError",
+        "reason": f"invalid current: key {alias!r} is not a canonical integer"}
+
+
 @pytest.mark.parametrize("cusp, spine", [(1, 1), ("1/2", "1/2"), ("2/1", "2/1")])
 def test_zp_current_file_holds_integers_and_rationals(tmp_path, cusp, spine):
     f = tmp_path / "current.json"

@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,9 @@ from nonarch import currents as currents_module
 from nonarch.cli import dispatch
 from nonarch.currents import EvalResult, _tate_valuation, _theta_exponents
 from nonarch.errors import (IndeterminateGermError, NonStabilizedError,
-                            PoleCollisionError, TailCertificateError)
+                            PoleCollisionError, PrecisionExhaustedError,
+                            TailCertificateError)
+from nonarch.series import _unit_points
 
 from helpers import (current_json, delta_at_one_oracle, ladder_germ,
                      ladder_walk_oracle, seed_current_with_ord, seeded_window_current,
@@ -242,13 +245,46 @@ def test_built_currents_round_trip_with_a_ring_that_matches_their_values(c):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_built_currents())
-def test_derived_spine_matches_the_oracle(c):
-    assert dict(c.spine) == spine_oracle(c)
+@given(_built_currents(), st.data())
+def test_derived_spine_matches_the_oracle(c, data):
+    # the same cusp pairs in any order build the same current
+    shuffled = rebuild(c, cusp=tuple(data.draw(st.permutations(c.cusp))))
+    assert shuffled == c and hash(shuffled) == hash(c)
+    assert dict(shuffled.spine) == spine_oracle(c)
     lo, hi = c.window
     for j in range(lo - 4, hi + 5):
-        d = c.spine_at(j) - spine_at_oracle(c, j)
+        d = shuffled.spine_at(j) - spine_at_oracle(c, j)
         assert d == 0 if c.modulus is None else d % c.modulus == 0
+
+
+def test_cusp_pair_order_changes_neither_equality_nor_hash():
+    given_order = Current((1, 3), ((3, -1), (1, 1)), 2)
+    assert given_order == W and hash(given_order) == hash(W)
+    assert given_order.cusp == ((1, 1), (3, -1))
+
+
+def test_a_repeated_cusp_key_is_refused():
+    # both pairs were kept in cusp and the last in the lookup table, so
+    # support() gave 1 twice and alpha was ((5 - 3)/5)^4 = 16/625
+    with pytest.raises(ValueError, match="^cusp key 1 is repeated$"):
+        Current((1, 1), ((1, 1), (1, 2)), 0)
+    with pytest.raises(ValueError, match="^cusp key 0 is repeated$"):
+        Current((0, 1), ((0, 1), (1, -1), (0, 1)), 0, period=2)
+    value = alpha_eval(Current((1, 1), ((1, 2),), 0), Q(3, 3), Q(3, 5)).value
+    assert value.rat == Fraction(4, 25)
+
+
+def test_a_wide_window_current_costs_its_cusps_not_its_window():
+    tracemalloc.start()
+    try:
+        c = Current.windowed({0: 1, 10 ** 6: -1})
+        d = c + c.scale(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6  # a table of every spine value took 85 MB
+    assert d.cusp == ((0, 3), (10 ** 6, -3))
+    assert [d.spine_at(j) for j in (-1, 0, 10 ** 6 - 1, 10 ** 6)] == [0, 3, 3, 0]
 
 
 @pytest.mark.parametrize("cusp", [3, 0])
@@ -534,13 +570,33 @@ def test_a_moebius_current_beyond_the_window_is_refused_first(monkeypatch, argv,
     assert calls == scanned
 
 
+def test_poly_eval_computes_each_moebius_value_once(monkeypatch):
+    # 97 is the largest squarefree number <= 100: finding it costs mu(100),
+    # ..., mu(97), and the four Moebius currents share one table of
+    # mu(1..100), where each computed its own (416 calls)
+    calls = _count_moebius(monkeypatch)
+    argv = ["poly-eval", "--coeffs", "0,1,1,1,1", "--J", "100", "--p", "3", "--q", "p"]
+    assert dispatch(argv)[0] == 0
+    assert calls == [100, 99, 98, 97] + list(range(1, 101))
+
+
+def test_a_moebius_sum_beyond_the_window_is_refused_before_the_table(monkeypatch):
+    # each of c_1 and c_500001 has a window of width <= 10^6 at J = 2, but
+    # their sum spans [1, 1000002]; the request is refused before mu(1..2)
+    calls = _count_moebius(monkeypatch)
+    P = [0, 1] + [0] * 499999 + [1]
+    with pytest.raises(ValueError, match="^input beyond the supported window size$"):
+        poly_current_eval(P, Q(3, 3), 2)
+    assert calls == [2]
+
+
 @pytest.mark.parametrize("n, J, scanned", [
     (500000, 3, [3]),        # the window [n, 3n] is 10^6 wide
     (500000, 4, [4, 3]),     # mu(4) = 0, so the window is [n, 3n] too
     (2, 0, []),              # no cusp: the window [0, 0]
 ])
 def test_a_moebius_current_at_the_window_edge_is_built(monkeypatch, n, J, scanned):
-    # the current itself, with a spine of 10^6 values, is not needed here
+    # the cusps moebius_current hands to the constructor, before it drops the zeros
     monkeypatch.setattr(currents_module.Current, "windowed",
                         lambda cusp, left_spine=0: (cusp, left_spine))
     calls = _count_moebius(monkeypatch)
@@ -824,6 +880,33 @@ def test_ladder_ord_matches_the_level_walk(p, qexp, cusp, spine, j, k, u, nmax):
     assert diffs[-min(3, nmax - 1):] == [res.value] * min(3, nmax - 1)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), qexp=st.integers(1, 2),
+       cusp=st.dictionaries(st.integers(-2, 4), st.integers(-3, 3), max_size=4),
+       spine=st.integers(-2, 2), j=st.integers(-2, 5), k=st.integers(0, 10),
+       u=st.integers(1, 50))
+def test_alpha_germ_points_lie_on_or_above_a_tail_line_with_offset_at_most_0(
+        p, qexp, cusp, spine, j, k, u):
+    """The two facts behind ladder_ord's settled rule: for the tail
+    (alpha_u, beta) of an alpha germ, beta <= 0, and every point of f - 1
+    lies on or above alpha_u*j + beta, the tail point at D + 1 on it.  So a
+    row with t_n <= -alpha_u whose minimum e0 attains has x_n < 0."""
+    c = Current.windowed(cusp, left_spine=spine)
+    q = Q(p, p ** qexp)
+    z = Q(p, Fraction(p) ** j * (1 + p ** k * u if k else u), prec=256)
+    try:
+        f = ladder_germ(c, q, z).series
+    except (IndeterminateGermError, PoleCollisionError, PrecisionExhaustedError):
+        return
+    points, alpha_u = _unit_points(f)
+    if f.tail is None:
+        assert alpha_u == INF
+        return
+    assert alpha_u == f.tail.alpha and f.tail.beta <= 0
+    assert all(w >= f.tail.at(i) for i, w in points)
+    assert points[-1] == (f.degree + 1, f.tail.at(f.degree + 1))
+
+
 @pytest.mark.parametrize("ord_target", [0, 1, 2])
 @pytest.mark.parametrize("j, k", [(1, 1), (1, 4), (2, 3), (3, 2)])
 def test_certified_ladder_near_a_grid_point_is_dlog_ord(ord_target, j, k):
@@ -841,6 +924,19 @@ def test_certified_ladder_near_a_grid_point_is_dlog_ord(ord_target, j, k):
         except NonStabilizedError as err:
             assert str(err).endswith("; raise nmax"), err
     assert ladder_ord(c, q, z, k + 6).value == want
+
+
+def test_ladder_rows_near_a_zero_of_delta_are_not_settled_until_they_step_by_e0():
+    # delta(c) vanishes at 5, so at z = 5 + 3^4 the germ's coefficient 1 has
+    # valuation 5 and the first rows take their minimum at j = 2: they step
+    # by 2 although e0 = ord + 1 = 1, and x_n > 0 alone would settle them
+    q = Q(3, 3)
+    c = seed_current_with_ord(q, Q(3, 5), 1, grid=(1, 2, 3))
+    z = Q(3, 5 + 3 ** 4, prec=256)
+    with pytest.raises(NonStabilizedError, match=r"nmax=4: \[2, 2, 1\]; raise nmax$"):
+        ladder_ord(c, q, z, 4)
+    res = ladder_ord(c, q, z, 8)
+    assert res.value == 1 and [m for _, m in res.table] == [4, 6, 8, 9, 10, 11, 12, 13]
 
 
 def test_ladder_ord_cusp_short_circuit():
