@@ -259,6 +259,10 @@ def _cmd_ladder_ord(args) -> dict:
 
 
 def _load_tower(path: str) -> skeleton.SkeletonTower:
+    """The tower of a file, read once: each graph into its integer table
+    (``SkeletonGraph.from_json``), then the refinements.  Shapes and names
+    are checked in bulk; on a fault an entry is read again in file order,
+    so that the first fault is the one refused."""
     from . import skeleton
     data = _load_object(path)
     graphs = [skeleton.SkeletonGraph.from_json(g)
@@ -271,12 +275,19 @@ def _load_tower(path: str) -> skeleton.SkeletonTower:
                              f'in 0..{len(graphs) - 1}, not {i!r}')
         return graphs[i]
 
-    def steps(e, p):
-        what = f'{path}: refinement "edge_paths"'
-        return [(skeleton.json_name(eid),
-                 json_shape(sign, "integer", f"{what} step sign"))
-                for eid, sign in (json_shape(s, "list", f"{what} step", 2)
-                                  for s in json_shape(p, "list", f"{what} entry {e!r}"))]
+    def edge_paths(paths):
+        entries = list(paths.values())
+        flat = [s for p in entries for s in p] if set(map(type, entries)) <= {list} else None
+        if flat is None or not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2}
+                                and set(map(type, [s[0] for s in flat])) <= {str}
+                                and set(map(type, [s[1] for s in flat])) <= {int}):
+            what = f'{path}: refinement "edge_paths"'
+            for e, p in paths.items():
+                for s in json_shape(p, "list", f"{what} entry {e!r}"):
+                    eid, sign = json_shape(s, "list", f"{what} step", 2)
+                    skeleton.json_names([eid])
+                    json_shape(sign, "integer", f"{what} step sign")
+        return {e: tuple(map(tuple, p)) for e, p in paths.items()}
 
     refs = []
     for r in json_shape(data.get("refinements"), "list", f'{path}: "refinements"'):
@@ -284,9 +295,8 @@ def _load_tower(path: str) -> skeleton.SkeletonTower:
         coarse, fine = graph(r, "coarse"), graph(r, "fine")
         vmap, paths = (json_shape(r.get(key), "object", f'{path}: refinement "{key}"')
                        for key in ("vertex_map", "edge_paths"))
-        refs.append(skeleton.Refinement(
-            coarse, fine, {v: skeleton.json_name(w) for v, w in vmap.items()},
-            {e: steps(e, p) for e, p in paths.items()}))
+        skeleton.json_names(list(vmap.values()))
+        refs.append(skeleton.Refinement(coarse, fine, vmap, edge_paths(paths)))
     return skeleton.SkeletonTower(tuple(graphs), tuple(refs))
 
 

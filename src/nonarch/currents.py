@@ -36,7 +36,8 @@ from .errors import (NonStabilizedError, PoleCollisionError,
                      PrecisionExhaustedError, TailCertificateError)
 # binom_fractional is re-exported (public name of this module), not called here
 from .padic import (INF, PadicNumber, binom_fractional, json_shape,  # noqa: F401
-                    parse_fraction, require_window, valuation, vp_fraction)
+                    parse_fraction, rational_text, require_window, valuation,
+                    vp_fraction)
 from .padic import _Record, _set_field
 from .series import (BoundedSeries, TailBound, _least_root_level, _power_coeffs,
                      _unit_points)
@@ -196,10 +197,12 @@ class Current(_Record):
     @classmethod
     def from_json(cls, data: dict) -> "Current":
         """The current a file describes.  Beyond the constructor's rules each
-        key must be canonical integer text ("01" cannot alias "1"), the
-        file's spine must have exactly the keys of ``spine``, agree with the
-        spine derived from its first value (modulo n over Z/nZ), and a "Z"
-        or "Z/nZ" file must hold integers only.  A window wider than
+        key must be canonical integer text ("01" cannot alias "1"), each
+        string value canonical rational text (``rational_text``: "-7" or
+        "1/2", not " 7", "+7", "1_0" or "1/ 2"), the file's spine must have
+        exactly the keys of ``spine``, agree with the spine derived from its
+        first value (modulo n over Z/nZ), and a "Z" or "Z/nZ" file must hold
+        integers only.  A window wider than
         ``require_window`` allows is refused first, with that check's own
         text rather than an "invalid current" one."""
         ring = json_shape(data.get("ring"), "string", '"ring"')
@@ -219,7 +222,11 @@ class Current(_Record):
             v = json_shape(v, "integer or string", "a current value")
             if type(v) is int:
                 return v
-            return int(v) if "/" not in v else parse_fraction(v)
+            pair = rational_text(v)
+            if pair is None:
+                raise ValueError(f"invalid current: value {v!r} is not canonical "
+                                 'integer text or "a/b"')
+            return pair[0] if "/" not in v else parse_fraction(v)
 
         for j in (*cusp, *spine):
             if not re.fullmatch(r"-?[1-9][0-9]*|0", j):
@@ -348,8 +355,11 @@ class FactoredFunction(_Record):
 def current_from_slopes(fd: FactoredFunction, q: PadicNumber) -> Current:
     """Current with cusp values the multiplicities k_j and spine values fixed
     by the defining relation from c(e'_0) = m + sum_{j>=1} k_j; alpha of the
-    result equals f up to a nonzero scalar."""
-    cusp = dict(fd.zeros)
+    result equals f up to a nonzero scalar.  An index repeated in
+    ``fd.zeros`` has the sum of its multiplicities."""
+    cusp: Dict[int, int] = {}
+    for j, k in fd.zeros:
+        cusp[j] = cusp.get(j, 0) + k
     s0 = fd.x_exponent + sum(k for j, k in fd.zeros if j >= 1)
     left = s0 - sum(v for j, v in cusp.items() if j <= 0)
     return Current.windowed(cusp, left_spine=left)

@@ -162,6 +162,8 @@ class _Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) == other._key(other)
@@ -446,6 +448,19 @@ def parse_fraction(s) -> Fraction:
         raise ValueError(f"not a rational number: {s!r}") from None
 
 
+def rational_text(text: str):
+    """(a, b) for canonical rational text: "a" or "a/b", where a is ASCII
+    digits with an optional leading "-" and b is ASCII digits (b = 1 for
+    "a").  Anything else, whitespace, a "+", an underscore, a decimal point
+    or a non-ASCII digit included, gives None.  The pair is not reduced,
+    and b may be 0."""
+    num, slash, den = text.partition("/")
+    if not (text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit()
+            and (den.isdigit() or not slash)):
+        return None
+    return int(num), int(den) if slash else 1
+
+
 _KINDS = {"object": dict, "list": list, "integer": int, "string": str, "null": type(None)}
 # the types of every kind json_shape accepts, resolved once
 _TYPES = {**{a: frozenset({t}) for a, t in _KINDS.items()},
@@ -461,6 +476,17 @@ def json_shape(value, kind: str, what: str, size=None):
         return value
     entries = "" if size is None else f" of {size} entries"
     raise ValueError(f"{what} must be a JSON {kind}{entries}, not {value!r}")
+
+
+def json_shapes(values: list, kind: str, what: str, size=None) -> list:
+    """``values`` if every entry passes ``json_shape(entry, kind, what,
+    size)``, checked in bulk; else that check's ValueError for the first
+    entry that fails."""
+    if set(map(type, values)) <= _TYPES[kind] and \
+            (size is None or set(map(len, values)) <= {size}):
+        return values
+    for value in values:
+        json_shape(value, kind, what, size)
 
 
 def exact_text(x) -> str:

@@ -7,23 +7,52 @@ endpoint).  A refinement embeds a coarse graph into a fine one edge-path by
 edge-path; the complement of the image must be a disjoint union of trees
 each attached at a single image point, which makes the nearest-point
 retraction well defined and unique.
+
+A graph holds its lengths as integers over one denominator, the least
+common denominator of its lengths, and everything a refinement checks or
+tabulates, retractions and compose checks included, is integer arithmetic
+in the fine graph's unit.  Along a tower the denominators divide one
+another, so the finest one is the tower's common denominator.  Internally
+a point is a pair (name, n): (vertex, None), or (edge, n) for the point n
+units from the edge's first endpoint, strictly inside it.  A ``Fraction``
+is built only where a value leaves: an ``Edge`` or a ``GraphPoint`` handed
+to a caller, and the text of an error or a ``CheckReport``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotSeparatedError
-from .padic import _Record, _set_field, json_shape, parse_fraction
+from .padic import (_Record, _set_field, json_shape, json_shapes, parse_fraction,
+                    rational_text)
 
-_ZERO = Fraction(0)
+
+def json_names(values: list) -> list:
+    """Vertex or edge names read from a file, each a JSON string; checked in
+    bulk (``json_shapes``)."""
+    return json_shapes(values, "string", "a vertex or edge name")
 
 
-def json_name(value) -> str:
-    """A vertex or edge name read from a file: a JSON string."""
-    return json_shape(value, "string", "a vertex or edge name")
+def read_length(value) -> Tuple[int, int]:
+    """An edge length as (a, b), the fraction a/b in lowest terms, b > 0.
+    A Fraction, an int or canonical rational text (``rational_text``, with
+    b != 0) is read with ``int`` and reduced by the gcd; anything else goes
+    through ``parse_fraction``, with its values and its refusals."""
+    if type(value) is Fraction:
+        return value.numerator, value.denominator
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        pair = rational_text(value)
+        if pair is not None and pair[1]:
+            g = gcd(*pair)
+            return pair[0] // g, pair[1] // g
+    value = parse_fraction(value)
+    return value.numerator, value.denominator
 
 
 class Edge(_Record):
@@ -41,36 +70,55 @@ class Edge(_Record):
 
 
 class SkeletonGraph(_Record):
-    # cusps are (half-edge id, vertex) pairs; edge_map holds the edges by
-    # id, built once per graph, and callers must not mutate it
+    """A connected metric graph.  ``table`` maps each edge id to (u, v, n):
+    the edge runs from u to v and has length n / ``denominator``, the
+    least common denominator of the lengths (1 without edges).  Cusps are
+    (half-edge id, vertex) pairs.  The ``Edge`` records of ``edges`` and
+    ``edge_map`` are built from the table when first asked for, unless the
+    graph was built from them; callers must mutate neither."""
+
     _fields = ("vertices", "edges", "cusps")
-    __slots__ = _fields + ("edge_map",)
+    __slots__ = ("vertices", "cusps", "table", "denominator", "_edge_map")
 
     def __init__(self, vertices: frozenset, edges: Tuple[Edge, ...],
                  cusps: Tuple[Tuple[str, str], ...] = ()):
+        edges = tuple(edges)
+        self._init(vertices, [(e.id, e.u, e.v, e.length.numerator, e.length.denominator)
+                              for e in edges], cusps, {e.id: e for e in edges})
+
+    def _init(self, vertices, rows, cusps, edge_map=None) -> None:
+        """Set the graph from rows (id, u, v, a, b), the edge from u to v of
+        length a/b in lowest terms, and the ``edge_map`` of their records
+        if there is one; the lengths are checked first, then the ids and
+        endpoints, each in row order."""
         _set_field(self, "vertices", frozenset(vertices))
-        _set_field(self, "edges", tuple(edges))
         _set_field(self, "cusps", cusps)
-        by_id = {}
-        for e in self.edges:
-            if e.id in by_id:
-                raise ValueError(f"duplicate edge id {e.id}")
-            by_id[e.id] = e
-            if e.u not in self.vertices or e.v not in self.vertices:
-                raise ValueError(f"edge {e.id} has an unknown endpoint")
+        for eid, _, _, a, _ in rows:
+            if a <= 0:
+                raise ValueError(f"edge {eid}: length must be positive")
+        denominator = lcm(*{row[4] for row in rows})
+        table = {}
+        for eid, u, v, a, b in rows:
+            if eid in table:
+                raise ValueError(f"duplicate edge id {eid}")
+            table[eid] = (u, v, a * (denominator // b))
+            if u not in self.vertices or v not in self.vertices:
+                raise ValueError(f"edge {eid} has an unknown endpoint")
         for hid, w in self.cusps:
             if w not in self.vertices:
                 raise ValueError(f"cusp {hid} attached to unknown vertex {w}")
+        _set_field(self, "table", table)
+        _set_field(self, "denominator", denominator)
+        _set_field(self, "_edge_map", edge_map)
         if self.vertices and not self._connected():
             raise ValueError("graph must be connected")
-        _set_field(self, "edge_map", by_id)
 
     def _connected(self) -> bool:
         verts = set(self.vertices)
         adj: Dict[str, List[str]] = {w: [] for w in verts}
-        for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
+        for u, v, _ in self.table.values():
+            adj[u].append(v)
+            adj[v].append(u)
         start = next(iter(verts))
         seen = {start}
         stack = [start]
@@ -82,6 +130,18 @@ class SkeletonGraph(_Record):
                     stack.append(nb)
         return seen == verts
 
+    @property
+    def edge_map(self) -> Dict[str, Edge]:
+        if self._edge_map is None:
+            d = self.denominator
+            _set_field(self, "_edge_map", {eid: Edge(eid, u, v, Fraction(n, d))
+                                           for eid, (u, v, n) in self.table.items()})
+        return self._edge_map
+
+    @property
+    def edges(self) -> Tuple[Edge, ...]:
+        return tuple(self.edge_map.values())
+
     @classmethod
     def build(cls, vertices: Sequence[str],
               edges: Sequence[Tuple[str, str, str, Fraction]],
@@ -92,16 +152,25 @@ class SkeletonGraph(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SkeletonGraph":
+        """The graph of a tower file's entry.  Its shapes and names are
+        checked in bulk; on a fault the entries are read again in file
+        order, so that the first fault is the one refused."""
         data = json_shape(data, "object", "a graph")
         vertices = json_shape(data.get("vertices"), "list", '"vertices"')
         edges = json_shape(data.get("edges"), "list", '"edges"')
         cusps = json_shape(data.get("cusps", []), "list", '"cusps"')
-        edges = [json_shape(e, "list", "an edge", 4) for e in edges]
-        cusps = [json_shape(c, "list", "a cusp", 2) for c in cusps]
-        return cls.build([json_name(w) for w in vertices],
-                         [(*map(json_name, e[:3]), parse_fraction(e[3]))
-                          for e in edges],
-                         [tuple(map(json_name, c)) for c in cusps])
+        json_shapes(edges, "list", "an edge", 4)
+        json_shapes(cusps, "list", "a cusp", 2)
+        json_names(vertices)
+        if not set(map(type, [name for e in edges for name in e[:3]])) <= {str}:
+            for e in edges:
+                json_names(e[:3])
+                read_length(e[3])
+        rows = [(i, u, v, *read_length(L)) for i, u, v, L in edges]
+        json_names([w for c in cusps for w in c])
+        graph = cls.__new__(cls)
+        graph._init(vertices, rows, tuple(map(tuple, cusps)))
+        return graph
 
 
 class GraphPoint(_Record):
@@ -134,22 +203,45 @@ class GraphPoint(_Record):
         return f"Pt({self.edge}@{self.offset})"
 
 
-def canonical_point(g: SkeletonGraph, pt: GraphPoint) -> GraphPoint:
-    """Snap offsets 0 and L to the corresponding vertices."""
+def _unit(g: SkeletonGraph, *points: GraphPoint) -> int:
+    """The least common denominator of g's lengths and the points' offsets."""
+    return lcm(g.denominator, *(pt.offset.denominator for pt in points
+                                if pt.edge is not None))
+
+
+def _point(g: SkeletonGraph, pt: GraphPoint, unit: int):
+    """``pt`` as a (name, n) point in units 1/unit, offsets 0 and L snapped
+    to the vertices; ``unit`` is a multiple of ``_unit(g, pt)``."""
     if pt.vertex is not None:
         if pt.vertex not in g.vertices:
             raise ValueError(f"unknown vertex {pt.vertex}")
-        return pt
-    e = g.edge_map.get(pt.edge)
-    if e is None:
+        return pt.vertex, None
+    row = g.table.get(pt.edge)
+    if row is None:
         raise ValueError(f"unknown edge {pt.edge}")
-    if not 0 <= pt.offset <= e.length:
+    u, v, n = row
+    t = pt.offset.numerator * (unit // pt.offset.denominator)
+    length = n * (unit // g.denominator)
+    if not 0 <= t <= length:
         raise ValueError("offset outside the edge")
-    if pt.offset == 0:
-        return GraphPoint.at_vertex(e.u)
-    if pt.offset == e.length:
-        return GraphPoint.at_vertex(e.v)
-    return pt
+    if t == 0:
+        return u, None
+    if t == length:
+        return v, None
+    return pt.edge, t
+
+
+def _graph_point(name: str, n: Optional[int], unit: int) -> GraphPoint:
+    """The ``GraphPoint`` of the (name, n) point in units 1/unit."""
+    if n is None:
+        return GraphPoint(vertex=name)
+    return GraphPoint(edge=name, offset=Fraction(n, unit))
+
+
+def canonical_point(g: SkeletonGraph, pt: GraphPoint) -> GraphPoint:
+    """Snap offsets 0 and L to the corresponding vertices."""
+    name, n = _point(g, pt, _unit(g, pt))
+    return pt if n is not None or pt.vertex is not None else GraphPoint.at_vertex(name)
 
 
 class Refinement(_Record):
@@ -157,10 +249,12 @@ class Refinement(_Record):
     vertices to fine vertices and ``edge_paths`` each coarse edge to a
     length-preserving path of (fine edge, sign +-1) steps.
 
-    Validation builds the two tables ``retract`` reads: ``edge_loc`` maps
-    each embedded fine edge to (coarse edge, sign, arclength before it), and
-    ``vertex_image`` maps every fine vertex to its retraction onto the
-    coarse graph.
+    Validation builds the two tables ``retract`` reads, in integer units of
+    1 / ``fine.denominator``: ``edge_loc`` maps each embedded fine edge to
+    (coarse edge, sign, arclength before it), and ``vertex_image`` maps
+    every fine vertex to its retraction onto the coarse graph, a (name, n)
+    point.  An embedding preserves lengths, so the coarse denominator
+    divides the fine one.
 
     Off the embedded arcs one rule holds.  Let H be the fine graph without
     the embedded edges, and let the image points be the ``vertex_map``
@@ -193,8 +287,7 @@ class Refinement(_Record):
 
     def _validate(self):
         vmap, paths = self.vertex_map, self.edge_paths
-        fmap = self.fine.edge_map
-        cmap = self.coarse.edge_map
+        ftable, ctable = self.fine.table, self.coarse.table
         if set(vmap) != set(self.coarse.vertices):
             raise ValueError("vertex_map must cover exactly the coarse vertices")
         if len(set(vmap.values())) != len(vmap):
@@ -202,52 +295,55 @@ class Refinement(_Record):
         for _, fv in sorted(vmap.items()):
             if fv not in self.fine.vertices:
                 raise ValueError(f"image vertex {fv} missing in the fine graph")
-        if set(paths) != set(cmap):
+        if set(paths) != set(ctable):
             raise ValueError("edge_paths must cover exactly the coarse edges")
 
-        edge_loc: Dict[str, Tuple[str, int, Fraction]] = {}
-        image = {fv: GraphPoint.at_vertex(cv) for cv, fv in vmap.items()}
+        dc, df = self.coarse.denominator, self.fine.denominator
+        edge_loc: Dict[str, Tuple[str, int, int]] = {}
+        image = {fv: (cv, None) for cv, fv in vmap.items()}
         for ceid in sorted(paths):
-            path, ce = paths[ceid], cmap[ceid]
+            path = paths[ceid]
+            cu, cv, clen = ctable[ceid]
             if not path:
                 raise ValueError(f"empty path for coarse edge {ceid}")
-            cur = vmap[ce.u]
-            run = _ZERO
+            cur = vmap[cu]
+            run = 0
+            last = len(path) - 1
             for idx, (feid, sign) in enumerate(path):
                 if type(sign) is not int or sign not in (1, -1):
                     raise ValueError("path orientations must be +-1")
                 if feid in edge_loc:
                     raise ValueError(f"fine edge {feid} used twice: not injective")
-                fe = fmap.get(feid)
-                if fe is None:
+                row = ftable.get(feid)
+                if row is None:
                     raise ValueError(f"unknown fine edge {feid}")
-                start, end = (fe.u, fe.v) if sign == 1 else (fe.v, fe.u)
+                start, end, n = row if sign == 1 else (row[1], row[0], row[2])
                 if start != cur:
                     raise ValueError(f"path of {ceid} breaks at {feid}")
                 edge_loc[feid] = (ceid, sign, run)
-                run += fe.length
+                run += n
                 cur = end
-                if idx < len(path) - 1:
+                if idx < last:
                     # interior stop of the embedded arc
                     if cur in image:
                         raise ValueError(
                             f"path of {ceid} passes through the image vertex {cur}"
-                            if image[cur].vertex is not None else
+                            if image[cur][1] is None else
                             f"fine vertex {cur} lies on two coarse edges")
-                    image[cur] = GraphPoint(edge=ceid, offset=run)
-            if cur != vmap[ce.v]:
-                raise ValueError(f"path of {ceid} does not end at the image of {ce.v}")
-            if run != ce.length:
-                raise ValueError(
-                    f"path of {ceid} has length {run}, expected {ce.length}")
+                    image[cur] = (ceid, run)
+            if cur != vmap[cv]:
+                raise ValueError(f"path of {ceid} does not end at the image of {cv}")
+            if run * dc != clen * df:
+                raise ValueError(f"path of {ceid} has length {Fraction(run, df)}, "
+                                 f"expected {Fraction(clen, dc)}")
 
         # the one rule of the class docstring, component by component in
         # vertex order; an image point with no off-image edge passes alone
         adj: Dict[str, List[str]] = {w: [] for w in self.fine.vertices}
-        for fe in self.fine.edges:
-            if fe.id not in edge_loc:
-                adj[fe.u].append(fe.v)
-                adj[fe.v].append(fe.u)
+        for feid, (u, v, _) in ftable.items():
+            if feid not in edge_loc:
+                adj[u].append(v)
+                adj[v].append(u)
         seen = set()
         for start in sorted(w for w, nbs in adj.items() if nbs or w not in image):
             if start in seen:
@@ -273,20 +369,26 @@ class Refinement(_Record):
         return edge_loc, image
 
 
+def _retract(ref: Refinement, name: str, n: Optional[int], k: int):
+    """``retract`` on (name, n) points in units 1/(k * ref.fine.denominator)."""
+    if n is not None:
+        loc = ref.edge_loc.get(name)
+        if loc is not None:
+            # an interior point of a path edge lands strictly inside the
+            # coarse edge
+            ceid, sign, prefix = loc
+            return ceid, prefix * k + (n if sign == 1 else ref.fine.table[name][2] * k - n)
+        # a hanging tree retracts whole onto its attachment point
+        name = ref.fine.table[name][0]
+    c, m = ref.vertex_image[name]
+    return c, (None if m is None else m * k)
+
+
 def retract(pt: GraphPoint, ref: Refinement) -> GraphPoint:
     """Nearest-point projection of a fine point onto the embedded coarse graph."""
-    pt = canonical_point(ref.fine, pt)
-    if pt.vertex is not None:
-        return ref.vertex_image[pt.vertex]
-    loc = ref.edge_loc.get(pt.edge)
-    fe = ref.fine.edge_map[pt.edge]
-    if loc is None:
-        # a hanging tree retracts whole onto its attachment point
-        return ref.vertex_image[fe.u]
-    ceid, sign, prefix = loc
-    t = pt.offset if sign == 1 else fe.length - pt.offset
-    # an interior point of a path edge lands strictly inside the coarse edge
-    return GraphPoint(edge=ceid, offset=prefix + t)
+    unit = _unit(ref.fine, pt)
+    return _graph_point(*_retract(ref, *_point(ref.fine, pt, unit),
+                                  unit // ref.fine.denominator), unit)
 
 
 def compose(r12: Refinement, r23: Refinement) -> Refinement:
@@ -344,28 +446,35 @@ def compose_check(r12: Refinement, r23: Refinement, samples: int = 100,
     retractions are equal iff they agree at every fine vertex and give
     every fine edge the same entry or none.  Vertices and edge midpoints do
     not suffice: reversing a fine edge that covers a coarse loop fixes both.
+    Everything is compared in the unit of the finest graph, into which r23's
+    tables are scaled by k.
 
     ``samples`` must be positive; it and ``seed`` do not change the result."""
     if samples < 1:
         raise ValueError("samples must be positive")
     r13 = compose(r12, r23)
+    unit = r12.fine.denominator
+    k = unit // r23.fine.denominator
     for w in sorted(r12.fine.vertices):
-        two_step, one_step = retract(r12.vertex_image[w], r23), r13.vertex_image[w]
+        two_step, one_step = _retract(r23, *r12.vertex_image[w], k), r13.vertex_image[w]
         if two_step != one_step:
             pt = GraphPoint.at_vertex(w)
-            return CheckReport(False, pt, f"{two_step!r} != {one_step!r} at {pt!r}")
-    for e in r12.fine.edges:
-        c2, s12, pre12 = r12.edge_loc.get(e.id, (None, 1, 0))
+            return CheckReport(False, pt, f"{_graph_point(*two_step, unit)!r} != "
+                                          f"{_graph_point(*one_step, unit)!r} at {pt!r}")
+    for eid, (_, _, length) in r12.fine.table.items():
+        c2, s12, pre12 = r12.edge_loc.get(eid, (None, 1, 0))
         two_step = None
         if c2 in r23.edge_loc:
             c3, s23, pre23 = r23.edge_loc[c2]
             if s23 == -1:
-                pre12 = r12.coarse.edge_map[c2].length - pre12 - e.length
-            two_step = (c3, s12 * s23, pre23 + pre12)
-        one_step = r13.edge_loc.get(e.id)
+                pre12 = r23.fine.table[c2][2] * k - pre12 - length
+            two_step = (c3, s12 * s23, pre23 * k + pre12)
+        one_step = r13.edge_loc.get(eid)
         if two_step != one_step:
-            return CheckReport(False, None,
-                               f"{two_step!r} != {one_step!r} on edge {e.id}")
+            # each prefix shown as a Fraction of length
+            two_step, one_step = (loc and (*loc[:2], Fraction(loc[2], unit))
+                                  for loc in (two_step, one_step))
+            return CheckReport(False, None, f"{two_step!r} != {one_step!r} on edge {eid}")
     return CheckReport(True)
 
 
@@ -389,14 +498,20 @@ class SkeletonTower(_Record):
     def depth(self) -> int:
         return len(self.refinements)
 
+    def _images(self, pt: GraphPoint, unit: int):
+        """``images`` as (name, n) points in units 1/unit, a multiple of the
+        finest graph's denominator, which every level's divides."""
+        out = [_point(self.graphs[-1], pt, unit)]
+        for r in reversed(self.refinements):
+            out.append(_retract(r, *out[-1], unit // r.fine.denominator))
+        out.reverse()
+        return out
+
     def images(self, pt: GraphPoint) -> List[GraphPoint]:
         """Retractions of a finest-graph point onto every level, index 0 =
         coarsest .. depth = the point itself."""
-        out = [canonical_point(self.graphs[-1], pt)]
-        for r in reversed(self.refinements):
-            out.append(retract(out[-1], r))
-        out.reverse()
-        return out
+        unit = _unit(self.graphs[-1], pt)
+        return [_graph_point(*image, unit) for image in self._images(pt, unit)]
 
 
 def tower_separation(tower: SkeletonTower, x: GraphPoint, y: GraphPoint) -> int:
@@ -406,11 +521,11 @@ def tower_separation(tower: SkeletonTower, x: GraphPoint, y: GraphPoint) -> int:
     identifies the two (distinct) points the tower is too coarse and
     NotSeparatedError is raised.
     """
-    top = tower.graphs[-1]
-    if canonical_point(top, x) == canonical_point(top, y):
+    unit = _unit(tower.graphs[-1], x, y)
+    ix = tower._images(x, unit)
+    iy = tower._images(y, unit)
+    if ix[-1] == iy[-1]:
         raise ValueError("x and y must be distinct points of the finest graph")
-    ix = tower.images(x)
-    iy = tower.images(y)
     for level in range(tower.depth):
         if ix[level] != iy[level]:
             return level

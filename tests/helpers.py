@@ -1,6 +1,7 @@
 """Shared seeded builders and independent oracles for the test suite."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -12,8 +13,9 @@ from nonarch import (INF, BallPoint, BoundedSeries, Current, FactoredFunction,
                      splitting_logradius_numeric, valuation)
 from nonarch.berkovich import product_at
 from nonarch.currents import EvalResult, _tate_valuation
+from nonarch.skeleton import CheckReport
 from nonarch.padic import parse_extended, vp_fraction
-from nonarch.errors import (NonStabilizedError, PoleCollisionError,
+from nonarch.errors import (NonStabilizedError, NotSeparatedError, PoleCollisionError,
                             PrecisionExhaustedError, TailCertificateError)
 
 
@@ -515,8 +517,9 @@ def seed_current_with_ord(q, z, ord_target, grid):
     raise AssertionError("could not seed the requested order")
 
 
-def random_tower(seed, depth):
-    """Seeded tower: subdivide edges and hang trees level by level."""
+def random_tower(seed, depth, den=8):
+    """Seeded tower: subdivide edges and hang trees level by level, each
+    edge cut at multiples of 1/den of its length."""
     rng = random.Random(seed)
     g = SkeletonGraph.build(["v0", "v1"],
                             [("r0", "v0", "v1", Fraction(rng.randint(1, 4)))])
@@ -535,9 +538,9 @@ def random_tower(seed, depth):
         vmap = {w: w for w in coarse.vertices}
         paths = {}
         for e in coarse.edges:
-            pieces = rng.randint(1, 3)
-            cuts = sorted(rng.sample(range(1, 8), pieces - 1))
-            offsets = [Fraction(0)] + [e.length * Fraction(c, 8) for c in cuts] \
+            cuts = sorted(rng.sample(range(1, den), min(rng.randint(1, 3), den) - 1))
+            pieces = len(cuts) + 1
+            offsets = [Fraction(0)] + [e.length * Fraction(c, den) for c in cuts] \
                 + [e.length]
             chain = []
             prev_v = e.u
@@ -575,6 +578,47 @@ def tower_json(tower):
                             for i, r in enumerate(tower.refinements)]}
 
 
+def decimal_text(x):
+    """The decimal expansion of a Fraction whose denominator divides a
+    power of ten, e.g. "0.375"."""
+    k = 0
+    while 10 ** k % x.denominator:
+        k += 1
+    digits = str(abs(x.numerator) * 10 ** k // x.denominator).rjust(k + 1, "0")
+    return ("-" if x < 0 else "") + digits[:len(digits) - k] + ("." + digits[-k:] if k else "")
+
+
+def mixed_tower_text(tower, rng):
+    """The tower file of ``tower`` as JSON text, each edge length written,
+    at random, as a JSON integer, "a/b" text in lowest terms or not, text
+    that only ``parse_fraction`` reads (" a/b", "+a/b"), or a JSON number
+    with a fraction part where the length has a finite decimal expansion."""
+    data = tower_json(tower)
+    raw = {}
+    for g, graph in zip(data["graphs"], tower.graphs):
+        for row, e in zip(g["edges"], graph.edges):
+            L = e.length
+            kinds = ["text", "scaled", "spaced", "signed"]
+            if L.denominator == 1:
+                kinds.append("int")
+            if 10 ** 12 % L.denominator == 0:
+                kinds.append("decimal")
+            kind = rng.choice(kinds)
+            r = rng.randint(2, 4)
+            row[3] = {"int": L.numerator,
+                      "text": f"{L.numerator}/{L.denominator}",
+                      "scaled": f"{L.numerator * r}/{L.denominator * r}",
+                      "spaced": f" {L.numerator}/{L.denominator}",
+                      "signed": f"+{L.numerator}/{L.denominator}",
+                      "decimal": f"@{len(raw)}@"}[kind]
+            if kind == "decimal":
+                raw[row[3]] = decimal_text(L)
+    text = json.dumps(data)
+    for key, number in raw.items():
+        text = text.replace(f'"{key}"', number)
+    return text
+
+
 def arclength_oracle(fine, vertex_map, edge_paths):
     """Coarse positions read off ``edge_paths``: each path edge -> (coarse
     edge, sign, arclength before it), and each image point -> its coarse
@@ -589,6 +633,18 @@ def arclength_oracle(fine, vertex_map, edge_paths):
             run += fe.length
             stops.setdefault(fe.v if sign == 1 else fe.u, GraphPoint.on_edge(ceid, run))
     return edges, stops
+
+
+def fraction_tables(ref):
+    """``ref.edge_loc`` and ``ref.vertex_image`` in the form of
+    ``arclength_oracle`` and ``complement_walk_oracle``: each integer prefix
+    or offset n becomes the length Fraction(n, ref.fine.denominator), and
+    each (name, n) point a ``GraphPoint``."""
+    d = ref.fine.denominator
+    edge_loc = {f: (c, s, Fraction(n, d)) for f, (c, s, n) in ref.edge_loc.items()}
+    image = {w: GraphPoint.at_vertex(c) if n is None else GraphPoint.on_edge(c, Fraction(n, d))
+             for w, (c, n) in ref.vertex_image.items()}
+    return edge_loc, image
 
 
 def complement_walk_oracle(fine, edge_loc, image):
@@ -641,6 +697,90 @@ def complement_walk_oracle(fine, edge_loc, image):
         if fe.id not in edge_loc and fe.u in on_image and fe.v in on_image:
             raise ValueError(f"complement edge {fe.id} joins two image points")
     return image
+
+
+class FractionRefinement:
+    """A refinement's retraction computed on Fractions, from the tables
+    ``arclength_oracle`` and ``complement_walk_oracle`` read off its maps:
+    the reference for the integer tables ``Refinement`` builds."""
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.edge_loc, stops = arclength_oracle(ref.fine, ref.vertex_map, ref.edge_paths)
+        self.image = complement_walk_oracle(ref.fine, self.edge_loc, stops)
+
+    def retract(self, pt):
+        pt = fraction_canonical_point(self.ref.fine, pt)
+        if pt.vertex is not None:
+            return self.image[pt.vertex]
+        fe = self.ref.fine.edge_map[pt.edge]
+        if pt.edge not in self.edge_loc:
+            return self.image[fe.u]
+        c, sign, prefix = self.edge_loc[pt.edge]
+        return GraphPoint.on_edge(c, prefix + (pt.offset if sign == 1
+                                               else fe.length - pt.offset))
+
+
+def fraction_canonical_point(g, pt):
+    """``canonical_point`` on Fractions: offsets 0 and L snapped to vertices."""
+    if pt.vertex is not None:
+        if pt.vertex not in g.vertices:
+            raise ValueError(f"unknown vertex {pt.vertex}")
+        return pt
+    e = g.edge_map.get(pt.edge)
+    if e is None:
+        raise ValueError(f"unknown edge {pt.edge}")
+    if not 0 <= pt.offset <= e.length:
+        raise ValueError("offset outside the edge")
+    if pt.offset == 0:
+        return GraphPoint.at_vertex(e.u)
+    if pt.offset == e.length:
+        return GraphPoint.at_vertex(e.v)
+    return pt
+
+
+def fraction_compose_check(r12, r23, r13):
+    """``compose_check`` of r12 and r23 against the composite r13, on
+    Fractions: the retractions of every fine vertex, then the entry of
+    every fine edge, with the same texts on the first disagreement."""
+    f12, f23, f13 = FractionRefinement(r12), FractionRefinement(r23), FractionRefinement(r13)
+    for w in sorted(r12.fine.vertices):
+        two_step, one_step = f23.retract(f12.image[w]), f13.image[w]
+        if two_step != one_step:
+            pt = GraphPoint.at_vertex(w)
+            return CheckReport(False, pt, f"{two_step!r} != {one_step!r} at {pt!r}")
+    for e in r12.fine.edges:
+        c2, s12, pre12 = f12.edge_loc.get(e.id, (None, 1, 0))
+        two_step = None
+        if c2 in f23.edge_loc:
+            c3, s23, pre23 = f23.edge_loc[c2]
+            if s23 == -1:
+                pre12 = r12.coarse.edge_map[c2].length - pre12 - e.length
+            two_step = (c3, s12 * s23, pre23 + pre12)
+        one_step = f13.edge_loc.get(e.id)
+        if two_step != one_step:
+            return CheckReport(False, None, f"{two_step!r} != {one_step!r} on edge {e.id}")
+    return CheckReport(True)
+
+
+def fraction_images(tower, pt):
+    """``SkeletonTower.images`` on Fractions."""
+    out = [fraction_canonical_point(tower.graphs[-1], pt)]
+    for r in reversed(tower.refinements):
+        out.append(FractionRefinement(r).retract(out[-1]))
+    return out[::-1]
+
+
+def fraction_tower_separation(tower, x, y):
+    """``tower_separation`` on Fractions, with the same refusals."""
+    top = tower.graphs[-1]
+    if fraction_canonical_point(top, x) == fraction_canonical_point(top, y):
+        raise ValueError("x and y must be distinct points of the finest graph")
+    ix, iy = fraction_images(tower, x), fraction_images(tower, y)
+    for level in range(tower.depth):
+        if ix[level] != iy[level]:
+            return level
+    raise NotSeparatedError(f"points agree on all {tower.depth} proper levels of the tower")
 
 
 def off_image_mutation(fine, rng, kinds):

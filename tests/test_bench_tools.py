@@ -36,6 +36,26 @@ def test_bench_script_help_exits_0(script):
     assert "--label" in done.stdout and "--src" in done.stdout
 
 
+def test_bench_cli_smoke_run_compares_two_trees(tmp_path):
+    # one round on the first two corpus requests, this tree on both sides
+    src = str(TOOLS.parent / "src")
+    out = tmp_path / "BENCH_cli.json"
+    done = subprocess.run([sys.executable, str(TOOLS / "bench_cli.py"), "--base", src,
+                           "--src", src, "--label", "smoke", "--rounds", "1",
+                           "--first", "2", "--out", str(out)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    entry = json.loads(out.read_text())["smoke"]
+    assert entry["env"]["rounds"] == 1 and len(entry["rows"]) == 2
+    for row in entry["rows"]:
+        assert row["same_report"]
+        for side in ("base", "src"):
+            assert len(row[side]["request_ms"]) == 1
+            assert row[side]["q1_ms"] == row[side]["median_ms"] == row[side]["q3_ms"]
+    assert sum(t["requests"] for t in entry["by_command"]["src"].values()) == 2
+    assert "reports differing between the trees: 0 []" in done.stdout
+
+
 def test_each_bound_mutant_names_a_text_that_occurs_once_in_its_file():
     # the mutants themselves run in tools/mutate_bounds.py, not here
     import mutate_bounds

@@ -775,7 +775,27 @@ def test_current_file_with_a_key_that_is_not_canonical_integer_text_exits_2(
         "reason": f"invalid current: key {alias!r} is not a canonical integer"}
 
 
-@pytest.mark.parametrize("cusp, spine", [(1, 1), ("1/2", "1/2"), ("2/1", "2/1")])
+@pytest.mark.parametrize("value", ["1_0", " 7 ", "+7", "\u0663", "1/ 2", "7.0", ""])
+@pytest.mark.parametrize("part", ["cusp", "spine"])
+def test_current_file_with_a_value_that_is_not_canonical_text_exits_2(
+        tmp_path, capsys, part, value):
+    # int() read "1_0" as 10 and " 7 ", "+7" and "\u0663" as 7 or 3, and
+    # those files were evaluated
+    data = {"ring": "Zp", "period": None, "window": [1, 1], "cusp": {"1": 7},
+            "spine": {"0": 0, "1": 7}}
+    data[part]["1"] = value
+    f = tmp_path / "current.json"
+    f.write_text(json.dumps(data))
+    argv = ["current", "--file", str(f), "--p", "3", "--q", "p", "--alpha-at", "5"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "ValueError",
+        "reason": f"invalid current: value {value!r} is not canonical integer text "
+                  'or "a/b"'}
+
+
+@pytest.mark.parametrize("cusp, spine", [(1, 1), ("1/2", "1/2"), ("2/1", "2/1"),
+                                         ("7", "7"), ("-3/4", "-3/4"), ("07", "07")])
 def test_zp_current_file_holds_integers_and_rationals(tmp_path, cusp, spine):
     f = tmp_path / "current.json"
     f.write_text(json.dumps({"ring": "Zp", "period": None, "window": [1, 1],

@@ -421,6 +421,34 @@ def test_current_from_slopes_of_x():
     assert (alpha_eval(c, Q(3, 3), z).value - z).is_exact_zero
 
 
+def test_current_from_slopes_sums_a_repeated_index():
+    # the pairs (1, 1), (1, 2) kept only the last multiplicity: alpha was
+    # x (x - q)^2 instead of (x - q)^3, 20 where f(5) = 8
+    q, z = Q(3, 3), Q(3, 5)
+    fd = FactoredFunction(0, ((1, 1), (1, 2)))
+    c = current_from_slopes(fd, q)
+    assert c == current_from_slopes(FactoredFunction(0, ((1, 3),)), q)
+    assert c.cusp == ((1, 3),)
+    assert alpha_eval(c, q, z).value == fd.value(q, z) == Q(3, 8)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(m=st.integers(-3, 3),
+       zeros=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=6))
+def test_current_from_slopes_is_that_of_the_merged_factorization(m, zeros):
+    q = Q(3, 3)
+    fd = FactoredFunction(m, tuple(zeros))
+    merged = {}
+    for j, k in zeros:
+        merged[j] = merged.get(j, 0) + k
+    c = current_from_slopes(fd, q)
+    assert c == current_from_slopes(FactoredFunction(m, tuple(merged.items())), q)
+    # alpha(c) is f up to one nonzero scalar
+    ratios = {alpha_eval(c, q, Q(3, w)).value / fd.value(q, Q(3, w))
+              for w in (5, 7, Fraction(1, 2), 2)}
+    assert len(ratios) == 1
+
+
 def test_alpha_matches_factored_function_up_to_scalar():
     rng = random.Random(33)
     q = Q(5, 5)

@@ -45,6 +45,8 @@ ALLOWED = {
                             "log-radius or its text through it",
     "series.BoundedSeries.scalar_mul": "live branch: RamifiedGerm normalizes a "
                                        "germ whose constant term is not 1",
+    "skeleton.canonical_point": "public API: snaps a caller's point; retract and "
+                                "the tower walk snap through skeleton._point",
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -11,11 +12,14 @@ from nonarch import (EdgeEnd, GraphPoint, Refinement,
                      SkeletonGraph, SkeletonTower, SubdivisionSet,
                      canonical_point, compose, compose_check, retract,
                      sample_points, subdivision_union, tower_separation)
-from nonarch import skeleton
+from nonarch import cli, skeleton
 from nonarch.errors import NotSeparatedError
+from nonarch.padic import parse_fraction
 
-from helpers import (arclength_oracle, complement_walk_oracle, graph_json,
-                     off_image_mutation, random_tower)
+from helpers import (FractionRefinement, arclength_oracle, complement_walk_oracle,
+                     fraction_compose_check, fraction_images, fraction_tables,
+                     fraction_tower_separation, graph_json, mixed_tower_text,
+                     off_image_mutation, random_tower, tower_json)
 
 
 def path_graph():
@@ -230,8 +234,8 @@ def test_off_image_rule_matches_the_complement_walk(seed, depth, kinds):
         except ValueError:
             expected = None
         try:
-            got = Refinement(ref.coarse, fine, ref.vertex_map, ref.edge_paths)
-            got = got.edge_loc, got.vertex_image
+            got = fraction_tables(Refinement(ref.coarse, fine, ref.vertex_map,
+                                             ref.edge_paths))
         except ValueError as exc:
             assert str(exc).startswith(OFF_IMAGE[:60])
             got = None
@@ -289,13 +293,14 @@ def test_compose_check_catches_a_reversed_loop_that_vertices_and_midpoints_miss(
     assert rep.message == "('e', 1, Fraction(0, 1)) != ('e', -1, Fraction(0, 1)) on edge f"
 
 
-def subdivide(coarse, rng, fresh):
-    """A seeded refinement of ``coarse``: each edge cut into 1-3 pieces of
-    random orientation, then up to two edges hung at random vertices."""
+def subdivide(coarse, rng, fresh, den=8):
+    """A seeded refinement of ``coarse``: each edge cut at 0-2 multiples of
+    1/den of its length into pieces of random orientation, then up to two
+    edges hung at random vertices."""
     vertices, edges, paths = set(coarse.vertices), [], {}
     for e in coarse.edges:
-        cuts = sorted(rng.sample(range(1, 8), rng.randint(0, 2)))
-        offsets = [0] + [e.length * Fraction(c, 8) for c in cuts] + [e.length]
+        cuts = sorted(rng.sample(range(1, den), min(den - 1, rng.randint(0, 2))))
+        offsets = [0] + [e.length * Fraction(c, den) for c in cuts] + [e.length]
         stops = [e.u] + [next(fresh) for _ in cuts] + [e.v]
         vertices.update(stops)
         paths[e.id] = []
@@ -337,6 +342,146 @@ def test_compose_check_agrees_with_a_dense_sampled_check(seed, reverse):
     with patch.object(skeleton, "compose", lambda r12, r23: r13):
         exact = compose_check(r12, r23, samples=1).ok
     assert exact == sampled_compose_check(r12, r23, r13) == (not reverse)
+
+
+# ------------------------------------------------------ integer tables
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the refusal it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, NotSeparatedError) as exc:
+        return type(exc), str(exc)
+
+
+def graph_points(g, cuts):
+    """Every vertex of g, and on every edge the points at the fractions
+    ``cuts`` of its length and at its two ends."""
+    return [GraphPoint.at_vertex(w) for w in sorted(g.vertices)] + [
+        GraphPoint.on_edge(e.id, e.length * t) for e in g.edges for t in (0, *cuts, 1)]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), depth=st.integers(1, 4), den=st.integers(2, 12),
+       cuts=st.lists(st.fractions(0, 1, max_denominator=12).filter(lambda t: 0 < t < 1),
+                     min_size=1, max_size=2))
+def test_a_tower_file_is_read_into_the_tables_of_the_fraction_reference(
+        tmp_path_factory, seed, depth, den, cuts):
+    # lengths in every encoding a file may hold; the reference reads the
+    # tower built from Fractions, the package the file
+    tower = random_tower(seed, depth, den)
+    rng = random.Random(seed)
+    path = tmp_path_factory.mktemp("tower") / "tower.json"
+    path.write_text(mixed_tower_text(tower, rng))
+    loaded = cli._load_tower(str(path))
+    assert loaded == tower
+    for ref, api in zip(loaded.refinements, tower.refinements):
+        edge_loc, stops = arclength_oracle(api.fine, api.vertex_map, api.edge_paths)
+        assert fraction_tables(ref) == (
+            edge_loc, complement_walk_oracle(api.fine, edge_loc, stops))
+        reference = FractionRefinement(api)
+        for pt in graph_points(api.fine, cuts):
+            assert retract(pt, ref) == reference.retract(pt), pt
+    for i in range(loaded.depth - 1):
+        api12, api23 = tower.refinements[i + 1], tower.refinements[i]
+        assert compose_check(loaded.refinements[i + 1], loaded.refinements[i]) == \
+            fraction_compose_check(api12, api23, compose(api12, api23))
+    pts = graph_points(loaded.graphs[-1], cuts)
+    for x in rng.sample(pts, min(len(pts), 6)):
+        assert loaded.images(x) == fraction_images(tower, x)
+        for y in rng.sample(pts, min(len(pts), 6)):
+            assert outcome(tower_separation, loaded, x, y) == \
+                outcome(fraction_tower_separation, tower, x, y), (x, y)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), den=st.integers(2, 12), reverse=st.booleans())
+def test_compose_check_reports_what_the_fraction_reference_reports(seed, den, reverse):
+    # levels on growing denominators, orientations at random, and the
+    # composite optionally replaced by one that runs the loop backwards:
+    # the first disagreement and its text are the reference's
+    rng, fresh = random.Random(seed), (f"n{i}" for i in itertools.count())
+    g0 = SkeletonGraph.build(["a", "b"],
+                             [("c", "a", "a", 2), ("d", "a", "b", Fraction(3, den))])
+    r23 = subdivide(g0, rng, fresh, den)
+    r12 = subdivide(r23.fine, rng, fresh, den)
+    r13 = compose(r12, r23)
+    if reverse:
+        backwards = [(f, -s) for f, s in reversed(r13.edge_paths["c"])]
+        r13 = Refinement(g0, r12.fine, r13.vertex_map, {**r13.edge_paths, "c": backwards})
+    with patch.object(skeleton, "compose", lambda r12, r23: r13):
+        got = compose_check(r12, r23, samples=1)
+    assert got == fraction_compose_check(r12, r23, r13)
+    assert got.ok == (not reverse)
+
+
+digits = st.text(alphabet="0123456789_\u0663\u00b2", max_size=4)
+length_texts = st.builds(
+    lambda *parts: "".join(parts),
+    st.sampled_from(["", "", " ", "+", "-", "\t"]), digits,
+    st.sampled_from(["", "", "/", "/-", "/ ", "."]), digits,
+    st.sampled_from(["", "", " ", "e2", ".5", "/3"]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(value=st.one_of(length_texts, st.integers(-3, 3), st.booleans(), st.none(),
+                       st.decimals(-10, 10, places=3), st.fractions(-4, 4)))
+def test_a_length_is_read_as_parse_fraction_reads_it(value):
+    def expected():
+        length = parse_fraction(value)
+        if length <= 0:
+            raise ValueError("edge e: length must be positive")
+        return length
+
+    def got():
+        data = {"vertices": ["a", "b"], "edges": [["e", "a", "b", value]]}
+        return SkeletonGraph.from_json(data).edge_map["e"].length
+
+    assert outcome(got) == outcome(expected)
+    try:
+        pair = (parse_fraction(value).numerator, parse_fraction(value).denominator)
+    except ValueError as exc:
+        pair = (ValueError, str(exc))
+    assert outcome(skeleton.read_length, value) == pair
+
+
+@pytest.mark.parametrize("text, pair", [
+    ("12", (12, 1)), ("-3", (-3, 1)), ("007", (7, 1)), ("6/4", (6, 4)), ("1/0", (1, 0)),
+    (" 1", None), ("+1", None), ("1_0", None), ("\u0663", None), ("1/ 2", None),
+    ("1/-2", None), ("-", None), ("1/", None), ("/2", None), ("1.5", None), ("", None),
+])
+def test_rational_text_reads_only_ascii_digit_text(text, pair):
+    from nonarch.padic import rational_text
+    assert rational_text(text) == pair
+
+
+def test_a_depth_4_tower_is_loaded_and_checked_without_building_a_fraction(tmp_path):
+    # every length, prefix and retraction is an integer over the tower's
+    # denominator: no Fraction per edge or per path step
+    tower = random_tower(35, 4, den=7)
+    assert len(tower.graphs[-1].edges) == 88 and tower.graphs[-1].denominator == 343
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(tower_json(tower)))
+    top = tower.graphs[-1]
+    x, y = (GraphPoint.on_edge(e.id, e.length / 3) for e in top.edges[-2:])
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kw):
+        built.append(args)
+        return new(cls, *args, **kw)
+
+    with patch.object(Fraction, "__new__", counted):
+        loaded = cli._load_tower(str(path))
+        reports = [compose_check(loaded.refinements[i + 1], loaded.refinements[i])
+                   for i in range(loaded.depth - 1)]
+        outcome(tower_separation, loaded, x, y)
+        retract(x, loaded.refinements[-1])
+        code, _ = cli.dispatch(["skeleton-tower", "--file", str(path), "--check", "compose"])
+    assert all(r.ok for r in reports) and code == 0
+    # one Fraction: the offset of the GraphPoint retract hands back
+    assert len(built) == 1
 
 
 # ------------------------------------------------------------ separation

@@ -1,24 +1,31 @@
-"""Times every request of the checked-in cli-mix corpus through ``cli.main``.
+"""Times every request of the checked-in cli-mix corpus on two trees, in
+alternating rounds.
 
 The corpus is ``perfbench/corpus/seed-1/cli-mix/jobs.json``: 190 short
 requests over all 10 subcommands, five of which end in exit 2 or 4, with
-their input files beside it.  It is only read.  Each request runs from the
+their input files beside it.  It is only read.  Each round runs one fresh
+process against ``--base`` and one against ``--src``, the order of the two
+sides reversed every other round (``_bench.alternating``).  A process
+imports ``nonarch`` from its tree and runs each request from the
 repository root, against which its paths are written, with its report
-captured; its time is the best of ``REPEAT`` runs of ``cli.main``
-(``time.perf_counter``), so it includes argument parsing, reading and
-checking the input files, and writing the report.  Per request the tool
-records the exit code, that time and a sha256 of the report without
-``wall_time_ms`` (``_bench.report_digest``), so a before and an after run
-can be checked for identical output; per subcommand it records the number
-of requests and their summed time.  Results go under ``--label`` into
-``BENCH_cli.json`` at the repository root, next to the labels already
-there, and every request whose digest differs from another label's is
-printed::
+captured; the request's time is the best of ``REPEAT`` runs of
+``cli.main`` (``time.perf_counter``), so it includes argument parsing,
+reading and checking the input files, and writing the report.  It also
+records the exit code and a sha256 of the report without ``wall_time_ms``
+(``_bench.report_digest``).
 
-    python3 tools/bench_cli.py --src ../old-checkout/src --label before
-    python3 tools/bench_cli.py --label after
+Per request and side the tool records the round times with their median
+and quartiles, the exit code and the digest, and whether the two sides'
+reports are the same (``same_report``); a side whose exit code or digest
+changes between rounds stops the tool.  Per subcommand and side it records
+the number of requests and the sum of their medians.  Results go under
+``--label`` into ``--out`` (``BENCH_cli.json`` at the repository root),
+next to the labels already there::
 
-Stdlib only; ``--src`` picks the ``nonarch`` source tree to import.
+    python3 tools/bench_cli.py --base ../old-checkout/src --label integer-towers
+
+``--rounds`` and ``--first`` (the first N requests only) shrink a run for a
+smoke test.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -27,55 +34,124 @@ import contextlib
 import io
 import json
 import os
+import statistics
+import subprocess
+import sys
 
-from _bench import ROOT, best_of, env, parse_args, record, report_digest
+from _bench import ROOT, alternating, best_of, env, parser, record, report_digest
 
 OUT = os.path.join(ROOT, "BENCH_cli.json")
+TOOLS = os.path.dirname(os.path.abspath(__file__))
 JOBS = "perfbench/corpus/seed-1/cli-mix/jobs.json"
 REPEAT = 3
+ROUNDS = 10
+SIDES = ("base", "src")
+# one side of a round: ``measure`` in a fresh process on the tree argv[2]
+CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import bench_cli; " \
+    "bench_cli.measure(sys.argv[2], int(sys.argv[3]))"
 
 
-def main(argv=None):
-    args = parse_args(__doc__, argv)
+def measure(tree, first):
+    """Time the first ``first`` requests against the ``nonarch`` of
+    ``tree``; prints one JSON row per request."""
+    sys.path.insert(0, tree)
     from nonarch import cli
 
+    home = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    if home != tree:
+        raise SystemExit(f"nonarch imported from {home}, not {tree}")
     os.chdir(ROOT)
     with open(JOBS, encoding="utf-8") as fh:
-        jobs = json.load(fh)
+        jobs = json.load(fh)[:first]
 
-    def request(job):
+    def request(argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(job["argv"])
+            code = cli.main(argv)
         return code, out.getvalue()
 
-    rows, totals = [], {}
+    rows = []
     for job in jobs:
-        t, (code, out) = best_of(lambda: request(job), REPEAT)
+        t, (code, out) = best_of(lambda: request(job["argv"]), REPEAT)
         rows.append({"id": job["id"], "command": job["argv"][0], "exit_code": code,
                      "request_ms": round(t * 1e3, 4),
                      "report_sha256": report_digest(json.loads(out))})
-        total = totals.setdefault(job["argv"][0], {"requests": 0, "ms": 0.0})
-        total["requests"] += 1
-        total["ms"] += t * 1e3
-    for total in totals.values():
-        total["ms"] = round(total["ms"], 3)
+    json.dump(rows, sys.stdout)
 
-    data = record(OUT, args.label, {
-        "env": env(REPEAT),
+
+def run(tree, first):
+    """The rows ``measure`` prints for ``tree``, from a fresh process."""
+    done = subprocess.run([sys.executable, "-c", CHILD, TOOLS, tree, str(first)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    if done.returncode:
+        raise RuntimeError(f"measuring {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile) of the values; a single
+    value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def main(argv=None):
+    ap = parser(__doc__)
+    ap.add_argument("--base", required=True, help="the tree to compare --src against")
+    ap.add_argument("--rounds", type=int, default=ROUNDS)
+    ap.add_argument("--first", type=int, default=None,
+                    help="time only the first N requests of the corpus")
+    ap.add_argument("--out", default=OUT)
+    args = ap.parse_args(argv)
+    trees = {"base": os.path.abspath(args.base), "src": os.path.abspath(args.src)}
+    with open(os.path.join(ROOT, JOBS), encoding="utf-8") as fh:
+        first = len(json.load(fh)) if args.first is None else args.first
+    runs = {side: [] for side in SIDES}
+    for side in alternating(args.rounds, SIDES):
+        runs[side].append(run(trees[side], first))
+
+    rows, by_command = [], {side: {} for side in SIDES}
+    for idx, head in enumerate(runs["src"][0]):
+        row = {"id": head["id"], "command": head["command"]}
+        for side in SIDES:
+            kept = [{k: r[idx][k] for k in ("id", "exit_code", "report_sha256")}
+                    for r in runs[side]]
+            if any(k != kept[0] for k in kept):
+                raise RuntimeError(f"{head['id']} on {side}: the exit code or the "
+                                   "report changed between rounds")
+            times = [r[idx]["request_ms"] for r in runs[side]]
+            q1, median, q3 = quartiles(times)
+            row[side] = {"exit_code": kept[0]["exit_code"],
+                         "report_sha256": kept[0]["report_sha256"],
+                         "request_ms": times, "median_ms": round(median, 4),
+                         "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
+            total = by_command[side].setdefault(head["command"], {"requests": 0, "ms": 0.0})
+            total["requests"] += 1
+            total["ms"] += median
+        row["same_report"] = row["base"]["report_sha256"] == row["src"]["report_sha256"]
+        rows.append(row)
+    for totals in by_command.values():
+        for total in totals.values():
+            total["ms"] = round(total["ms"], 3)
+
+    sum_of_medians = {side: round(sum(t["ms"] for t in by_command[side].values()), 3)
+                      for side in SIDES}
+    record(args.out, args.label, {
+        "env": env(REPEAT, rounds=args.rounds),
         "jobs": JOBS,
-        "total_ms": round(sum(t["ms"] for t in totals.values()), 3),
-        "by_command": totals,
+        "sum_of_medians_ms": sum_of_medians,
+        "by_command": by_command,
         "rows": rows,
     })
-    for command, total in sorted(totals.items()):
-        print(f"{command:<17} {total['requests']:>3} requests  {total['ms']:9.3f} ms")
-    print(f"{'total':<17} {len(rows):>3} requests  {data[args.label]['total_ms']:9.3f} ms")
-    for label, other in sorted(data.items()):
-        if label != args.label:
-            differ = [r["id"] for r, o in zip(other["rows"], rows)
-                      if r["report_sha256"] != o["report_sha256"]]
-            print(f"reports differing from {label!r}: {len(differ)} {differ[:5]}")
+    for command in sorted(by_command["src"]):
+        base, src = by_command["base"][command], by_command["src"][command]
+        print(f"{command:<17} {src['requests']:>3} requests  {base['ms']:9.3f} -> "
+              f"{src['ms']:9.3f} ms  ({base['ms'] / src['ms']:.2f}x)")
+    print(f"{'total':<17} {len(rows):>3} requests  {sum_of_medians['base']:9.3f} -> "
+          f"{sum_of_medians['src']:9.3f} ms")
+    differ = [row["id"] for row in rows if not row["same_report"]]
+    print(f"reports differing between the trees: {len(differ)} {differ[:5]}")
 
 
 if __name__ == "__main__":
