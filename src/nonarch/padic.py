@@ -478,15 +478,14 @@ def json_shape(value, kind: str, what: str, size=None):
     raise ValueError(f"{what} must be a JSON {kind}{entries}, not {value!r}")
 
 
-def json_shapes(values: list, kind: str, what: str, size=None) -> list:
-    """``values`` if every entry passes ``json_shape(entry, kind, what,
-    size)``, checked in bulk; else that check's ValueError for the first
-    entry that fails."""
-    if set(map(type, values)) <= _TYPES[kind] and \
-            (size is None or set(map(len, values)) <= {size}):
-        return values
-    for value in values:
-        json_shape(value, kind, what, size)
+def json_shapes(values: list, kind: str, what: str, size=None) -> None:
+    """``json_shape(entry, kind, what, size)`` for every entry, checked in
+    bulk; on a fault, that check's ValueError for the first entry that
+    fails."""
+    if not (set(map(type, values)) <= _TYPES[kind]
+            and (size is None or set(map(len, values)) <= {size})):
+        for value in values:
+            json_shape(value, kind, what, size)
 
 
 def exact_text(x) -> str:

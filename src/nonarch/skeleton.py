@@ -31,19 +31,17 @@ from .padic import (_Record, _set_field, json_shape, json_shapes, parse_fraction
                     rational_text)
 
 
-def json_names(values: list) -> list:
-    """Vertex or edge names read from a file, each a JSON string; checked in
+def json_names(values: list) -> None:
+    """Check vertex or edge names read from a file, each a JSON string, in
     bulk (``json_shapes``)."""
-    return json_shapes(values, "string", "a vertex or edge name")
+    json_shapes(values, "string", "a vertex or edge name")
 
 
 def read_length(value) -> Tuple[int, int]:
     """An edge length as (a, b), the fraction a/b in lowest terms, b > 0.
-    A Fraction, an int or canonical rational text (``rational_text``, with
-    b != 0) is read with ``int`` and reduced by the gcd; anything else goes
-    through ``parse_fraction``, with its values and its refusals."""
-    if type(value) is Fraction:
-        return value.numerator, value.denominator
+    An int or canonical rational text (``rational_text``, with b != 0) is
+    read with ``int`` and reduced by the gcd; anything else goes through
+    ``parse_fraction``, with its values and its refusals."""
     if type(value) is int:
         return value, 1
     if type(value) is str:

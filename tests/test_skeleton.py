@@ -14,7 +14,7 @@ from nonarch import (EdgeEnd, GraphPoint, Refinement,
                      sample_points, subdivision_union, tower_separation)
 from nonarch import cli, skeleton
 from nonarch.errors import NotSeparatedError
-from nonarch.padic import parse_fraction
+from nonarch.padic import parse_fraction, rational_text
 
 from helpers import (FractionRefinement, arclength_oracle, complement_walk_oracle,
                      fraction_compose_check, fraction_images, fraction_tables,
@@ -452,7 +452,6 @@ def test_a_length_is_read_as_parse_fraction_reads_it(value):
     ("1/-2", None), ("-", None), ("1/", None), ("/2", None), ("1.5", None), ("", None),
 ])
 def test_rational_text_reads_only_ascii_digit_text(text, pair):
-    from nonarch.padic import rational_text
     assert rational_text(text) == pair
 
 
