@@ -28,6 +28,16 @@ def test_alternating_reverses_the_order_of_the_sides_every_other_round():
         ["base", "src", "src", "base", "base", "src"]
 
 
+def test_over_rounds_gives_median_and_quartiles_and_stops_on_a_changed_report():
+    rows = [{"report_sha256": "a", "request_ms": t} for t in (4.0, 1.0, 3.0, 2.0)]
+    assert _bench.over_rounds(rows, ("report_sha256",), "job") == {
+        "report_sha256": "a", "request_ms": [4.0, 1.0, 3.0, 2.0],
+        "median_ms": 2.5, "q1_ms": 1.25, "q3_ms": 3.75}
+    rows[2] = dict(rows[2], report_sha256="b")
+    with pytest.raises(RuntimeError, match="job: report_sha256 changed between rounds"):
+        _bench.over_rounds(rows, ("report_sha256",), "job")
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in TOOLS.glob("bench_*.py")))
 def test_bench_script_help_exits_0(script):
     done = subprocess.run([sys.executable, str(TOOLS / script), "--help"],
@@ -36,24 +46,24 @@ def test_bench_script_help_exits_0(script):
     assert "--label" in done.stdout and "--src" in done.stdout
 
 
-def test_bench_cli_smoke_run_compares_two_trees(tmp_path):
-    # one round on the first two corpus requests, this tree on both sides
+def test_bench_cli_smoke_run_compares_two_trees(tmp_path, monkeypatch, capsys):
+    # two rounds (quartiles need two values) on the first two corpus
+    # requests, this tree on both sides
+    import bench_cli
+    monkeypatch.setattr(bench_cli, "ROUNDS", 2)
+    monkeypatch.setattr(bench_cli, "FIRST", 2)
+    monkeypatch.setattr(bench_cli, "OUT", str(tmp_path / "BENCH_cli.json"))
     src = str(TOOLS.parent / "src")
-    out = tmp_path / "BENCH_cli.json"
-    done = subprocess.run([sys.executable, str(TOOLS / "bench_cli.py"), "--base", src,
-                           "--src", src, "--label", "smoke", "--rounds", "1",
-                           "--first", "2", "--out", str(out)],
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    entry = json.loads(out.read_text())["smoke"]
-    assert entry["env"]["rounds"] == 1 and len(entry["rows"]) == 2
+    bench_cli.main(["--base", src, "--src", src, "--label", "smoke"])
+    entry = json.loads((tmp_path / "BENCH_cli.json").read_text())["smoke"]
+    assert entry["env"]["rounds"] == 2 and len(entry["rows"]) == 2
     for row in entry["rows"]:
         assert row["same_report"]
         for side in ("base", "src"):
-            assert len(row[side]["request_ms"]) == 1
-            assert row[side]["q1_ms"] == row[side]["median_ms"] == row[side]["q3_ms"]
+            assert len(row[side]["request_ms"]) == 2
+            assert row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
     assert sum(t["requests"] for t in entry["by_command"]["src"].values()) == 2
-    assert "reports differing between the trees: 0 []" in done.stdout
+    assert "reports differing between the trees: 0 []" in capsys.readouterr().out
 
 
 def test_each_bound_mutant_names_a_text_that_occurs_once_in_its_file():

@@ -7,10 +7,13 @@ import hashlib
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TOOLS)
 
 
 def parser(doc):
@@ -66,6 +69,38 @@ def alternating(rounds, sides):
     over a recording falls on every side alike."""
     for r in range(rounds):
         yield from (sides if r % 2 == 0 else sides[::-1])
+
+
+def run(child, tree, *args):
+    """The JSON that the one-line script ``child`` prints, run in a fresh
+    process from the repository root with argv [TOOLS, tree, *args]."""
+    done = subprocess.run([sys.executable, "-c", child, TOOLS, tree, *args],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    if done.returncode:
+        raise RuntimeError(f"measuring {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def compare(child, trees, rounds, *args):
+    """{side: [the rows ``run`` gives on trees[side], one list per round]},
+    the sides run in ``alternating`` order."""
+    runs = {side: [] for side in trees}
+    for side in alternating(rounds, tuple(trees)):
+        runs[side].append(run(child, trees[side], *args))
+    return runs
+
+
+def over_rounds(rows, keys, name):
+    """One request's row from every round on one side: the values of
+    ``keys``, which must not change between rounds, with the round times
+    (``request_ms``) and their median and quartiles."""
+    kept = [{k: row[k] for k in keys} for row in rows]
+    if any(k != kept[0] for k in kept):
+        raise RuntimeError(f"{name}: {', '.join(keys)} changed between rounds")
+    times = [row["request_ms"] for row in rows]
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return dict(kept[0], request_ms=times, median_ms=round(median, 4),
+                q1_ms=round(q1, 4), q3_ms=round(q3, 4))
 
 
 def report_digest(payload):

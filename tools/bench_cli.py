@@ -19,13 +19,12 @@ and quartiles, the exit code and the digest, and whether the two sides'
 reports are the same (``same_report``); a side whose exit code or digest
 changes between rounds stops the tool.  Per subcommand and side it records
 the number of requests and the sum of their medians.  Results go under
-``--label`` into ``--out`` (``BENCH_cli.json`` at the repository root),
-next to the labels already there::
+``--label`` into ``BENCH_cli.json`` at the repository root, next to the
+labels already there::
 
     python3 tools/bench_cli.py --base ../old-checkout/src --label integer-towers
 
-``--rounds`` and ``--first`` (the first N requests only) shrink a run for a
-smoke test.  Stdlib only.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -34,17 +33,15 @@ import contextlib
 import io
 import json
 import os
-import statistics
-import subprocess
 import sys
 
-from _bench import ROOT, alternating, best_of, env, parser, record, report_digest
+from _bench import ROOT, best_of, compare, env, over_rounds, parser, record, report_digest
 
 OUT = os.path.join(ROOT, "BENCH_cli.json")
-TOOLS = os.path.dirname(os.path.abspath(__file__))
 JOBS = "perfbench/corpus/seed-1/cli-mix/jobs.json"
 REPEAT = 3
 ROUNDS = 10
+FIRST = None  # time only the first FIRST requests of the corpus; None: all
 SIDES = ("base", "src")
 # one side of a round: ``measure`` in a fresh process on the tree argv[2]
 CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import bench_cli; " \
@@ -79,56 +76,24 @@ def measure(tree, first):
     json.dump(rows, sys.stdout)
 
 
-def run(tree, first):
-    """The rows ``measure`` prints for ``tree``, from a fresh process."""
-    done = subprocess.run([sys.executable, "-c", CHILD, TOOLS, tree, str(first)],
-                          cwd=ROOT, capture_output=True, text=True, timeout=600)
-    if done.returncode:
-        raise RuntimeError(f"measuring {tree} failed:\n{done.stderr}")
-    return json.loads(done.stdout)
-
-
-def quartiles(values):
-    """(first quartile, median, third quartile) of the values; a single
-    value is all three."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    return tuple(statistics.quantiles(values, n=4))
-
-
 def main(argv=None):
     ap = parser(__doc__)
     ap.add_argument("--base", required=True, help="the tree to compare --src against")
-    ap.add_argument("--rounds", type=int, default=ROUNDS)
-    ap.add_argument("--first", type=int, default=None,
-                    help="time only the first N requests of the corpus")
-    ap.add_argument("--out", default=OUT)
     args = ap.parse_args(argv)
     trees = {"base": os.path.abspath(args.base), "src": os.path.abspath(args.src)}
     with open(os.path.join(ROOT, JOBS), encoding="utf-8") as fh:
-        first = len(json.load(fh)) if args.first is None else args.first
-    runs = {side: [] for side in SIDES}
-    for side in alternating(args.rounds, SIDES):
-        runs[side].append(run(trees[side], first))
+        first = len(json.load(fh)) if FIRST is None else FIRST
+    runs = compare(CHILD, trees, ROUNDS, str(first))
 
     rows, by_command = [], {side: {} for side in SIDES}
     for idx, head in enumerate(runs["src"][0]):
         row = {"id": head["id"], "command": head["command"]}
         for side in SIDES:
-            kept = [{k: r[idx][k] for k in ("id", "exit_code", "report_sha256")}
-                    for r in runs[side]]
-            if any(k != kept[0] for k in kept):
-                raise RuntimeError(f"{head['id']} on {side}: the exit code or the "
-                                   "report changed between rounds")
-            times = [r[idx]["request_ms"] for r in runs[side]]
-            q1, median, q3 = quartiles(times)
-            row[side] = {"exit_code": kept[0]["exit_code"],
-                         "report_sha256": kept[0]["report_sha256"],
-                         "request_ms": times, "median_ms": round(median, 4),
-                         "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
+            row[side] = over_rounds([r[idx] for r in runs[side]],
+                                    ("exit_code", "report_sha256"), f"{head['id']} on {side}")
             total = by_command[side].setdefault(head["command"], {"requests": 0, "ms": 0.0})
             total["requests"] += 1
-            total["ms"] += median
+            total["ms"] += row[side]["median_ms"]
         row["same_report"] = row["base"]["report_sha256"] == row["src"]["report_sha256"]
         rows.append(row)
     for totals in by_command.values():
@@ -137,8 +102,8 @@ def main(argv=None):
 
     sum_of_medians = {side: round(sum(t["ms"] for t in by_command[side].values()), 3)
                       for side in SIDES}
-    record(args.out, args.label, {
-        "env": env(REPEAT, rounds=args.rounds),
+    record(OUT, args.label, {
+        "env": env(REPEAT, rounds=ROUNDS),
         "jobs": JOBS,
         "sum_of_medians_ms": sum_of_medians,
         "by_command": by_command,

@@ -37,15 +37,12 @@ from __future__ import annotations
 import json
 import os
 import random
-import statistics
-import subprocess
 import sys
 import tempfile
 
-from _bench import ROOT, alternating, best_of, env, parser, record, report_digest
+from _bench import ROOT, best_of, compare, env, over_rounds, parser, record, report_digest
 
 OUT = os.path.join(ROOT, "BENCH_poles.json")
-TOOLS = os.path.dirname(os.path.abspath(__file__))
 REPEAT = 5
 ROUNDS = 10
 SEED = 1
@@ -158,37 +155,20 @@ def measure(tree):
     json.dump(rows, sys.stdout)
 
 
-def run(tree):
-    """The rows ``measure`` prints for ``tree``, from a fresh process."""
-    done = subprocess.run([sys.executable, "-c", CHILD, TOOLS, tree],
-                          cwd=ROOT, capture_output=True, text=True, timeout=600)
-    if done.returncode:
-        raise RuntimeError(f"measuring {tree} failed:\n{done.stderr}")
-    return json.loads(done.stdout)
-
-
 def main(argv=None):
     ap = parser(__doc__)
     ap.add_argument("--base", required=True, help="the tree to compare --src against")
     args = ap.parse_args(argv)
     trees = {"base": os.path.abspath(args.base), "src": os.path.abspath(args.src)}
-    runs = {side: [] for side in SIDES}
-    for side in alternating(ROUNDS, SIDES):
-        runs[side].append(run(trees[side]))
+    runs = compare(CHILD, trees, ROUNDS)
 
     rows = []
     for idx, (cmd, p, n, C, nmax) in enumerate(SHAPES):
         row = {"command": cmd, "p": p, "poles": n, "C": C,
                "nmax": nmax if cmd == "order-set" else None}
         for side in SIDES:
-            counts = [{k: r[idx][k] for k in COUNTS} for r in runs[side]]
-            if any(c != counts[0] for c in counts):
-                raise RuntimeError(f"{cmd} n={n} on {side}: the counts or the report "
-                                   "changed between rounds")
-            times = [r[idx]["request_ms"] for r in runs[side]]
-            q1, median, q3 = statistics.quantiles(times, n=4)
-            row[side] = dict(counts[0], request_ms=times, median_ms=round(median, 3),
-                             q1_ms=round(q1, 3), q3_ms=round(q3, 3))
+            row[side] = over_rounds([r[idx] for r in runs[side]], COUNTS,
+                                    f"{cmd} n={n} on {side}")
         row["same_report"] = row["base"]["report_sha256"] == row["src"]["report_sha256"]
         rows.append(row)
 
