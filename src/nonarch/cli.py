@@ -434,8 +434,69 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _argv_table() -> dict:
+    """Per subcommand, read off ``_parser()``: each long option string of
+    a one-value option or a flag, to its action; the defaults of its
+    Namespace, with ``command`` and ``handler``; and its required dests.
+    Defaults are taken as they stand: argparse would convert a string
+    default by the option's type, and no option has one."""
+    table = {}
+    subs, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sp in subs.choices.items():
+        opts = {s: a for a in sp._actions for s in a.option_strings
+                if s.startswith("--") and (type(a) is argparse._StoreAction and a.nargs is None
+                                           or isinstance(a, argparse._StoreConstAction))}
+        defaults = {"command": name, **{a.dest: a.default for a in sp._actions
+                                        if a.default is not argparse.SUPPRESS}, **sp._defaults}
+        table[name] = opts, defaults, {a.dest for a in sp._actions if a.required}
+    return table
+
+
+def _read_argv(argv: list):
+    """The Namespace ``_parser().parse_args(argv)`` gives, for an argv in
+    canonical form: an exact subcommand, then exact long options, each dest
+    once, as ``--opt value`` (a value not starting with "-"), ``--opt=value``
+    or a bare flag, every value converted by its type and within its
+    choices, and every required option given.  None for any other argv,
+    which argparse reads, so that its help, usage and error texts and its
+    exit code 2 stay the only ones."""
+    if not argv or not all(isinstance(arg, str) for arg in argv) or \
+            argv[0] not in _argv_table():
+        return None
+    opts, defaults, required = _argv_table()[argv[0]]
+    given, rest = {}, iter(argv[1:])
+    for arg in rest:
+        opt, eq, value = arg.partition("=")
+        action = opts.get(opt)
+        if action is None or action.dest in given:
+            return None
+        if action.nargs == 0:
+            if eq:
+                return None
+            value = action.const
+        else:
+            if not eq:
+                value = next(rest, "-")  # no value left reads as one starting with "-"
+                if value.startswith("-"):
+                    return None
+            try:
+                value = value if action.type is None else action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        given[action.dest] = value
+    if not required <= given.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **given})
+
+
 def dispatch(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     inputs = {k: v for k, v in vars(args).items() if k != "handler"}
     started = time.monotonic()
     payload = {"command": args.command, "inputs": inputs}

@@ -71,6 +71,18 @@ def test_each_bound_mutant_names_a_text_that_occurs_once_in_its_file():
     import mutate_bounds
     names = [name for name, *_ in mutate_bounds.MUTANTS]
     assert len(set(names)) == len(names)
-    for name, path, text, replacement in mutate_bounds.MUTANTS:
+    for name, path, text, replacement, _ in mutate_bounds.MUTANTS:
         source = (mutate_bounds.ROOT / path).read_text(encoding="utf-8")
         assert source.count(text) == 1 and replacement != text, name
+
+
+def test_each_bound_mutant_names_a_killer_that_pytest_collects():
+    # a mutant runs its killer first, so a killer renamed away would leave
+    # every mutant to the whole suite
+    import mutate_bounds
+    killers = sorted({killer for *_, killer in mutate_bounds.MUTANTS})
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *killers], cwd=mutate_bounds.ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert set(killers) <= set(done.stdout.splitlines())

@@ -1,12 +1,19 @@
+import argparse
+import contextlib
+import glob
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nonarch
+from nonarch import cli
 from nonarch.cli import dispatch, main
 
 from helpers import current_json, graph_json
@@ -1042,3 +1049,109 @@ def test_a_bad_p_keeps_its_message_under_a_huge_prec(capsys):
     assert main(["poly-eval", "--p", "4", "--q", "p", "--coeffs", "1", "--prec",
                  str(10 ** 30)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["reason"] == "p = 4 is not prime"
+
+
+# -- argv read from a table of the parser's own actions --------------------
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "corpus", "seed-1")
+POLES, CURRENT, TOWER = (os.path.join(CORPUS, "cli-mix", name) for name in
+                         ("poles-0001.json", "current-0004.json", "tower-0008.json"))
+COMMANDS = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+# values each option is often given; an int option takes one of INTS
+VALUES = {"poles": [POLES], "file": [CURRENT, TOWER], "q": ["p", "3"], "z": ["5"],
+          "z0": ["2"], "factors": ["[[1, 1], [2, -1]]", "[]"], "coeffs": ["1,0,3"],
+          "x": ["0", "a"], "y": ["b"], "alpha_at": ["5"], "delta_at": ["5"]}
+INTS = ["1", "2", "3", "\u0663"]
+NOISE = ["-h", "--help", "--", "-1", "-1/2", "", "x", "1.5", "bogus", "no-such",
+         "--q=-1/0", "--numeric=", "--no-such-flag"]
+
+
+def _tokens(sp):
+    """Exact and abbreviated options of a subcommand, their "=" forms, and
+    NOISE."""
+    opts = [s for a in sp._actions for s in a.option_strings]
+    abbreviations = [s[:k] for s in opts if s.startswith("--") for k in range(3, len(s))]
+    return sorted(set(opts + abbreviations + [f"{s}={v}" for s in opts
+                                               for v in ("", "-1", "2")] + NOISE))
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with some of its options (its required ones mostly
+    among them), as "--opt value" or "--opt=value", in any order; then up
+    to three tokens inserted, replaced or deleted, the subcommand too."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    sp = COMMANDS[name]
+    argv = [name]
+    actions = [a for a in sp._actions if a.option_strings and a.dest != "help"]
+    for a in draw(st.permutations(actions)):
+        if not (a.required and draw(st.integers(0, 9))) and draw(st.booleans()):
+            continue
+        opt = a.option_strings[0]
+        if a.nargs == 0:
+            argv.append(opt)
+            continue
+        value = draw(st.sampled_from(a.choices or (INTS if a.type is int else VALUES[a.dest])))
+        argv += [f"{opt}={value}"] if draw(st.booleans()) else [opt, value]
+    tokens = _tokens(sp)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit != "insert" and i < len(argv):
+            del argv[i]
+        if edit != "delete":
+            argv.insert(i, draw(st.sampled_from(tokens)))
+    return argv
+
+
+def _outcome(argv):
+    """Exit code, report without wall_time_ms (or the text, for help) and
+    stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    return code, _report(text) if text.startswith("{") else text, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+@example(["poly-eval", "--p", "5", "--q=-1/0", "--coeffs", "1"])
+@example(["poly-eval", "--p", "5", "--q", "-1/0", "--coeffs", "1"])
+@example(["splitting-radius", "--p", "3", "--N", "2", "--n", "4", "--numeric="])
+@example(["splitting-radius", "--p", "3", "--N", "2", "--n", "4", "--nu"])
+@example(["moebius-check", "--p", "3", "--q", "-1/2", "--n", "1", "--J", "-1"])
+@example(["current", "--file", CURRENT, "--q", "", "--p", "3", "--alpha-at", "5"])
+@example(["as-genus", "--e", "6", "--p", "5", "--p", "7"])
+@example(["as-genus", "--e", "x", "--p", "5"])
+@example(["as-genus", "--e", "6", "--", "--p", "5"])
+@example(["as-genus", "--e", "6"])
+@example(["skeleton-tower", "--file", TOWER, "--check", "bogus"])
+@example(["skeleton-tower", "--file", TOWER, "--check=compose", "--s", "3"])
+@example(["order-set", "-h"])
+@example(["no-such", "--p", "3"])
+@example([])
+def test_argv_read_from_the_table_is_what_argparse_reads(argv):
+    ns = cli._read_argv(argv)
+    if ns is not None:
+        assert ns == cli.build_parser().parse_args(argv)
+    got = _outcome(argv)
+    with mock.patch.object(cli, "_read_argv", return_value=None), \
+            mock.patch.object(cli, "_parser", cli.build_parser):
+        assert got == _outcome(argv)
+
+
+def test_every_corpus_request_is_read_from_the_table():
+    # so that no later change sends the benchmark's traffic back to argparse
+    parser, requests = cli.build_parser(), []
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*", "jobs.json"))):
+        with open(path, encoding="utf-8") as fh:
+            requests += [job["argv"] for job in json.load(fh) if job["kind"] == "cli"]
+    assert len(requests) == 346
+    for argv in requests:
+        assert cli._read_argv(argv) == parser.parse_args(argv), argv

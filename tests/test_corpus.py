@@ -5,7 +5,8 @@ the report (without ``wall_time_ms``) must equal the digest in
 ``cli.main`` from the repository root, against which their paths are
 written; the corpus is only read.  One cycle of every workload for seeds
 2 and 3, generated under a temporary directory, must pass
-``perfbench/oracle.check``."""
+``perfbench/oracle.check``: its command-line jobs, and its library root
+jobs run as ``perfbench/worker.py`` runs them."""
 
 import contextlib
 import glob
@@ -16,6 +17,7 @@ import os
 
 import pytest
 
+import nonarch
 from nonarch import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -61,19 +63,30 @@ def test_every_cli_job_gives_its_recorded_report(monkeypatch, jobs_file):
     assert drifted == []
 
 
+def _run_root(worker, runner, job):
+    """A library root job's record, as ``perfbench/worker.py`` builds it."""
+    _, code, value, exc = runner.run(job)
+    return {"code": code, "exc": exc, "out": None if exc else worker._root_text(value)}
+
+
 @pytest.mark.parametrize("seed", [2, 3])
 def test_one_cycle_of_other_seeds_passes_the_oracle(monkeypatch, tmp_path, seed):
     # the digests above pin seed 1 only; other seeds draw other inputs of
     # the same shapes, which the oracle recomputes without nonarch
-    workloads, oracle = _perfbench("workloads"), _perfbench("oracle")
+    workloads, oracle, worker = (_perfbench(name) for name in ("workloads", "oracle", "worker"))
+    runner = worker.Runner(nonarch)
     monkeypatch.chdir(tmp_path)
-    problems = {}
+    problems, kinds = {}, set()
     for workload in workloads.WORKLOADS:
         jobs = workloads.generate(workload, seed, 1, str(tmp_path), workload)
-        cli_jobs = [job for job in jobs if job["kind"] == "cli"]
-        assert cli_jobs
-        for job in cli_jobs:
-            found = oracle.check(job, _run_cli(job["argv"]))
+        assert any(job["kind"] == "cli" for job in jobs)
+        runner.prepare(jobs)
+        for job in jobs:
+            kinds.add(job["kind"])
+            record = _run_cli(job["argv"]) if job["kind"] == "cli" else \
+                _run_root(worker, runner, job)
+            found = oracle.check(job, record)
             if found:
                 problems[job["id"]] = found
+    assert kinds == {"cli", "root"}
     assert problems == {}

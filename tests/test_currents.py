@@ -871,9 +871,11 @@ def test_ladder_ord_matches_dlog(ord_target):
        j=st.one_of(st.integers(-2, 5), st.integers(60, 160)),
        k=st.integers(0, 10), u=st.integers(1, 50), nmax=st.integers(2, 12))
 # z = 3 + 3^8: six rows do not settle; z = 3^150 with alpha = x - q: depth 1
-# needs a level above 16 (nmax + 4)
+# needs a level above 16 (nmax + 4); p = 2, z = 3/2, nmax = 2: the second row is
+# settled and the first is not
 @example(p=3, qexp=1, cusp={1: 1}, spine=0, j=1, k=7, u=1, nmax=6)
 @example(p=3, qexp=1, cusp={1: 1}, spine=1, j=150, k=0, u=1, nmax=2)
+@example(p=2, qexp=1, cusp={-1: 1}, spine=0, j=-1, k=1, u=1, nmax=2)
 def test_ladder_ord_matches_the_level_walk(p, qexp, cusp, spine, j, k, u, nmax):
     # z = p^j (1 + p^k u) is generic for k = 0, and near the p-power p^j,
     # a grid point when qexp divides j, for k >= 1

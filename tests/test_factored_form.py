@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from nonarch import (INF, BallPoint, Current, FactoredFunction, PadicNumber,
                      alpha_eval, delta_eval, finite_product_eval, product_at)
 from nonarch.currents import EvalResult
-from nonarch.errors import NonarchError, PoleCollisionError
+from nonarch.errors import NonarchError, PoleCollisionError, TailCertificateError
 
 from helpers import (alpha_eval_oracle, delta_eval_oracle, factored_value_oracle,
                      finite_product_oracle)
@@ -283,6 +283,15 @@ def test_truncated_delta_skips_zero_cusps(z, J):
     got = delta_eval(c, q, z, J)
     assert key(got) == key(delta_eval_oracle(c, q, z, J))
     assert got.value.prec == z.prec
+
+
+@pytest.mark.parametrize("z", [Q(3, Fraction(2, 9)), Q(3, 18)])
+def test_truncated_delta_refuses_a_z_not_separated_from_the_dropped_grid_points(z):
+    # J = 1 drops the q^j with |j| >= 2, which lie on both sides of z: v(z)
+    # must be strictly between -(J + 1) v(q) = -2 and (J + 1) v(q) = 2
+    c = Current.periodic(3, {0: 0, 1: 1, 2: -1})
+    for f in (delta_eval, delta_eval_oracle):
+        assert outcome(f, c, Q(3, 3), z, 1) is TailCertificateError
 
 
 @pytest.mark.parametrize("f", [alpha_eval, delta_eval])

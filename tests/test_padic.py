@@ -9,7 +9,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import nonarch
 from nonarch import (BoundedSeries, Current, INF, NEG_INF, PadicNumber, RamifiedGerm,
@@ -783,6 +783,8 @@ def constraint_points(f):
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(data=unit_series(tailed=False), tail=tails, m=st.integers(1, 3))
+# u's tail slope -1 lies below the tangent slope -1/2 from (0, 3/2)
+@example(data=(3, BoundedSeries.build(3, [1, 3])), tail=TailBound(-1, 8), m=1)
 def test_root_tail_matches_the_all_pairs_oracle(data, tail, m):
     p, f = data
     f = BoundedSeries(p, f.coeffs, tail)
