@@ -259,45 +259,8 @@ def _cmd_ladder_ord(args) -> dict:
 
 
 def _load_tower(path: str) -> skeleton.SkeletonTower:
-    """The tower of a file, read once: each graph into its integer table
-    (``SkeletonGraph.from_json``), then the refinements.  Shapes and names
-    are checked in bulk; on a fault an entry is read again in file order,
-    so that the first fault is the one refused."""
     from . import skeleton
-    data = _load_object(path)
-    graphs = [skeleton.SkeletonGraph.from_json(g)
-              for g in json_shape(data.get("graphs"), "list", f'{path}: "graphs"')]
-
-    def graph(r, key):
-        i = json_shape(r.get(key), "integer", f'{path}: refinement "{key}"')
-        if not 0 <= i < len(graphs):
-            raise ValueError(f'{path}: refinement "{key}" must be a graph index '
-                             f'in 0..{len(graphs) - 1}, not {i!r}')
-        return graphs[i]
-
-    def edge_paths(paths):
-        entries = list(paths.values())
-        flat = [s for p in entries for s in p] if set(map(type, entries)) <= {list} else None
-        if flat is None or not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {2}
-                                and set(map(type, [s[0] for s in flat])) <= {str}
-                                and set(map(type, [s[1] for s in flat])) <= {int}):
-            what = f'{path}: refinement "edge_paths"'
-            for e, p in paths.items():
-                for s in json_shape(p, "list", f"{what} entry {e!r}"):
-                    eid, sign = json_shape(s, "list", f"{what} step", 2)
-                    skeleton.json_names([eid])
-                    json_shape(sign, "integer", f"{what} step sign")
-        return {e: tuple(map(tuple, p)) for e, p in paths.items()}
-
-    refs = []
-    for r in json_shape(data.get("refinements"), "list", f'{path}: "refinements"'):
-        r = json_shape(r, "object", f"{path}: a refinement")
-        coarse, fine = graph(r, "coarse"), graph(r, "fine")
-        vmap, paths = (json_shape(r.get(key), "object", f'{path}: refinement "{key}"')
-                       for key in ("vertex_map", "edge_paths"))
-        skeleton.json_names(list(vmap.values()))
-        refs.append(skeleton.Refinement(coarse, fine, vmap, edge_paths(paths)))
-    return skeleton.SkeletonTower(tuple(graphs), tuple(refs))
+    return skeleton.SkeletonTower.from_json(_load_object(path), path)
 
 
 def _parse_point(s: str) -> skeleton.GraphPoint:

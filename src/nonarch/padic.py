@@ -478,16 +478,6 @@ def json_shape(value, kind: str, what: str, size=None):
     raise ValueError(f"{what} must be a JSON {kind}{entries}, not {value!r}")
 
 
-def json_shapes(values: list, kind: str, what: str, size=None) -> None:
-    """``json_shape(entry, kind, what, size)`` for every entry, checked in
-    bulk; on a fault, that check's ValueError for the first entry that
-    fails."""
-    if not (set(map(type, values)) <= _TYPES[kind]
-            and (size is None or set(map(len, values)) <= {size})):
-        for value in values:
-            json_shape(value, kind, what, size)
-
-
 def exact_text(x) -> str:
     """Text form of a valuation or log-radius: "inf", "-inf" or "a/b"."""
     if x == INF:

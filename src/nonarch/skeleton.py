@@ -27,14 +27,15 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotSeparatedError
-from .padic import (_Record, _set_field, json_shape, json_shapes, parse_fraction,
-                    rational_text)
+from .padic import _Record, _set_field, json_shape, parse_fraction, rational_text
 
 
-def json_names(values: list) -> None:
-    """Check vertex or edge names read from a file, each a JSON string, in
-    bulk (``json_shapes``)."""
-    json_shapes(values, "string", "a vertex or edge name")
+def _names(values):
+    """``values``, vertex or edge names read from a file, once each is
+    checked to be a JSON string."""
+    for name in values:
+        json_shape(name, "string", "a vertex or edge name")
+    return values
 
 
 def read_length(value) -> Tuple[int, int]:
@@ -72,23 +73,21 @@ class SkeletonGraph(_Record):
     the edge runs from u to v and has length n / ``denominator``, the
     least common denominator of the lengths (1 without edges).  Cusps are
     (half-edge id, vertex) pairs.  The ``Edge`` records of ``edges`` and
-    ``edge_map`` are built from the table when first asked for, unless the
-    graph was built from them; callers must mutate neither."""
+    ``edge_map`` are built from the table when first asked for; callers
+    must mutate neither."""
 
     _fields = ("vertices", "edges", "cusps")
     __slots__ = ("vertices", "cusps", "table", "denominator", "_edge_map")
 
     def __init__(self, vertices: frozenset, edges: Tuple[Edge, ...],
                  cusps: Tuple[Tuple[str, str], ...] = ()):
-        edges = tuple(edges)
         self._init(vertices, [(e.id, e.u, e.v, e.length.numerator, e.length.denominator)
-                              for e in edges], cusps, {e.id: e for e in edges})
+                              for e in edges], cusps)
 
-    def _init(self, vertices, rows, cusps, edge_map=None) -> None:
+    def _init(self, vertices, rows, cusps) -> None:
         """Set the graph from rows (id, u, v, a, b), the edge from u to v of
-        length a/b in lowest terms, and the ``edge_map`` of their records
-        if there is one; the lengths are checked first, then the ids and
-        endpoints, each in row order."""
+        length a/b in lowest terms; the lengths are checked first, then the
+        ids and endpoints, each in row order."""
         _set_field(self, "vertices", frozenset(vertices))
         _set_field(self, "cusps", cusps)
         for eid, _, _, a, _ in rows:
@@ -107,7 +106,7 @@ class SkeletonGraph(_Record):
                 raise ValueError(f"cusp {hid} attached to unknown vertex {w}")
         _set_field(self, "table", table)
         _set_field(self, "denominator", denominator)
-        _set_field(self, "_edge_map", edge_map)
+        _set_field(self, "_edge_map", None)
         if self.vertices and not self._connected():
             raise ValueError("graph must be connected")
 
@@ -150,22 +149,20 @@ class SkeletonGraph(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SkeletonGraph":
-        """The graph of a tower file's entry.  Its shapes and names are
-        checked in bulk; on a fault the entries are read again in file
-        order, so that the first fault is the one refused."""
+        """The graph of a tower file's entry, each part checked once: the
+        edge shapes, then the cusp shapes; the vertex names; each edge's
+        names, then its length, edge by edge; the cusp names."""
         data = json_shape(data, "object", "a graph")
         vertices = json_shape(data.get("vertices"), "list", '"vertices"')
         edges = json_shape(data.get("edges"), "list", '"edges"')
         cusps = json_shape(data.get("cusps", []), "list", '"cusps"')
-        json_shapes(edges, "list", "an edge", 4)
-        json_shapes(cusps, "list", "a cusp", 2)
-        json_names(vertices)
-        if not set(map(type, [name for e in edges for name in e[:3]])) <= {str}:
-            for e in edges:
-                json_names(e[:3])
-                read_length(e[3])
-        rows = [(i, u, v, *read_length(L)) for i, u, v, L in edges]
-        json_names([w for c in cusps for w in c])
+        for e in edges:
+            json_shape(e, "list", "an edge", 4)
+        for c in cusps:
+            json_shape(c, "list", "a cusp", 2)
+        _names(vertices)
+        rows = [(*_names(e[:3]), *read_length(e[3])) for e in edges]
+        _names([w for c in cusps for w in c])
         graph = cls.__new__(cls)
         graph._init(vertices, rows, tuple(map(tuple, cusps)))
         return graph
@@ -491,6 +488,43 @@ class SkeletonTower(_Record):
                 raise ValueError(f"refinement {i} does not match the tower graphs")
         _set_field(self, "graphs", graphs)
         _set_field(self, "refinements", refinements)
+
+    @classmethod
+    def from_json(cls, data: dict, path: str) -> "SkeletonTower":
+        """The tower of a tower file's top-level object, read once: each
+        graph into its integer table (``SkeletonGraph.from_json``), then
+        each refinement: "coarse", then "fine"; the "vertex_map" and
+        "edge_paths" objects; the vertex_map values; each edge_paths
+        entry's list, then per step its list of 2, its name and its sign.
+        ``path`` opens the refusals of the file's own keys."""
+        graphs = [SkeletonGraph.from_json(g)
+                  for g in json_shape(data.get("graphs"), "list", f'{path}: "graphs"')]
+        what = f"{path}: refinement"
+        steps = f'{what} "edge_paths"'
+
+        def graph(r, key):
+            i = json_shape(r.get(key), "integer", f'{what} "{key}"')
+            if not 0 <= i < len(graphs):
+                raise ValueError(f'{what} "{key}" must be a graph index '
+                                 f'in 0..{len(graphs) - 1}, not {i!r}')
+            return graphs[i]
+
+        def step(s):
+            eid, sign = json_shape(s, "list", f"{steps} step", 2)
+            _names([eid])
+            return eid, json_shape(sign, "integer", f"{steps} step sign")
+
+        refs = []
+        for r in json_shape(data.get("refinements"), "list", f'{path}: "refinements"'):
+            r = json_shape(r, "object", f"{path}: a refinement")
+            coarse, fine = graph(r, "coarse"), graph(r, "fine")
+            vmap, paths = (json_shape(r.get(key), "object", f'{what} "{key}"')
+                           for key in ("vertex_map", "edge_paths"))
+            _names(vmap.values())
+            paths = {e: tuple(map(step, json_shape(p, "list", f"{steps} entry {e!r}")))
+                     for e, p in paths.items()}
+            refs.append(Refinement(coarse, fine, vmap, paths))
+        return cls(tuple(graphs), tuple(refs))
 
     @property
     def depth(self) -> int:

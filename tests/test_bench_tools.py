@@ -66,6 +66,45 @@ def test_bench_cli_smoke_run_compares_two_trees(tmp_path, monkeypatch, capsys):
     assert "reports differing between the trees: 0 []" in capsys.readouterr().out
 
 
+def test_bench_theta_smoke_run_compares_two_trees(tmp_path, monkeypatch, capsys):
+    # two rounds on two small shapes, this tree on both sides
+    import bench_theta
+    monkeypatch.setattr(bench_theta, "ROUNDS", 2)
+    monkeypatch.setattr(bench_theta, "SHAPES", [(bench_theta.ONE_PAIR, 8, 1),
+                                                (bench_theta.TWO_PAIRS, 8, 3)])
+    monkeypatch.setattr(bench_theta, "OUT", str(tmp_path / "BENCH_theta.json"))
+    src = str(TOOLS.parent / "src")
+    bench_theta.main(["--base", src, "--src", src, "--label", "smoke"])
+    entry = json.loads((tmp_path / "BENCH_theta.json").read_text())["smoke"]
+    assert entry["env"]["rounds"] == 2
+    assert [(row["M"], row["l"]) for row in entry["rows"]] == [(8, 1), (8, 3)]
+    for row in entry["rows"]:
+        assert row["same_report"]
+        for side in ("base", "src"):
+            assert row[side]["exit_code"] == 0 and row[side]["padic_numbers_built"] > 0
+            assert len(row[side]["request_ms"]) == 2
+    assert "REPORTS DIFFER" not in capsys.readouterr().out
+
+
+def test_bench_series_tail_smoke_run_compares_two_trees(tmp_path, monkeypatch, capsys):
+    # two rounds on one small shape, this tree on both sides
+    import bench_series_tail
+    monkeypatch.setattr(bench_series_tail, "ROUNDS", 2)
+    monkeypatch.setattr(bench_series_tail, "SHAPES", bench_series_tail.SHAPES[:1])
+    monkeypatch.setattr(bench_series_tail, "OUT", str(tmp_path / "BENCH_series_tail.json"))
+    src = str(TOOLS.parent / "src")
+    bench_series_tail.main(["--base", src, "--src", src, "--label", "smoke"])
+    entry = json.loads((tmp_path / "BENCH_series_tail.json").read_text())["smoke"]
+    assert entry["env"]["rounds"] == 2
+    assert [row["kernel"] for row in entry["rows"]] == list(bench_series_tail.KERNELS)
+    for row in entry["rows"]:
+        assert row["same_result"] and (row["p"], row["degree"]) == (2, 8)
+        for side in ("base", "src"):
+            assert len(row[side]["request_ms"]) == 2
+            assert row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
+    assert "RESULTS DIFFER" not in capsys.readouterr().out
+
+
 def test_each_bound_mutant_names_a_text_that_occurs_once_in_its_file():
     # the mutants themselves run in tools/mutate_bounds.py, not here
     import mutate_bounds

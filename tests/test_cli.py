@@ -520,6 +520,15 @@ def test_alpha_of_a_cusp_free_periodic_current_at_zero(tmp_path, capsys, ring, s
     assert json.loads(capsys.readouterr().out)["error"] == error
 
 
+def _put(data, where: str, value) -> None:
+    """Set the entry of ``data`` at ``where``, keys and list indices
+    joined by "/", to ``value``."""
+    *parents, last = [int(k) if k.isdigit() else k for k in where.split("/")]
+    for key in parents:
+        data = data[key]
+    data[last] = value
+
+
 @pytest.mark.parametrize("where, value, reason", [
     ("graphs", 3, '{f}: "graphs" must be a JSON list, not 3'),
     ("refinements", 3, '{f}: "refinements" must be a JSON list, not 3'),
@@ -550,11 +559,7 @@ def test_alpha_of_a_cusp_free_periodic_current_at_zero(tmp_path, capsys, ring, s
 def test_wrong_json_type_in_a_tower_file_exits_2(tmp_path, capsys, where, value, reason):
     f = tower_file(tmp_path)
     data = json.loads(f.read_text())
-    *parents, last = [int(k) if k.isdigit() else k for k in where.split("/")]
-    node = data
-    for key in parents:
-        node = node[key]
-    node[last] = value
+    _put(data, where, value)
     f.write_text(json.dumps(data))
     assert main(["skeleton-tower", "--file", str(f), "--check", "compose"]) == 2
     payload = json.loads(capsys.readouterr().out)
@@ -578,6 +583,29 @@ def test_malformed_entry_in_a_tower_graph_exits_2(tmp_path, capsys, key, value, 
     f = tower_file(tmp_path)
     data = json.loads(f.read_text())
     data["graphs"][2][key] = value
+    f.write_text(json.dumps(data))
+    assert main(["skeleton-tower", "--file", str(f), "--check", "compose"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"kind": "ValueError", "reason": reason}
+
+
+@pytest.mark.parametrize("faults, reason", [
+    ({"graphs/2/edges/0/3": True, "graphs/2/edges/1/0": 7},
+     "not a rational number: True"),
+    ({"graphs/2/vertices/3": 1, "graphs/2/edges/1": ["e2", "m", "b"]},
+     "an edge must be a JSON list of 4 entries, not ['e2', 'm', 'b']"),
+    ({"refinements/0/vertex_map/b": ["b"], "refinements/0/edge_paths/e/1/1": True},
+     "a vertex or edge name must be a JSON string, not ['b']"),
+    # every length is read before any is checked to be positive
+    ({"graphs/2/edges/0/3": "-1", "graphs/2/edges/1/3": True},
+     "not a rational number: True"),
+])
+def test_a_tower_file_with_two_faults_is_refused_for_the_first_in_file_order(
+        tmp_path, capsys, faults, reason):
+    f = tower_file(tmp_path)
+    data = json.loads(f.read_text())
+    for where, value in faults.items():
+        _put(data, where, value)
     f.write_text(json.dumps(data))
     assert main(["skeleton-tower", "--file", str(f), "--check", "compose"]) == 2
     payload = json.loads(capsys.readouterr().out)

@@ -915,6 +915,9 @@ def test_ladder_ord_matches_the_level_walk(p, qexp, cusp, spine, j, k, u, nmax):
        cusp=st.dictionaries(st.integers(-2, 4), st.integers(-3, 3), max_size=4),
        spine=st.integers(-2, 2), j=st.integers(-2, 5), k=st.integers(0, 10),
        u=st.integers(1, 50))
+# at z = 1 the germ's coefficients 1, -1, 1, ... are units: they attain its
+# tail TailBound(0, 0), so a larger offset is false
+@example(p=2, qexp=1, cusp={}, spine=-1, j=0, k=0, u=1)
 def test_alpha_germ_points_lie_on_or_above_a_tail_line_with_offset_at_most_0(
         p, qexp, cusp, spine, j, k, u):
     """The two facts behind ladder_ord's settled rule: for the tail

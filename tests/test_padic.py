@@ -684,6 +684,9 @@ def assert_tail_bounds(short, long):
 @given(p=st.sampled_from((2, 3, 5)), rat=coeff_part.filter(bool),
        pi_part=st.one_of(st.just(Fraction(0)), coeff_part), D=st.integers(1, 6),
        past=st.integers(1, 30), negative=st.booleans())
+# (1 + T/2)^-1: the k-th coefficient has valuation k v(u), as low as the
+# tail allows, so a tail offset above 0 is false
+@example(p=2, rat=Fraction(1, 2), pi_part=Fraction(0), D=3, past=1, negative=True)
 def test_binomial_factor_tail_bounds_the_longer_expansion(p, rat, pi_part, D, past,
                                                           negative):
     # (1 + uT)^m keeps a tail for m < 0 and for m > D; checked against the
@@ -746,6 +749,13 @@ TAIL_OPS = {
        order=st.integers(0, 2), rat=coeff_part.filter(bool),
        pi_part=st.one_of(st.just(Fraction(0)), coeff_part), shift=st.integers(-2, 2),
        op_name=st.sampled_from(sorted(TAIL_OPS)))
+# f = 1 + X + ... + X^4 meets its truncation's tail TailBound(0, 0) at every
+# dropped degree, and so do f scaled or rescaled by c = 1: a larger offset
+# or slope is false
+@example(data=(2, BoundedSeries.build(2, [1] * 5)), order=0, rat=Fraction(1),
+         pi_part=Fraction(0), shift=0, op_name="scalar_mul")
+@example(data=(2, BoundedSeries.build(2, [1] * 5)), order=0, rat=Fraction(1),
+         pi_part=Fraction(0), shift=0, op_name="rescale")
 def test_tails_of_ring_operations_bound_the_longer_expansion(
         data, order, rat, pi_part, shift, op_name):
     # Same oracle as for the powers: the degree-D tail must bound every

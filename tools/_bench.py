@@ -25,14 +25,6 @@ def parser(doc):
     return ap
 
 
-def parse_args(doc, argv=None):
-    """``parser(doc)``'s arguments; ``--src`` goes first on ``sys.path``, so
-    ``nonarch`` is imported from that tree."""
-    args = parser(doc).parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
-    return args
-
-
 def env(repeat, **extra):
     """The machine and timing settings recorded with every label."""
     return {"python": platform.python_version(), "machine": platform.machine(),
