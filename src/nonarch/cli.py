@@ -62,24 +62,31 @@ def _load_object(path: str) -> dict:
 _DIGIT_LIMIT = 10 ** MAX_DIGITS
 
 
+def _too_many_digits(p: int, e: int) -> bool:
+    """Whether p^e >= 10^MAX_DIGITS, a power no report could print.  With
+    b = p.bit_length(), p^e >= 2^(e (b-1)): a huge e is refused on that
+    alone, and the exact power is taken only when it has fewer than twice
+    the bits of 10^MAX_DIGITS."""
+    return e * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or \
+        e > 0 and p ** e >= _DIGIT_LIMIT
+
+
 def _padic(p: int, rat, prec: int, pi_part=Fraction(0)) -> PadicNumber:
     """``PadicNumber(p, rat, pi_part, prec)`` for a value read from argv or
     a file.  A valid p with a ``prec`` at which its exact unit could pass
-    MAX_DIGITS decimal digits, which no report could print, is refused
-    first: p^(2 prec) >= 10^MAX_DIGITS, as a ramified unit interleaves
-    2 prec digits.  With b = p.bit_length(), p^(2 prec) >= 2^(2 prec (b-1)):
-    a huge prec is refused on that alone, and the exact power is taken
-    only when it has fewer than twice the bits of 10^MAX_DIGITS."""
+    MAX_DIGITS decimal digits is refused first: p^(2 prec) >= 10^MAX_DIGITS
+    (``_too_many_digits``), as a ramified unit interleaves 2 prec digits."""
     require_prime(p)
-    if 2 * prec * (p.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or \
-            prec > 0 and p ** (2 * prec) >= _DIGIT_LIMIT:
+    if _too_many_digits(p, 2 * prec):
         raise ValueError(f"--prec {prec} is too large for p = {p}: p^(2*prec) "
                          f"must stay below 10^{MAX_DIGITS}")
     return PadicNumber(p, rat, pi_part, prec)
 
 
 def _parse_scalar(s: str, p: int, prec: int) -> PadicNumber:
-    """Accept 'p', 'p^k', 'p**k', '-p^k', or a rational 'a/b'."""
+    """Accept 'p', 'p^k', 'p**k', '-p^k', or a rational 'a/b'.  A valid p
+    with p^|k| >= 10^MAX_DIGITS, more digits than a rational written out may
+    have, is refused before the power is taken."""
     t = s.strip().replace("**", "^")
     sign = 1
     if t.startswith("-"):
@@ -87,7 +94,12 @@ def _parse_scalar(s: str, p: int, prec: int) -> PadicNumber:
     if t == "p":
         return _padic(p, sign * p, prec)
     if t.startswith("p^"):
-        return _padic(p, sign * Fraction(p) ** int(t[2:]), prec)
+        k = int(t[2:])
+        require_prime(p)
+        if _too_many_digits(p, abs(k)):
+            raise ValueError(f"p^{k} is out of range for p = {p}: p^|k| must stay "
+                             f"below 10^{MAX_DIGITS}")
+        return _padic(p, sign * Fraction(p) ** k, prec)
     return _padic(p, sign * parse_fraction(t), prec)
 
 

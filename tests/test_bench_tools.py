@@ -43,7 +43,7 @@ def test_bench_script_help_exits_0(script):
     done = subprocess.run([sys.executable, str(TOOLS / script), "--help"],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert "--label" in done.stdout and "--src" in done.stdout
+    assert all(option in done.stdout for option in ("--base", "--src", "--label"))
 
 
 def test_bench_cli_smoke_run_compares_two_trees(tmp_path, monkeypatch, capsys):
@@ -57,6 +57,7 @@ def test_bench_cli_smoke_run_compares_two_trees(tmp_path, monkeypatch, capsys):
     bench_cli.main(["--base", src, "--src", src, "--label", "smoke"])
     entry = json.loads((tmp_path / "BENCH_cli.json").read_text())["smoke"]
     assert entry["env"]["rounds"] == 2 and len(entry["rows"]) == 2
+    assert 0 <= entry["src_faster_rounds"] <= 2
     for row in entry["rows"]:
         assert row["same_report"]
         for side in ("base", "src"):
@@ -103,6 +104,72 @@ def test_bench_series_tail_smoke_run_compares_two_trees(tmp_path, monkeypatch, c
             assert len(row[side]["request_ms"]) == 2
             assert row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
     assert "RESULTS DIFFER" not in capsys.readouterr().out
+
+
+def test_bench_poles_smoke_run_compares_two_trees(tmp_path, monkeypatch, capsys):
+    # two rounds on two small shapes, this tree on both sides
+    import bench_poles
+    monkeypatch.setattr(bench_poles, "ROUNDS", 2)
+    monkeypatch.setattr(bench_poles, "SHAPES", [("order-set", 2, 10, 1, 10),
+                                                ("find-order", 3, 10, 2, 7)])
+    monkeypatch.setattr(bench_poles, "OUT", str(tmp_path / "BENCH_poles.json"))
+    src = str(TOOLS.parent / "src")
+    bench_poles.main(["--base", src, "--src", src, "--label", "smoke"])
+    entry = json.loads((tmp_path / "BENCH_poles.json").read_text())["smoke"]
+    assert entry["env"]["rounds"] == 2 and 0 <= entry["src_faster_rounds"] <= 2
+    assert [(row["command"], row["nmax"]) for row in entry["rows"]] == \
+        [("order-set", 10), ("find-order", None)]
+    for row in entry["rows"]:
+        assert row["same_report"] and 0 <= row["src_faster_rounds"] <= 2
+        for side in ("base", "src"):
+            assert row[side]["columns_built"] > 0 and row[side]["entry_bits_max"] > 0
+            assert len(row[side]["request_ms"]) == 2
+    assert "REPORTS DIFFER" not in capsys.readouterr().out
+
+
+def test_bench_startup_smoke_run_compares_two_trees(tmp_path, monkeypatch, capsys):
+    # two rounds on two commands, this tree on both sides
+    import bench_startup
+    requests = dict(list(bench_startup.first_requests().items())[:2])
+    monkeypatch.setattr(bench_startup, "ROUNDS", 2)
+    monkeypatch.setattr(bench_startup, "first_requests", lambda: requests)
+    monkeypatch.setattr(bench_startup, "OUT", str(tmp_path / "BENCH_startup.json"))
+    src = str(TOOLS.parent / "src")
+    bench_startup.main(["--base", src, "--src", src, "--label", "smoke"])
+    entry = json.loads((tmp_path / "BENCH_startup.json").read_text())["smoke"]
+    assert [row["command"] for row in entry["rows"]] == list(requests)
+    for row in entry["rows"]:
+        assert row["same_report"] and 0 <= row["src_faster_rounds"] <= 2
+        for side in ("base", "src"):
+            assert row[side]["exit_code"] == 0 and "nonarch.padic" in row[side]["modules"]
+            assert len(row[side]["request_ms"]) == 2
+            assert row[side]["q1_ms"] <= row[side]["median_ms"] <= row[side]["q3_ms"]
+    assert "REPORTS DIFFER" not in capsys.readouterr().out
+
+
+def test_side_by_side_counts_the_rounds_src_won_per_row_and_over_all_rows():
+    def rows(*times):
+        return [{"report_sha256": "a", "request_ms": t} for t in times]
+    # three rounds of two requests; round 2 totals 7 on both sides
+    runs = {"base": [rows(2.0, 5.0), rows(3.0, 4.0), rows(4.0, 1.0)],
+            "src": [rows(1.0, 5.0), rows(2.0, 5.0), rows(5.0, 1.0)]}
+    got, faster = _bench.side_by_side(runs, [{"id": 0}, {"id": 1}], ("report_sha256",),
+                                      "report")
+    assert [(row["id"], row["same_report"], row["src_faster_rounds"]) for row in got] == \
+        [(0, True, 2), (1, True, 0)]
+    assert faster == 1
+
+
+def test_patched_restores_every_attribute_and_refuses_a_missing_one():
+    class Owner:
+        a, b = 1, 2
+    with _bench.patched((Owner, "a", lambda old: old + 10), (Owner, "b", str)):
+        assert (Owner.a, Owner.b) == (11, "2")
+    assert (Owner.a, Owner.b) == (1, 2)
+    with pytest.raises(AttributeError):
+        with _bench.patched((Owner, "a", str), (Owner, "gone", str)):
+            pass
+    assert Owner.a == 1
 
 
 def test_each_bound_mutant_names_a_text_that_occurs_once_in_its_file():

@@ -1073,6 +1073,24 @@ def test_the_default_prec_holds_for_every_provable_prime():
     assert nonarch.cli._padic(p, 1, DEFAULT_PREC).prec == DEFAULT_PREC
 
 
+@pytest.mark.parametrize("q, reason", [
+    ("p^9012", None), ("-p^9012", None),
+    ("p^9013", "p^9013 is out of range for p = 3: p^|k| must stay below 10^4300"),
+    ("p**-9013", "p^-9013 is out of range for p = 3: p^|k| must stay below 10^4300")])
+def test_a_power_of_p_past_the_printable_digits_exits_2(capsys, q, reason):
+    # 3^9012 < 10^4300 <= 3^9013: the bound a rational written out in digits meets
+    code = main(["moebius-check", "--p", "3", f"--q={q}", "--n", "1", "--J", "1"])
+    payload = json.loads(capsys.readouterr().out)
+    assert (code, payload.get("error")) == ((0, None) if reason is None else
+                                            (2, {"kind": "ValueError", "reason": reason}))
+
+
+def test_a_bad_p_keeps_its_message_under_a_huge_power_of_p(capsys):
+    assert main(["moebius-check", "--p", "4", "--q", "p^100000000000", "--n", "1",
+                 "--J", "1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["reason"] == "p = 4 is not prime"
+
+
 def test_a_bad_p_keeps_its_message_under_a_huge_prec(capsys):
     assert main(["poly-eval", "--p", "4", "--q", "p", "--coeffs", "1", "--prec",
                  str(10 ** 30)]) == 2

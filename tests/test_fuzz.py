@@ -13,6 +13,7 @@ import tempfile
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonarch import Current, cli
@@ -20,10 +21,11 @@ from nonarch.cli import dispatch
 
 from helpers import current_json, random_tower, seeded_window_current, tower_json
 
-# every JSON type, a zero denominator, a negative and a huge integer, and
-# containers where a scalar belongs
-NODES = [[], {}, "x", "1/0", 0, -1, 1.5, None, True, 10 ** 30, ["a"], {"a": 1}]
-ARGS = ["0", "-1", "1/0", "x", str(10 ** 30), "[]", "1/3", "", "inf"]
+# every JSON type, a zero denominator, a negative and a huge integer, a
+# power of p no report could print, and containers where a scalar belongs
+NODES = [[], {}, "x", "1/0", 0, -1, 1.5, None, True, 10 ** 30, "p^99999999999", ["a"],
+         {"a": 1}]
+ARGS = ["0", "-1", "1/0", "x", str(10 ** 30), "p^99999999999", "[]", "1/3", "", "inf"]
 # size arguments whose work grows without bound (README): never mutated
 UNBOUNDED = {"--J", "--M", "--l", ("moebius-check", "--n")}
 
@@ -145,6 +147,21 @@ def test_one_file_mutation_ends_in_a_documented_exit_code(data):
     name = data.draw(st.sampled_from(sorted(files)))
     files[name] = _mutated_file(files[name], data.draw)
     assert _exit_code(argv, files) in (0, 2, 3, 4), (argv, files[name])
+
+
+@pytest.mark.parametrize("k", ["100000000000", "-100000000000"])
+@pytest.mark.parametrize("argv, poles", [
+    (["moebius-check", "--p", "3", "--q", "p^{k}", "--n", "1", "--J", "3"], None),
+    (["theta", "--p", "3", "--q", "p", "--factors", "[[1, 1], [2, -1]]", "--l", "1",
+      "--z", "p^{k}", "--z0", "2", "--M", "4"], None),
+    (["order-set", "--poles", "{poles}", "--x", "p^{k}"], ["1", "2"]),
+    (["order-set", "--poles", "{poles}"], ["1", "p^{k}"])],
+    ids=["q", "z", "x", "pole"])
+def test_a_huge_power_of_p_exits_2_before_the_power_is_taken(argv, poles, k):
+    argv = [a.replace("{k}", k) for a in argv]
+    files = {} if poles is None else {
+        "poles": {"p": 5, "x": "0", "poles": [e.replace("{k}", k) for e in poles]}}
+    assert _exit_code(argv, files) == 2
 
 
 def _streamed(payload):

@@ -7,20 +7,18 @@ it times four kernels, each one row: the root tail
 of 1/f from the power recurrence ``series._power_coeffs`` at exponent -1
 (the exponents the binomial factors of ``currents.alpha_germ`` use when
 negative) and ``torsor.splitting_logradius_numeric`` (best of ``REPEAT``
-runs, ``time.perf_counter``; stored as ``request_ms``).  Each round runs
-one fresh process against ``--base`` and one against ``--src``, the order
-of the two sides reversed every other round (``_bench.alternating``).
-With every row go the number of constraint points of f - 1, the largest
-operand bit-length (numerator or denominator) of the input and of the
-expanded root, and a sha256 of the results (the root's coefficients, its
-tail, 1/f and the radius), so the two sides can be checked for identical
-output (``same_result``).
+runs, ``time.perf_counter``; stored as ``request_ms``), in one process per
+tree and round (``_bench.compare``).  With every row go the number of
+constraint points of f - 1, the largest operand bit-length (numerator or
+denominator) of the input and of the expanded root, and a sha256 of the
+results (the root's coefficients, its tail, 1/f and the radius), so the
+two sides can be checked for identical output (``same_result``).
 
-Per row and side the tool records the ``ROUNDS`` times with their median
-and quartiles and the values above; a side whose values change between
-rounds stops the tool.  Results go under ``--label`` into
-``BENCH_series_tail.json`` at the repository root, next to the labels
-already there::
+Per row the tool records what ``_bench.side_by_side`` folds: each side's
+``ROUNDS`` times with their median and quartiles and the values above,
+``same_result`` and ``src_faster_rounds``; a side whose values change
+between rounds stops the tool.  Results go under ``--label`` into
+``BENCH_series_tail.json`` at the repository root::
 
     python3 tools/bench_series_tail.py --base ../old-checkout/src --label recurrence
 
@@ -29,26 +27,20 @@ Stdlib only.
 
 from __future__ import annotations
 
-import json
 import os
 import random
-import sys
 from fractions import Fraction
 
-from _bench import ROOT, best_of, compare, env, over_rounds, parser, record, report_digest
+from _bench import ROOT, best_of, compare, env, load, record, report_digest, side_by_side, \
+    trees
 
 OUT = os.path.join(ROOT, "BENCH_series_tail.json")
 REPEAT = 5
 ROUNDS = 10
-SIDES = ("base", "src")
 KERNELS = ("root_tail", "series_p_power_root", "power_inverse",
            "splitting_logradius_numeric")
 COUNTS = ("constraint_points", "input_operand_bits_max", "root_operand_bits_max",
           "result_sha256")
-# one side of a round: ``measure`` in a fresh process on the tree argv[2],
-# the shapes argv[3] as JSON
-CHILD = "import json, sys; sys.path.insert(0, sys.argv[1]); import bench_series_tail; " \
-    "bench_series_tail.measure(sys.argv[2], json.loads(sys.argv[3]))"
 
 # (p, explicit degree D, m, with tail); the i-th series is drawn with seed i
 SHAPES = [(p, D, m, tailed) for D in (8, 32, 64)
@@ -82,13 +74,8 @@ def texts(coeffs):
 
 def measure(tree, shapes):
     """Time the kernels on the series of every shape against the
-    ``nonarch`` of ``tree``; prints one JSON row per shape and kernel."""
-    sys.path.insert(0, tree)
-    from nonarch import series, torsor
-
-    home = os.path.dirname(os.path.dirname(os.path.abspath(series.__file__)))
-    if home != tree:
-        raise SystemExit(f"nonarch imported from {home}, not {tree}")
+    ``nonarch`` of ``tree``; one row per shape and kernel."""
+    series, torsor = load(tree, "series", "torsor")
     rows = []
     for i, (p, D, m, tailed) in enumerate(shapes):
         f = make_series(series, p, D, tailed, seed=i)
@@ -109,32 +96,24 @@ def measure(tree, shapes):
                 "inverse": texts(inverse), "radius": str(radius)}),
         }
         rows += [dict(counts, request_ms=round(t * 1e3, 3)) for t in times]
-    json.dump(rows, sys.stdout)
+    return rows
 
 
 def main(argv=None):
-    ap = parser(__doc__)
-    ap.add_argument("--base", required=True, help="the tree to compare --src against")
-    args = ap.parse_args(argv)
-    trees = {"base": os.path.abspath(args.base), "src": os.path.abspath(args.src)}
-    runs = compare(CHILD, trees, ROUNDS, json.dumps(SHAPES))
+    label, sides = trees(__doc__, argv)
+    runs = compare(measure, sides, ROUNDS, SHAPES)
+    heads = [{"p": p, "degree": D, "m": m, "tail": tailed, "kernel": kernel}
+             for p, D, m, tailed in SHAPES for kernel in KERNELS]
+    rows, faster = side_by_side(runs, heads, COUNTS, "result")
 
-    rows = []
-    for idx, ((p, D, m, tailed), kernel) in enumerate(
-            (shape, kernel) for shape in SHAPES for kernel in KERNELS):
-        row = {"p": p, "degree": D, "m": m, "tail": tailed, "kernel": kernel}
-        for side in SIDES:
-            row[side] = over_rounds([r[idx] for r in runs[side]], COUNTS,
-                                    f"p={p} D={D} m={m} {kernel} on {side}")
-        row["same_result"] = row["base"]["result_sha256"] == row["src"]["result_sha256"]
-        rows.append(row)
-
-    record(OUT, args.label, {"env": env(REPEAT, rounds=ROUNDS), "rows": rows})
+    record(OUT, label, {"env": env(REPEAT, rounds=ROUNDS), "src_faster_rounds": faster,
+                        "rows": rows})
     for row in rows:
         base, src = row["base"], row["src"]
         print(f"p={row['p']} D={row['degree']:>2} m={row['m']} tail={row['tail']!s:5} "
               f"{row['kernel']:<27} {base['median_ms']:8.3f} -> {src['median_ms']:8.3f} ms"
               f"{'' if row['same_result'] else '  RESULTS DIFFER'}")
+    print(f"src faster in {faster} of {ROUNDS} rounds, summed over every row")
 
 
 if __name__ == "__main__":
